@@ -17,9 +17,9 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import cohomology, ncalg, verify
+from .exact import rational_json
 from .figures import emit_figures
 from .lattice import GitPresentation
 from .quiver import QuiverRep, base_equation, base_map, is_semistable, relations_hold, stratum
@@ -82,16 +82,6 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _rat(value: Fraction):
-    return int(value) if value.denominator == 1 else str(value)
-
-
-def _rat_tree(value):
-    if isinstance(value, Fraction):
-        return _rat(value)
-    return [_rat_tree(v) for v in value]
-
-
 def _cmd_skms(args) -> int:
     p = _load_presentation(args.input)
     _emit(skms(p).to_jsonable())
@@ -142,14 +132,14 @@ def _cmd_quiver_check(args) -> int:
     ok, residuals = relations_hold(rep)
     payload: dict = {"stability": args.stability, "relations_hold": ok}
     if not ok:
-        payload["residuals"] = {k: _rat_tree(v) for k, v in residuals.items()}
+        payload["residuals"] = {k: rational_json(v) for k, v in residuals.items()}
         _emit(payload)
         return 1
     point = base_map(rep)
     payload["semistable"] = is_semistable(rep, args.stability)
     payload["stratum"] = stratum(rep)
     payload["base_point"] = point.to_dict()
-    payload["base_equation"] = _rat(base_equation(point))
+    payload["base_equation"] = rational_json(base_equation(point))
     _emit(payload)
     return 0
 

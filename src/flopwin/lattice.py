@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
+from .exact import echelon
+
 Vector = tuple  # integer or Fraction coordinates
 Matrix = tuple  # rows, each a tuple of ints
 
@@ -91,36 +93,22 @@ def mat_identity(n: int) -> Matrix:
 
 
 def mat_inverse_transpose(m: Matrix) -> Matrix:
-    """Inverse transpose of an integer matrix with det +-1.
+    """Inverse transpose of a 1x1 or 2x2 integer matrix with det +-1.
 
     This is the induced action on the cocharacter lattice: pairing is then
-    preserved, <g*lam, g.chi> = <lam, chi>.
+    preserved, <g*lam, g.chi> = <lam, chi>.  It is the cofactor matrix
+    divided by det, and dividing by det = +-1 is multiplying by it.
     """
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == k)) for k in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular Weyl generator")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    invm = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = invm[j][i]
-            if x.denominator != 1:
-                raise ValueError("Weyl generator is not invertible over the integers")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
+    if len(m) == 1:
+        det, cofactors = m[0][0], ((1,),)
+    else:
+        (a, b), (c, d) = m
+        det, cofactors = a * d - b * c, ((d, -c), (-b, a))
+    if det == 0:
+        raise ValueError("singular Weyl generator")
+    if det not in (1, -1):
+        raise ValueError("Weyl generator is not invertible over the integers")
+    return tuple(tuple(det * x for x in row) for row in cofactors)
 
 
 @dataclass(frozen=True)
@@ -156,12 +144,6 @@ class GitPresentation:
         p.validate()
         return p
 
-    @classmethod
-    def from_json(cls, path) -> "GitPresentation":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls.from_dict(data)
-
     def validate(self) -> None:
         if self.rank < 1 or self.rank > 2:
             raise PresentationError(f"unsupported rank {self.rank} (only 1 and 2)")
@@ -176,7 +158,10 @@ class GitPresentation:
         for g in self.weyl:
             if len(g) != self.rank or any(len(row) != self.rank for row in g):
                 raise PresentationError("Weyl generator has wrong shape")
-            mat_inverse_transpose(g)  # integer invertibility
+            try:
+                mat_inverse_transpose(g)  # integer invertibility
+            except ValueError as exc:
+                raise PresentationError(str(exc)) from exc
         for g in self.weyl:
             if sorted(mat_apply(g, r) for r in self.roots) != sorted(self.roots):
                 raise PresentationError("Weyl generator does not permute the roots")
@@ -223,42 +208,18 @@ def is_quasi_symmetric(p: GitPresentation) -> bool:
 def weyl_invariant_basis(p: GitPresentation) -> tuple:
     """Primitive basis of the Weyl-fixed subspace of the weight lattice.
 
-    Computed as the exact kernel of the stacked (g - I) matrices; each basis
-    vector is primitive with first nonzero coordinate positive, and the list
-    is sorted lexicographically descending for determinism.
+    Computed as the exact kernel of the stacked (g - I) matrices: the rows of
+    their transpose, augmented with the identity, leave the kernel in the
+    null tails.  Each basis vector is primitive with first nonzero coordinate
+    positive, and the list is sorted lexicographically descending for
+    determinism.
     """
     n = p.rank
-    rows: list = []
-    for g in p.weyl:
-        for i in range(n):
-            row = [Fraction(g[i][j] - (1 if i == j else 0)) for j in range(n)]
-            if any(x != 0 for x in row):
-                rows.append(row)
-    # reduced row echelon form
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -rows[i][f]
-        basis.append(primitive_signed(v))
-    return tuple(sorted(basis, reverse=True))
+    rows = [[g[i][j] - int(i == j) for j in range(n)] for g in p.weyl for i in range(n)]
+    aug = [[Fraction(row[j]) for row in rows] + [Fraction(int(i == j)) for i in range(n)]
+           for j in range(n)]
+    _, _, kernel = echelon(aug, width=len(rows))
+    return tuple(sorted((primitive_signed(v) for v in kernel), reverse=True))
 
 
 def invariant_line(p: GitPresentation) -> Vector:

@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
+from .exact import echelon, rational
+
 Word = tuple[int, ...]
 Poly = dict[Word, Fraction]
 PolyKey = tuple[tuple[Word, Fraction], ...]
@@ -342,26 +344,6 @@ def is_central(rs: RewriteSystem, expr: Poly, d: int | None = None) -> bool:
 
 # -- exact linear algebra on irreducible-word bases ------------------------
 
-def _echelon(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Row reduce in place, returning the nonzero rows."""
-    out: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        row = list(row)
-        for prow, pcol in zip(out, pivots):
-            if row[pcol] != 0:
-                factor = row[pcol]
-                row = [a - factor * b for a, b in zip(row, prow)]
-        lead = next((j for j, a in enumerate(row) if a != 0), None)
-        if lead is None:
-            continue
-        inv = row[lead]
-        row = [a / inv for a in row]
-        out.append(row)
-        pivots.append(lead)
-    return out
-
-
 def _coords(poly: Poly, index: Mapping[Word, int], size: int) -> list[Fraction]:
     vec = [Fraction(0)] * size
     for w, c in poly.items():
@@ -405,25 +387,10 @@ def graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> Ker
         target = rs.basis(k + deg)
         index = {w: i for i, w in enumerate(target)}
         rows = _map_matrix(rs, source, multiplier, side, index)
-        # eliminate while tracking the combination that produced each row
-        width = len(target)
+        # augment with unit vectors: the null tails then span the kernel
         aug = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(len(source))]
                for i in range(len(source))]
-        reduced: list[list[Fraction]] = []
-        pivots: list[int] = []
-        kernel_rows: list[list[Fraction]] = []
-        for row in aug:
-            for prow, pcol in zip(reduced, pivots):
-                if row[pcol] != 0:
-                    factor = row[pcol]
-                    row = [a - factor * b for a, b in zip(row, prow)]
-            lead = next((j for j in range(width) if row[j] != 0), None)
-            if lead is None:
-                kernel_rows.append(row[width:])
-                continue
-            inv = row[lead]
-            reduced.append([a / inv for a in row])
-            pivots.append(lead)
+        _, _, kernel_rows = echelon(aug, width=len(target))
         dims.append(len(kernel_rows))
         if kernel_rows and not witnesses:
             for combo in kernel_rows:
@@ -452,15 +419,11 @@ def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
                 candidates.append(rs.normal_form(p_mul(v, unit)))
         basis_words = rs.basis(k)
         index = {w: i for i, w in enumerate(basis_words)}
-        reduced = _echelon([_coords(c, index, len(index)) for c in candidates])
+        reduced, _, _ = echelon([_coords(c, index, len(index)) for c in candidates])
         layers[k] = [
             {w: c for w, c in zip(basis_words, row) if c != 0} for row in reduced
         ]
     return [len(layers[k]) for k in range(d + 1)]
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    return len(_echelon(rows))
 
 
 def resolution_check(rs: RewriteSystem, multipliers: Sequence[Poly], d: int,
@@ -486,27 +449,18 @@ def resolution_check(rs: RewriteSystem, multipliers: Sequence[Poly], d: int,
         e_out, e_in = degs[i], degs[i + 1]
         for k in range(0, d - e_out + 1):
             target_out = {w: j for j, w in enumerate(rs.basis(k + e_out))}
-            rank_out = _rank(_map_matrix(rs, rs.basis(k), multipliers[i], "right", target_out))
-            if k - e_in < 0:
-                rank_in = 0
-            else:
+            _, pivots_out, _ = echelon(
+                _map_matrix(rs, rs.basis(k), multipliers[i], "right", target_out))
+            rank_out = len(pivots_out)
+            rank_in = 0
+            if k >= e_in:
                 target_in = {w: j for j, w in enumerate(rs.basis(k))}
-                rank_in = _rank(
-                    _map_matrix(rs, rs.basis(k - e_in), multipliers[i + 1], "right", target_in)
-                )
+                _, pivots_in, _ = echelon(
+                    _map_matrix(rs, rs.basis(k - e_in), multipliers[i + 1], "right", target_in))
+                rank_in = len(pivots_in)
             if len(rs.basis(k)) - rank_out != rank_in:
                 return False, f"not exact at position {i + 1}, degree {k}"
     return True, None
-
-
-def ses_dims_check(d: int) -> bool:
-    """dim A_con(k) = dim C[t,b,c](k) + dim EndG(k-2) for k <= d."""
-    acon = hilbert(catalog("acon"), d)
-    ctbc = hilbert(catalog("Ctbc"), d)
-    endg = hilbert(catalog("endG"), d)
-    return all(
-        acon[k] == ctbc[k] + (endg[k - 2] if k >= 2 else 0) for k in range(d + 1)
-    )
 
 
 # -- morphisms and the fiber product ---------------------------------------
@@ -552,7 +506,8 @@ class Morphism:
                 _coords(self.apply({w: Fraction(1)}), index, len(index))
                 for w in self.source.basis(k)
             ]
-            if _rank(rows) < len(target):
+            _, pivots, _ = echelon(rows)
+            if len(pivots) < len(target):
                 return False
         return True
 
@@ -633,7 +588,7 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
                 nb = rs_b.normal_form(p_mul(vb, gb))
                 rows.append(_coords(na, a_index, width_a) + _coords(nb, b_index, width_b))
                 elements.append((na, nb))
-        reduced = _echelon(rows)
+        reduced, _, _ = echelon(rows)
         a_words, b_words = rs_a.basis(k), rs_b.basis(k)
         layers[k] = [
             (
@@ -859,7 +814,7 @@ def parse_expr(pres: NCPresentation, text: str) -> Poly:
             return inner
         take()
         if tok[0].isdigit():
-            return {(): Fraction(tok)}
+            return {(): rational(tok)}
         return pres.gen(tok)
 
     def factor() -> Poly:

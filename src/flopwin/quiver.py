@@ -16,32 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .exact import rational, rational_json
+
 Vec2 = tuple[Fraction, Fraction]
 Mat2 = tuple[Vec2, Vec2]
 
 PARAM_KEYS = ("t", "Tbeta", "Tgamma", "Tdelta")
 
 
-def _frac(value) -> Fraction:
-    if isinstance(value, bool):
-        raise TypeError("boolean is not a rational value")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
-def _frac_str(value: Fraction) -> str | int:
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _vec2(values) -> Vec2:
-    vals = tuple(_frac(v) for v in values)
+    vals = tuple(rational(v) for v in values)
     if len(vals) != 2:
         raise ValueError("expected a length-2 vector")
     return vals  # type: ignore[return-value]
@@ -132,7 +116,7 @@ class QuiverRep:
                 mat2_identity(t / 2), mat2_add(mat2_add(beta, gamma), outer(alpha, alpha_star))
             )
         if "params" in data and data["params"] is not None:
-            params = {k: _frac(v) for k, v in data["params"].items()}
+            params = {k: rational(v) for k, v in data["params"].items()}
             unknown = set(params) - set(PARAM_KEYS)
             if unknown:
                 raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
@@ -145,12 +129,12 @@ class QuiverRep:
 
     def to_dict(self) -> dict:
         return {
-            "alpha": [_frac_str(v) for v in self.alpha],
-            "alpha_star": [_frac_str(v) for v in self.alpha_star],
-            "beta": [[_frac_str(v) for v in row] for row in self.beta],
-            "gamma": [[_frac_str(v) for v in row] for row in self.gamma],
-            "delta": [[_frac_str(v) for v in row] for row in self.delta],
-            "params": {k: _frac_str(self.params[k]) for k in PARAM_KEYS},
+            "alpha": rational_json(self.alpha),
+            "alpha_star": rational_json(self.alpha_star),
+            "beta": rational_json(self.beta),
+            "gamma": rational_json(self.gamma),
+            "delta": rational_json(self.delta),
+            "params": {k: rational_json(self.params[k]) for k in PARAM_KEYS},
         }
 
     @property
@@ -266,11 +250,11 @@ class BasePoint:
         return (self.x, self.y, self.z, self.t, self.u, self.v, self.w)
 
     def to_dict(self) -> dict:
-        return {k: _frac_str(v) for k, v in zip("xyztuvw", self.to_tuple())}
+        return {k: rational_json(v) for k, v in zip("xyztuvw", self.to_tuple())}
 
     @classmethod
     def from_values(cls, values: Sequence) -> "BasePoint":
-        vals = [_frac(v) for v in values]
+        vals = [rational(v) for v in values]
         if len(vals) != 7:
             raise ValueError("expected seven coordinates (x, y, z, t, u, v, w)")
         return cls(*vals)
@@ -341,7 +325,7 @@ class SingularReport:
 
     def to_dict(self) -> dict:
         return {
-            "generators": {k: _frac_str(v) for k, v in self.generators.items()},
+            "generators": {k: rational_json(v) for k, v in self.generators.items()},
             "in_singular_locus": self.in_singular_locus,
             "in_z1": self.in_z1,
             "in_z2": self.in_z2,
@@ -381,13 +365,13 @@ def singular_locus_check(p: BasePoint) -> SingularReport:
 
 def conic_discriminant(u, v, w) -> Fraction:
     """Discriminant uw - v^2 of the conic family over the (u, v, w) plane."""
-    return _frac(u) * _frac(w) - _frac(v) * _frac(v)
+    return rational(u) * rational(w) - rational(v) * rational(v)
 
 
 def gauge_transform(rep: QuiverRep, g: Mat2, g0: Fraction = Fraction(1)) -> QuiverRep:
     """Act by (g0, g) in GL1 x GL2: conjugate the loops, rescale the arrows."""
     g = _mat2(g)
-    g0 = _frac(g0)
+    g0 = rational(g0)
     if g0 == 0:
         raise ValueError("g0 must be invertible")
     ginv = mat2_inverse(g)

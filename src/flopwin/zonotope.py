@@ -314,7 +314,8 @@ def face_poset(p: GitPresentation, j_min: int, j_max: int) -> FacePoset:
     """Enumerate walls and chambers for wall indices j in [j_min, j_max].
 
     Intervals C_j are produced for the same index range; C_j needs D_{j-1},
-    so walls are computed one step below j_min.
+    so walls are computed one step below j_min.  Walls are indexed from the
+    largest puncture <= 0, so the enumerated range always spans 0 as well.
     """
     desc = skms(p)
     if desc.N == 0:
@@ -322,8 +323,8 @@ def face_poset(p: GitPresentation, j_min: int, j_max: int) -> FacePoset:
     if j_min > j_max:
         raise ValueError("empty index range")
     residues = desc.punctures
-    lo_k = (j_min - len(residues) - 2) // len(residues) - 2
-    hi_k = (j_max + len(residues) + 2) // len(residues) + 2
+    lo_k = (min(j_min, 0) - len(residues) - 2) // len(residues) - 2
+    hi_k = (max(j_max, 0) + len(residues) + 2) // len(residues) + 2
     all_punctures = sorted(r + k for r in residues for k in range(lo_k, hi_k + 1))
     anchor = max(i for i, v in enumerate(all_punctures) if v <= 0)
     points = {j: all_punctures[anchor + j + 1] for j in range(j_min - 1, j_max + 1)}

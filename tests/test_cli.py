@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import flopwin
 from flopwin.cli import main
 
 
@@ -139,11 +142,20 @@ def test_quiver_check_relation_failure_exits_1(tmp_path, capsys):
 
 
 def test_quiver_check_rejects_incomplete_rep(tmp_path, capsys):
+    zero_denominator = {
+        "alpha": [1, 0],
+        "alpha_star": [2, 1],
+        "beta": [["1/0", 1], [0, "-1/2"]],
+        "gamma": [[0, 0], [1, 0]],
+    }
     path = tmp_path / "rep.json"
-    path.write_text(json.dumps({"alpha": [1, 0]}), encoding="utf-8")
-    code, out, err = run_cli(capsys, "quiver", "check", "--rep", str(path))
-    assert code == 2
-    assert "rep.json" in err
+    for rep in ({"alpha": [1, 0]}, zero_denominator):
+        path.write_text(json.dumps(rep), encoding="utf-8")
+        code, out, err = run_cli(capsys, "quiver", "check", "--rep", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "rep.json" in err
 
 
 def test_ncalg_hilbert_payload(capsys):
@@ -174,10 +186,14 @@ def test_ncalg_normal_form_nontrivial(capsys):
 
 
 def test_ncalg_normal_form_parse_error(capsys):
-    code, out, err = run_cli(capsys, "ncalg", "normal-form", "--algebra", "acon",
-                             "--expr", "beta $ gamma")
-    assert code == 2
-    assert "unexpected character" in err
+    for expr, message in (("beta $ gamma", "unexpected character"),
+                          ("1/0*t", "zero denominator")):
+        code, out, err = run_cli(capsys, "ncalg", "normal-form", "--algebra", "acon",
+                                 "--expr", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 def test_coh_multiplicity_dual_vanishing(capsys):
@@ -299,10 +315,14 @@ def test_figures_unwritable_directory(tmp_path, capsys):
 
 
 def test_module_invocation_round_trip():
+    # the child interpreter imports the same flopwin as this test run
+    package_root = str(Path(flopwin.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "flopwin.cli", "windows", "--face", "C:0"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "⟨O, V⟩\n"

@@ -11,6 +11,8 @@ from flopwin.lattice import (
     invariant_line,
     is_quasi_symmetric,
     load_fixture,
+    mat_apply,
+    mat_inverse_transpose,
     pair,
     primitive,
     primitive_signed,
@@ -64,6 +66,30 @@ def test_weyl_closure_is_checked():
     }
     with pytest.raises(PresentationError):
         GitPresentation.from_dict(bad)
+
+
+@pytest.mark.parametrize("generator,message", [
+    ([[1, 1], [1, 1]], "singular Weyl generator"),
+    ([[2, 0], [0, 1]], "not invertible over the integers"),
+])
+def test_non_unimodular_weyl_generator_is_rejected(generator, message):
+    data = {
+        "rank": 2,
+        "weights": [{"vec": [1, 0]}, {"vec": [-1, 0]}],
+        "weyl": [generator],
+    }
+    with pytest.raises(PresentationError, match=message):
+        GitPresentation.from_dict(data)
+
+
+def test_mat_inverse_transpose_preserves_the_pairing():
+    vectors = [(1, 0), (0, 1), (2, -3)]
+    for g in ([[0, 1], [1, 0]], [[1, 1], [0, 1]], [[2, 1], [1, 1]], [[0, -1], [1, 0]]):
+        gstar = mat_inverse_transpose(g)
+        for lam in vectors:
+            for chi in vectors:
+                assert pair(mat_apply(gstar, lam), mat_apply(g, chi)) == pair(lam, chi)
+    assert mat_inverse_transpose([[-1]]) == ((-1,),)
 
 
 def test_rank_three_is_rejected():

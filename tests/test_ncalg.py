@@ -27,7 +27,6 @@ from flopwin.ncalg import (
     p_scale,
     parse_expr,
     resolution_check,
-    ses_dims_check,
     singular_polynomials,
     standard_morphisms,
     substitute_and_reduce,
@@ -125,10 +124,6 @@ def test_fiber_dimension_identity():
     for k in range(11):
         assert acon[k] == ctbc[k] + endg[k] - cbc[k]
         assert acon[k] == ctbc[k] + (endg[k - 2] if k >= 2 else 0)
-
-
-def test_ses_dims_check():
-    assert ses_dims_check(10)
 
 
 def test_centrality():

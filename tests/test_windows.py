@@ -114,6 +114,22 @@ def test_picard_periodicity(flop):
         assert w2.classes == tuple(vec_add(c, (1, 1)) for c in w.classes)
 
 
+@pytest.mark.parametrize("kind", ["C", "D"])
+def test_picard_periodicity_far_from_the_origin(flop, kind):
+    """Every face in [-12, 12] is the C:0/C:-1 (or D:0/D:-1) face twisted by O(q)."""
+    spec = window if kind == "C" else big_window
+    base = {0: spec(flop, f"{kind}:0"), -1: spec(flop, f"{kind}:-1")}
+    for j in range(-12, 13):
+        j0 = 0 if j % 2 == 0 else -1
+        q = (j - j0) // 2
+        ref = base[j0]
+        got = spec(flop, f"{kind}:{j}")
+        classes = tuple(vec_add(c, (q, q)) for c in ref.classes)
+        assert got.classes == classes
+        assert got.lattice == tuple(sorted(vec_add(pt, (q, q)) for pt in ref.lattice))
+        assert got.render() == "⟨" + ", ".join(rep_name(c) for c in classes) + "⟩"
+
+
 def test_window_wrong_kind_rejected(flop):
     with pytest.raises(ValueError):
         window(flop, "D:0")
