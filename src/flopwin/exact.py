@@ -1,16 +1,21 @@
 """The exact-arithmetic kernel: one row reduction and one rational codec.
 
 Every kernel, rank, span and invariant subspace in the package comes out of
-`echelon`; every rational read from JSON or an expression goes through
-`rational`, and every rational written to JSON through `rational_json`.
+`echelon`, a sparse fraction-free integer elimination (Bareiss 1968) that
+returns exactly the Fraction rows plain Gaussian elimination would; every
+rational read from JSON or an expression goes through `rational`, and every
+rational written to JSON through `rational_json`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
 
 
 def echelon(rows, width: int | None = None):
-    """Forward elimination of Fraction rows, taken in the given order.
+    """Forward elimination of rational rows, taken in the given order.
 
     Each row is reduced against the pivot rows found so far.  Pivots are
     sought only in the first ``width`` columns (default: all of them); a row
@@ -18,25 +23,66 @@ def echelon(rows, width: int | None = None):
     contributes its remaining columns to the null tails.  Augmenting each row
     with a unit vector therefore makes the null tails a kernel basis.
 
+    The arithmetic is sparse fraction-free integer elimination: each row has
+    its denominators cleared into a {column: int} dict and is reduced against
+    primitive integer pivot rows by row <- a*row - b*prow with a/b = lead/entry
+    in lowest terms, then divided by the gcd of its entries.  The factor
+    scale_num / scale_den by which the integer row differs from the rational
+    one is tracked, so the returned Fraction rows are those of plain Fraction
+    elimination in the same order, value for value.
+
     Returns (pivot_rows, pivots, null_tails); the rank is len(pivots).
     """
     pivot_rows: list[list[Fraction]] = []
     pivots: list[int] = []
     null_tails: list[list[Fraction]] = []
+    int_rows: list[dict[int, int]] = []  # primitive integer pivot rows
     for row in rows:
-        row = list(row)
-        w = len(row) if width is None else width
-        for prow, pcol in zip(pivot_rows, pivots):
-            if row[pcol] != 0:
-                factor = row[pcol]
-                row = [a - factor * b for a, b in zip(row, prow)]
-        lead = next((j for j in range(w) if row[j] != 0), None)
-        if lead is None:
-            null_tails.append(row[w:])
+        n = len(row)
+        w = n if width is None else width
+        den = 1
+        for x in row:
+            if x and x.denominator != 1:
+                den = lcm(den, x.denominator)
+        vec = {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+        scale_num, scale_den = den, 1  # vec == scale_num / scale_den * Fraction row
+        for prow, pcol in zip(int_rows, pivots):
+            c = vec.get(pcol)
+            if c is None:
+                continue
+            lead = prow[pcol]
+            g = gcd(lead, c)
+            a, b = lead // g, c // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                for j in vec:
+                    vec[j] *= a
+                scale_num *= a
+            for j, v in prow.items():
+                s = vec.get(j, 0) - b * v
+                if s:
+                    vec[j] = s
+                else:
+                    del vec[j]
+            if a != 1 and vec:
+                g = gcd(*vec.values())
+                if g != 1:
+                    for j in vec:
+                        vec[j] //= g
+                    scale_den *= g
+        lead_col = min((j for j in vec if j < w), default=None)
+        if lead_col is None:
+            scale = Fraction(scale_num, scale_den)
+            null_tails.append([vec[j] / scale if j in vec else _ZERO for j in range(w, n)])
             continue
-        inv = row[lead]
-        pivot_rows.append([a / inv for a in row])
-        pivots.append(lead)
+        g = gcd(*vec.values())
+        if g != 1:
+            vec = {j: v // g for j, v in vec.items()}
+        lead = vec[lead_col]
+        int_rows.append(vec)
+        pivot_rows.append([Fraction(vec[j], lead) if j in vec else _ZERO for j in range(n)])
+        pivots.append(lead_col)
     return pivot_rows, pivots, null_tails
 
 

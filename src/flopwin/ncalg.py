@@ -166,14 +166,36 @@ class RewriteSystem:
                  rules: list[tuple[Word, Poly]]):
         self.presentation = presentation
         self.cutoff = cutoff
-        self.rules = rules
+        self.rules: list[tuple[Word, Poly]] = []
+        # the left-hand sides as a trie of generator indices; the node ending
+        # a lhs holds (index of the first rule with that lhs, lhs, rhs) under None
+        self._trie: dict = {}
         self._basis: dict[int, list[Word]] = {}
+        for lhs, rhs in rules:
+            self.add_rule(lhs, rhs)
+
+    def add_rule(self, lhs: Word, rhs: Poly) -> None:
+        """Append lhs -> rhs to the rules and to the lhs trie."""
+        node = self._trie
+        for g in lhs:
+            node = node.setdefault(g, {})
+        node.setdefault(None, (len(self.rules), lhs, rhs))
+        self.rules.append((lhs, rhs))
 
     def _find_reduction(self, word: Word) -> tuple[int, Word, Poly] | None:
-        for pos in range(len(word)):
-            for lhs, rhs in self.rules:
-                if word[pos:pos + len(lhs)] == lhs:
-                    return pos, lhs, rhs
+        """Leftmost reducible position, then the earliest rule applying there."""
+        n = len(word)
+        for pos in range(n):
+            node, best = self._trie, None
+            for q in range(pos, n):
+                node = node.get(word[q])
+                if node is None:
+                    break
+                hit = node.get(None)
+                if hit is not None and (best is None or hit[0] < best[0]):
+                    best = hit
+            if best is not None:
+                return pos, best[1], best[2]
         return None
 
     def normal_form(self, poly: Poly) -> Poly:
@@ -190,7 +212,7 @@ class RewriteSystem:
                 continue
             hit = self._find_reduction(word)
             if hit is None:
-                s = result.get(word, Fraction(0)) + coeff
+                s = result[word] + coeff if word in result else coeff
                 if s == 0:
                     result.pop(word, None)
                 else:
@@ -200,7 +222,9 @@ class RewriteSystem:
             head, tail = word[:pos], word[pos + len(lhs):]
             for rw, rc in rhs.items():
                 new = head + rw + tail
-                s = work.get(new, Fraction(0)) + coeff * rc
+                s = coeff * rc
+                if new in work:
+                    s += work[new]
                 if s == 0:
                     work.pop(new, None)
                 else:
@@ -220,7 +244,6 @@ class RewriteSystem:
 
     def _grow_basis(self) -> None:
         pres = self.presentation
-        lhs_list = [lhs for lhs, _ in self.rules]
         per_degree: dict[int, list[Word]] = {0: [()]}
         frontier: list[Word] = [()]
         while frontier:
@@ -230,7 +253,7 @@ class RewriteSystem:
                     new = word + (g,)
                     if pres.word_degree(new) > self.cutoff:
                         continue
-                    if any(new[-len(l):] == l for l in lhs_list if len(l) <= len(new)):
+                    if not self.is_irreducible(new):
                         continue
                     per_degree.setdefault(pres.word_degree(new), []).append(new)
                     nxt.append(new)
@@ -285,7 +308,7 @@ def complete(p: NCPresentation, d: int) -> RewriteSystem:
         lead = max(poly, key=p.order_key)
         coeff = poly[lead]
         rhs = {w: -c / coeff for w, c in poly.items() if w != lead}
-        rs.rules.append((lead, rhs))
+        rs.add_rule(lead, rhs)
         for other_lhs, other_rhs in list(rs.rules):
             for l1, r1, l2, r2 in ((lead, rhs, other_lhs, other_rhs),
                                    (other_lhs, other_rhs, lead, rhs)):
@@ -344,8 +367,9 @@ def is_central(rs: RewriteSystem, expr: Poly, d: int | None = None) -> bool:
 
 # -- exact linear algebra on irreducible-word bases ------------------------
 
-def _coords(poly: Poly, index: Mapping[Word, int], size: int) -> list[Fraction]:
-    vec = [Fraction(0)] * size
+def _coords(poly: Poly, index: Mapping[Word, int], size: int) -> list:
+    # plain int zeros: echelon skips them without Fraction arithmetic
+    vec: list = [0] * size
     for w, c in poly.items():
         vec[index[w]] = c
     return vec
@@ -388,7 +412,7 @@ def graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> Ker
         index = {w: i for i, w in enumerate(target)}
         rows = _map_matrix(rs, source, multiplier, side, index)
         # augment with unit vectors: the null tails then span the kernel
-        aug = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(len(source))]
+        aug = [rows[i] + [int(j == i) for j in range(len(source))]
                for i in range(len(source))]
         _, _, kernel_rows = echelon(aug, width=len(target))
         dims.append(len(kernel_rows))
@@ -445,19 +469,21 @@ def resolution_check(rs: RewriteSystem, multipliers: Sequence[Poly], d: int,
     for i in range(len(multipliers) - 1):
         if rs.normal_form(p_mul(multipliers[i + 1], multipliers[i])):
             return False, f"composite of maps {i + 1} and {i} is nonzero"
+    ranks: dict[tuple[PolyKey, int], int] = {}
+
+    def rank(m: Poly, e: int, k: int) -> int:
+        """Rank of right multiplication by m from degree k to degree k + e."""
+        key = (poly_key(m), k)
+        if key not in ranks:
+            target = {w: j for j, w in enumerate(rs.basis(k + e))}
+            ranks[key] = len(echelon(_map_matrix(rs, rs.basis(k), m, "right", target))[1])
+        return ranks[key]
+
     for i in range(len(multipliers) - 1):
         e_out, e_in = degs[i], degs[i + 1]
         for k in range(0, d - e_out + 1):
-            target_out = {w: j for j, w in enumerate(rs.basis(k + e_out))}
-            _, pivots_out, _ = echelon(
-                _map_matrix(rs, rs.basis(k), multipliers[i], "right", target_out))
-            rank_out = len(pivots_out)
-            rank_in = 0
-            if k >= e_in:
-                target_in = {w: j for j, w in enumerate(rs.basis(k))}
-                _, pivots_in, _ = echelon(
-                    _map_matrix(rs, rs.basis(k - e_in), multipliers[i + 1], "right", target_in))
-                rank_in = len(pivots_in)
+            rank_out = rank(multipliers[i], e_out, k)
+            rank_in = rank(multipliers[i + 1], e_in, k - e_in) if k >= e_in else 0
             if len(rs.basis(k)) - rank_out != rank_in:
                 return False, f"not exact at position {i + 1}, degree {k}"
     return True, None

@@ -116,6 +116,8 @@ class QuiverRep:
                 mat2_identity(t / 2), mat2_add(mat2_add(beta, gamma), outer(alpha, alpha_star))
             )
         if "params" in data and data["params"] is not None:
+            if not isinstance(data["params"], Mapping):
+                raise ValueError("params must be a mapping of parameter names to values")
             params = {k: rational(v) for k, v in data["params"].items()}
             unknown = set(params) - set(PARAM_KEYS)
             if unknown:

@@ -314,8 +314,11 @@ def face_poset(p: GitPresentation, j_min: int, j_max: int) -> FacePoset:
     """Enumerate walls and chambers for wall indices j in [j_min, j_max].
 
     Intervals C_j are produced for the same index range; C_j needs D_{j-1},
-    so walls are computed one step below j_min.  Walls are indexed from the
-    largest puncture <= 0, so the enumerated range always spans 0 as well.
+    so walls are computed one step below j_min.  The punctures are the
+    residues r_0 < ... < r_{N-1} in [0, 1) plus integers: numbering r_i + q
+    as q*N + i lists them in increasing order, and D_j is number a + j + 1,
+    where a numbers the largest puncture <= 0.  Each wall costs O(1), however
+    far j is from the origin.
     """
     desc = skms(p)
     if desc.N == 0:
@@ -323,11 +326,13 @@ def face_poset(p: GitPresentation, j_min: int, j_max: int) -> FacePoset:
     if j_min > j_max:
         raise ValueError("empty index range")
     residues = desc.punctures
-    lo_k = (min(j_min, 0) - len(residues) - 2) // len(residues) - 2
-    hi_k = (max(j_max, 0) + len(residues) + 2) // len(residues) + 2
-    all_punctures = sorted(r + k for r in residues for k in range(lo_k, hi_k + 1))
-    anchor = max(i for i, v in enumerate(all_punctures) if v <= 0)
-    points = {j: all_punctures[anchor + j + 1] for j in range(j_min - 1, j_max + 1)}
+    anchor = sum(1 for r in residues if r <= 0) - 1
+
+    def wall(j: int) -> Fraction:
+        q, i = divmod(anchor + j + 1, len(residues))
+        return residues[i] + q
+
+    points = {j: wall(j) for j in range(j_min - 1, j_max + 1)}
     intervals = {j: (points[j - 1], points[j]) for j in range(j_min, j_max + 1)}
     return FacePoset(line=desc.line, points={j: points[j] for j in range(j_min, j_max + 1)},
                      intervals=intervals)

@@ -148,8 +148,11 @@ def test_quiver_check_rejects_incomplete_rep(tmp_path, capsys):
         "beta": [["1/0", 1], [0, "-1/2"]],
         "gamma": [[0, 0], [1, 0]],
     }
+    complete = {key: zero_denominator[key] for key in ("alpha", "alpha_star", "gamma")}
+    complete["beta"] = [[1, 1], [0, "-1/2"]]
     path = tmp_path / "rep.json"
-    for rep in ({"alpha": [1, 0]}, zero_denominator):
+    for rep in ({"alpha": [1, 0]}, zero_denominator,
+                dict(complete, params=[1]), dict(complete, params="xy")):
         path.write_text(json.dumps(rep), encoding="utf-8")
         code, out, err = run_cli(capsys, "quiver", "check", "--rep", str(path))
         assert code == 2

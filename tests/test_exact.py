@@ -55,6 +55,67 @@ def test_echelon_kernel_rank_and_transpose(seed):
     assert len(echelon(transpose(rows, n_cols))[1]) == len(pivots)
 
 
+def dense_fraction_echelon(rows, width=None):
+    """Plain Fraction elimination, kept as the reference for echelon."""
+    pivot_rows, pivots, null_tails = [], [], []
+    for row in rows:
+        row = list(row)
+        w = len(row) if width is None else width
+        for prow, pcol in zip(pivot_rows, pivots):
+            if row[pcol] != 0:
+                factor = row[pcol]
+                row = [a - factor * b for a, b in zip(row, prow)]
+        lead = next((j for j in range(w) if row[j] != 0), None)
+        if lead is None:
+            null_tails.append(row[w:])
+            continue
+        inv = row[lead]
+        pivot_rows.append([a / inv for a in row])
+        pivots.append(lead)
+    return pivot_rows, pivots, null_tails
+
+
+def wide_random_matrix(rng, n_rows, n_cols):
+    """Sparse-ish rows with entries up to 10^6 over denominators up to 12,
+    some all-zero rows and some rational combinations of earlier rows."""
+    rows = []
+    for _ in range(n_rows):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append([Fraction(0)] * n_cols)
+        elif rows and roll < 0.4:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = Fraction(rng.randint(-7, 7), rng.randint(1, 12))
+            rows.append([x - c * y for x, y in zip(a, b)])
+        else:
+            rows.append([Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 12))
+                         if rng.random() < 0.5 else Fraction(0) for _ in range(n_cols)])
+    return rows
+
+
+@pytest.mark.parametrize("batch", range(10))
+def test_echelon_equals_dense_fraction_elimination(batch):
+    for seed in range(60 * batch, 60 * (batch + 1)):
+        rng = random.Random(f"echelon/{seed}")
+        n_rows, n_cols = rng.randint(0, 9), rng.randint(0, 9)
+        rows = wide_random_matrix(rng, n_rows, n_cols)
+        aug = [row + [Fraction(int(i == j)) for j in range(n_rows)]
+               for i, row in enumerate(rows)]
+        width = rng.randint(0, n_cols)
+        for args in ((rows, None), (rows, width), (aug, n_cols)):
+            got = echelon(*args)
+            assert got == dense_fraction_echelon(*args)
+            assert all(type(x) is Fraction for part in (got[0], got[2])
+                       for row in part for x in row)
+
+
+def test_echelon_takes_int_zeros_and_returns_fractions():
+    rows = [[0, Fraction(2, 3), 1], [0, 0, 0], [Fraction(1, 2), 0, Fraction(-3)]]
+    got = echelon(rows, width=2)
+    assert got == dense_fraction_echelon([[Fraction(x) for x in row] for row in rows], 2)
+    assert all(type(x) is Fraction for part in (got[0], got[2]) for row in part for x in row)
+
+
 def test_echelon_defaults_to_full_width():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(3)]]
     pivot_rows, pivots, tails = echelon(rows)

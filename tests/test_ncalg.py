@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from flopwin.ncalg import (
     Morphism,
     NCPresentation,
+    RewriteSystem,
     acon_dictionary,
     base_coordinates,
     catalog,
@@ -182,6 +184,117 @@ def test_periodic_resolutions():
     assert not bad and "map 1" in why
     bad, why = resolution_check(rs, [t, t], 10)
     assert not bad and "composite" in why
+
+
+def linear_find_reduction(rs, word):
+    """The rule scan the lhs trie replaces: leftmost position, earliest rule."""
+    for pos in range(len(word)):
+        for lhs, rhs in rs.rules:
+            if word[pos:pos + len(lhs)] == lhs:
+                return pos, lhs, rhs
+    return None
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_indexed_reduction_matches_linear_scan(name):
+    pres = catalog(name)
+    rs = complete(pres, 8)
+    words = [()]
+    frontier = [()]
+    while frontier:
+        frontier = [w + (g,) for w in frontier for g in range(len(pres.generators))
+                    if pres.word_degree(w + (g,)) <= 7]
+        words.extend(frontier)
+    for word in words:
+        assert rs._find_reduction(word) == linear_find_reduction(rs, word)
+
+
+def test_reduction_prefers_the_earliest_rule_at_the_leftmost_position():
+    # hand-made rules where several lhs match at one position: a longer lhs
+    # before its own prefix, a repeated lhs, and a lhs inside another
+    pres = NCPresentation.build([("x", 1), ("y", 1)])
+    one = Fraction(1)
+    rules = [((0, 1, 1), {(0, 0, 0): one}), ((0, 1), {(0, 0): one}),
+             ((0, 1), {(1, 1): one}), ((1, 1), {(0, 0): -one}), ((1,), {(0,): one})]
+    rs = RewriteSystem(pres, 6, rules)
+    assert rs.rules == rules
+    words = [w for n in range(6) for w in product(range(2), repeat=n)]
+    for word in words:
+        assert rs._find_reduction(word) == linear_find_reduction(rs, word)
+    assert rs._find_reduction((0, 0, 1, 1)) == (1, (0, 1, 1), {(0, 0, 0): one})
+    assert rs._find_reduction((1, 1, 0)) == (0, (1, 1), {(0, 0): -one})
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_completion_rules_match_linear_scan_completion(name, monkeypatch):
+    pres = catalog(name)
+    indexed = complete(pres, 8).rules
+    monkeypatch.setattr(RewriteSystem, "_find_reduction", linear_find_reduction)
+    assert complete(pres, 8).rules == indexed
+
+
+def rank_by_elimination(rows):
+    """Rank of a small Fraction matrix by Gaussian elimination on a copy."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def predicted_resolution(rs, maps, d):
+    """First failure of A <- A(-e_1) <- ... found by computing every rank directly."""
+    pres = rs.presentation
+    degs = [pres.poly_degree(m) for m in maps]
+    for i in range(len(maps) - 1):
+        if rs.normal_form(p_mul(maps[i + 1], maps[i])):
+            return False, f"composite of maps {i + 1} and {i} is nonzero"
+
+    def rank(m, k):
+        target = rs.basis(k + pres.poly_degree(m))
+        rows = []
+        for w in rs.basis(k):
+            image = rs.normal_form(p_mul({w: Fraction(1)}, m))
+            rows.append([image.get(u, Fraction(0)) for u in target])
+        return rank_by_elimination(rows)
+
+    for i in range(len(maps) - 1):
+        for k in range(d - degs[i] + 1):
+            rank_in = rank(maps[i + 1], k - degs[i + 1]) if k >= degs[i + 1] else 0
+            if len(rs.basis(k)) - rank(maps[i], k) != rank_in:
+                return False, f"not exact at position {i + 1}, degree {k}"
+    return True, None
+
+
+def test_resolution_check_reports_first_failure():
+    pres = catalog("acon")
+    rs = completed(pres, 6)
+    t, beta = pres.gen("t"), pres.gen("beta")
+    com = bracket(pres)
+    tt = p_mul(t, t)
+    cases = {
+        "t,t": [t, t],
+        "t,c,c": [t, com, com],
+        "t,c,tt": [t, com, tt],
+        "c,t,cb": [com, t, p_mul(com, beta)],
+        "c,tt": [com, tt],
+        "t,c,t,c,t": [t, com, t, com, t],
+    }
+    got = {name: resolution_check(rs, maps, 6) for name, maps in cases.items()}
+    assert got == {name: predicted_resolution(rs, maps, 6) for name, maps in cases.items()}
+    # each kind of outcome occurs, so the prediction is not vacuous
+    assert got["t,t"] == (False, "composite of maps 1 and 0 is nonzero")
+    assert got["t,c,c"] == (False, "composite of maps 2 and 1 is nonzero")
+    assert got["t,c,tt"] == (False, "not exact at position 2, degree 1")
+    assert got["c,t,cb"] == (False, "not exact at position 2, degree 2")
+    assert got["t,c,t,c,t"] == (True, None)
 
 
 def test_fiber_product_standard():

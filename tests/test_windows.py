@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from flopwin.windows import (
     rep_name,
     window,
 )
-from flopwin.zonotope import face_poset, nabla
+from flopwin.zonotope import face_poset, nabla, skms
 
 
 @pytest.fixture(scope="module")
@@ -114,20 +115,56 @@ def test_picard_periodicity(flop):
         assert w2.classes == tuple(vec_add(c, (1, 1)) for c in w.classes)
 
 
+def assert_picard_twist(p, kind, j, base):
+    """The face kind:j is the kind:0 or kind:-1 face (from base) twisted by O(q)."""
+    spec = window if kind == "C" else big_window
+    j0 = 0 if j % 2 == 0 else -1
+    q = (j - j0) // 2
+    ref = base[j0]
+    got = spec(p, f"{kind}:{j}")
+    classes = tuple(vec_add(c, (q, q)) for c in ref.classes)
+    assert got.classes == classes
+    assert got.lattice == tuple(sorted(vec_add(pt, (q, q)) for pt in ref.lattice))
+    assert got.render() == "⟨" + ", ".join(rep_name(c) for c in classes) + "⟩"
+
+
 @pytest.mark.parametrize("kind", ["C", "D"])
 def test_picard_periodicity_far_from_the_origin(flop, kind):
     """Every face in [-12, 12] is the C:0/C:-1 (or D:0/D:-1) face twisted by O(q)."""
     spec = window if kind == "C" else big_window
     base = {0: spec(flop, f"{kind}:0"), -1: spec(flop, f"{kind}:-1")}
     for j in range(-12, 13):
-        j0 = 0 if j % 2 == 0 else -1
-        q = (j - j0) // 2
-        ref = base[j0]
-        got = spec(flop, f"{kind}:{j}")
-        classes = tuple(vec_add(c, (q, q)) for c in ref.classes)
-        assert got.classes == classes
-        assert got.lattice == tuple(sorted(vec_add(pt, (q, q)) for pt in ref.lattice))
-        assert got.render() == "⟨" + ", ".join(rep_name(c) for c in classes) + "⟩"
+        assert_picard_twist(flop, kind, j, base)
+
+
+@pytest.mark.parametrize("kind", ["C", "D"])
+def test_faces_at_huge_indices_cost_constant_time(flop, kind):
+    spec = window if kind == "C" else big_window
+    base = {0: spec(flop, f"{kind}:0"), -1: spec(flop, f"{kind}:-1")}
+    start = time.perf_counter()
+    for j in (10**9, 10**9 + 1, -10**9, -10**9 - 1):
+        assert_picard_twist(flop, kind, j, base)
+    assert time.perf_counter() - start < 1.0
+
+
+def reference_walls(p, j_min, j_max):
+    """Walls D_j by listing every puncture r + k with |k| <= 70, sorted."""
+    residues = skms(p).punctures
+    listed = sorted(r + k for r in residues for k in range(-70, 71))
+    anchor = max(i for i, v in enumerate(listed) if v <= 0)
+    return {j: listed[anchor + j + 1] for j in range(j_min, j_max + 1)}
+
+
+@pytest.mark.parametrize("fixture", ["flop", "conifold"])
+def test_face_poset_matches_enumerated_punctures(fixture, request):
+    p = request.getfixturevalue(fixture)
+    walls = reference_walls(p, -61, 60)
+    for j in range(-60, 61):
+        poset = face_poset(p, j, j)
+        assert poset.points == {j: walls[j]}
+        assert poset.intervals == {j: (walls[j - 1], walls[j])}
+    wide = face_poset(p, -60, 60)
+    assert wide.points == {j: walls[j] for j in range(-60, 61)}
 
 
 def test_window_wrong_kind_rejected(flop):
