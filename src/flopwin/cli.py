@@ -316,6 +316,12 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # Point stdout at devnull so that the exit-time flush stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

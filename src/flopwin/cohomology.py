@@ -16,8 +16,7 @@ which is validated against an explicit two-chart Cech computation.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Weight = tuple[int, int]
 Char = dict[Weight, int]
@@ -137,24 +136,11 @@ def sym_graded(labels: Sequence[IrrepLabel | str], max_degree: int) -> GradedRep
 
     Each summand sits in degree 1; the result is truncated at max_degree.
     """
-    return _sym_by_factors(_weights_of(labels), max_degree)
-
-
-def _sym_by_factors(weights: Sequence[Weight], max_degree: int) -> GradedRep:
-    graded: list[Char] = [{(0, 0): 1}] + [{} for _ in range(max_degree)]
-    for w in weights:
-        new: list[Char] = [{} for _ in range(max_degree + 1)]
-        for k in range(max_degree + 1):
-            acc: Char = {}
-            for i in range(k + 1):
-                prev = graded[k - i]
-                if not prev:
-                    continue
-                shift = {(e1 + i * w[0], e2 + i * w[1]): c for (e1, e2), c in prev.items()}
-                acc = char_add(acc, shift)
-            new[k] = acc
-        graded = new
-    return {k: graded[k] for k in range(max_degree + 1)}
+    pieces = [(e1, e2, 0) for e1, e2 in _weights_of(labels)]
+    layers = sym_pieces_expansion(pieces, max_degree)
+    return {
+        k: {(e1, e2): n for (e1, e2, _), n in layers[k].items()} for k in range(max_degree + 1)
+    }
 
 
 def multiplicity(label: IrrepLabel | str, graded: GradedRep) -> list[int]:
@@ -274,17 +260,17 @@ def sym_pieces_expansion(pieces: Sequence[Piece], max_degree: int) -> list[Count
 
     Degree k of the result maps each combined piece (e1, e2, q) to the
     number of degree-k monomials with that total weight and Q-power.
+    Adding a piece w to the sum multiplies the series by 1/(1 - w), which is
+    the recurrence new[k] = old[k] + w * new[k - 1]; each piece updates the
+    degrees in place from low to high.
     """
-    layers: list[Counter[Piece]] = [Counter({(0, 0, 0): 1})]
+    layers: list[Counter[Piece]] = [Counter({(0, 0, 0): 1})][: max_degree + 1]  # none below 0
     layers += [Counter() for _ in range(max_degree)]
-    for piece in pieces:
-        new: list[Counter[Piece]] = [Counter() for _ in range(max_degree + 1)]
-        for k in range(max_degree + 1):
-            for i in range(k + 1):
-                for (e1, e2, q), cnt in layers[k - i].items():
-                    key = (e1 + i * piece[0], e2 + i * piece[1], q + i * piece[2])
-                    new[k][key] += cnt
-        layers = new
+    for w1, w2, wq in pieces:
+        for k in range(1, max_degree + 1):
+            layer = layers[k]
+            for (e1, e2, q), cnt in layers[k - 1].items():
+                layer[(e1 + w1, e2 + w2, q + wq)] += cnt
     return layers
 
 
@@ -298,22 +284,15 @@ def p1_graded_sections(
     h0: GradedRep = {}
     h1: GradedRep = {}
     for k, layer in enumerate(layers):
-        char0: Char = {}
-        char1: Char = {}
+        char0: Counter[Weight] = Counter()
+        char1: Counter[Weight] = Counter()
         for (e1, e2, q), cnt in layer.items():
-            for (t1, t2, tq) in twist_pieces:
-                line_h0, line_h1 = pv_line_cohomology(0, q + tq)
-                shift = (e1 + t1, e2 + t2)
-                for target, line_char in ((0, line_h0), (1, line_h1)):
-                    if not line_char:
-                        continue
-                    moved = {(w1 + shift[0], w2 + shift[1]): c * cnt for (w1, w2), c in line_char.items()}
-                    if target == 0:
-                        char0 = char_add(char0, moved)
-                    else:
-                        char1 = char_add(char1, moved)
-        h0[k] = char0
-        h1[k] = char1
+            for t1, t2, tq in twist_pieces:
+                for target, line_char in zip((char0, char1), pv_line_cohomology(0, q + tq)):
+                    for (w1, w2), c in line_char.items():
+                        target[(w1 + e1 + t1, w2 + e2 + t2)] += c * cnt
+        h0[k] = dict(char0)
+        h1[k] = dict(char1)
     return h0, h1
 
 
@@ -356,38 +335,10 @@ def s0_invariant_dims(max_degree: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # The bimodule pipeline: dual Koszul complex and the Ext^1 computation
 
-SPoly = dict[tuple[int, int], int]  # polynomials in the two sections s_beta, s_gamma
-
-S_BETA: SPoly = {(1, 0): 1}
-S_GAMMA: SPoly = {(0, 1): 1}
-
-
-def _sp_add(a: SPoly, b: SPoly) -> SPoly:
-    out = dict(a)
-    for m, c in b.items():
-        n = out.get(m, 0) + c
-        if n:
-            out[m] = n
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _sp_mul(a: SPoly, b: SPoly) -> SPoly:
-    out: SPoly = {}
-    for (i1, j1), c in a.items():
-        for (i2, j2), e in b.items():
-            key = (i1 + i2, j1 + j2)
-            n = out.get(key, 0) + c * e
-            if n:
-                out[key] = n
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _sp_scale(a: SPoly, k: int) -> SPoly:
-    return {m: c * k for m, c in a.items()} if k else {}
+# Koszul entries are polynomials in the two sections s_beta, s_gamma, stored
+# as characters keyed by exponent pairs.
+S_BETA: Char = {(1, 0): 1}
+S_GAMMA: Char = {(0, 1): 1}
 
 
 # Signed wedge bases chosen so the matrices match the displayed ones:
@@ -400,7 +351,7 @@ _WEDGE_BASES: tuple[tuple[tuple[frozenset[int], int], ...], ...] = (
 )
 
 # The section has components (s_beta, s_gamma, 0) in the three summands.
-_SECTION: tuple[SPoly, ...] = (S_BETA, S_GAMMA, {})
+_SECTION: tuple[Char, ...] = (S_BETA, S_GAMMA, {})
 
 
 def _wedge_insert(index: int, subset: frozenset[int]) -> tuple[frozenset[int], int]:
@@ -411,17 +362,17 @@ def _wedge_insert(index: int, subset: frozenset[int]) -> tuple[frozenset[int], i
     return subset | {index}, sign
 
 
-def koszul_matrices() -> list[list[list[SPoly]]]:
+def koszul_matrices() -> list[list[list[Char]]]:
     """The three differentials of the dual Koszul complex, acting on columns.
 
     Built from wedging with the section; the bases are fixed so the entries
     reproduce the displayed matrices.
     """
-    mats: list[list[list[SPoly]]] = []
+    mats: list[list[list[Char]]] = []
     for pos in range(3):
         source = _WEDGE_BASES[pos]
         target = _WEDGE_BASES[pos + 1]
-        rows: list[list[SPoly]] = [[{} for _ in source] for _ in target]
+        rows: list[list[Char]] = [[{} for _ in source] for _ in target]
         for col, (sub, s_sign) in enumerate(source):
             for index, coeff in enumerate(_SECTION, start=1):
                 if not coeff:
@@ -432,12 +383,12 @@ def koszul_matrices() -> list[list[list[SPoly]]]:
                 for row, (t_sub, t_sign) in enumerate(target):
                     if t_sub == new_sub:
                         total = s_sign * w_sign * t_sign
-                        rows[row][col] = _sp_add(rows[row][col], _sp_scale(coeff, total))
+                        rows[row][col] = char_add(rows[row][col], char_scale(coeff, total))
         mats.append(rows)
     return mats
 
 
-def koszul_is_complex(mats: Sequence[Sequence[Sequence[SPoly]]]) -> bool:
+def koszul_is_complex(mats: Sequence[Sequence[Sequence[Char]]]) -> bool:
     """Whether consecutive differentials compose to zero."""
     for first, second in zip(mats, mats[1:]):
         rows = len(second)
@@ -445,9 +396,9 @@ def koszul_is_complex(mats: Sequence[Sequence[Sequence[SPoly]]]) -> bool:
         inner = len(first)
         for r in range(rows):
             for c in range(cols):
-                acc: SPoly = {}
+                acc: Char = {}
                 for m in range(inner):
-                    acc = _sp_add(acc, _sp_mul(second[r][m], first[m][c]))
+                    acc = char_add(acc, char_mul(second[r][m], first[m][c]))
                 if acc:
                     return False
     return True
@@ -480,18 +431,6 @@ def koszul_lines_consistent() -> bool:
     return True
 
 
-def relative_canonical_line() -> Piece:
-    """The relative canonical bundle of the projection, Q^-2 D."""
-    return (1, 1, -2)
-
-
-def check_twist_bookkeeping() -> bool:
-    """V x omega, untwisted by Q, must equal the displayed V x Q^-3 D."""
-    e1, e2, q = relative_canonical_line()
-    twisted = (e1, e2, q - 1)
-    return twisted == (1, 1, -3)
-
-
 def ext1_degree3_multiplicities(max_degree: int) -> list[int]:
     """V*-multiplicity in sections of Q^2 D^-1 x Sym(bundle); must vanish."""
     h0, _ = p1_graded_sections([(-1, -1, 2)], INTERSECTION_BUNDLE_PIECES, max_degree)
@@ -511,8 +450,6 @@ def ext1_FG_dims(max_degree: int) -> list[int]:
         raise ValueError("dual Koszul differentials do not compose to zero")
     if not koszul_lines_consistent():
         raise ValueError("dual Koszul line bookkeeping is inconsistent")
-    if not check_twist_bookkeeping():
-        raise ValueError("relative canonical twist bookkeeping failed")
     if any(m != 0 for m in ext1_degree3_multiplicities(max_degree)):
         raise ValueError("degree-3 obstruction term does not vanish")
     h0, _ = p1_graded_sections([(-1, -1, 1)], INTERSECTION_BUNDLE_PIECES, max_degree)
@@ -522,45 +459,17 @@ def ext1_FG_dims(max_degree: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Sections over the resolved exceptional locus chart
 
-E2_CHART_WEIGHTS: dict[str, int] = {
-    "b00": 0,
-    "c00": 0,
-    "b01": -1,
-    "c01": -1,
-    "p": 0,
-}
-
-
 def e2_sections(max_degree: int, twist: int = 0) -> list[int]:
     """Sections of O(twist) on the resolved chart, graded by base degree.
 
     The chart is P^1 x A^3 where the projective coordinates carry scaling
-    weight -1 and the affine coordinates p, b00, c00 are weight 0.  Twist 0
-    recovers the polynomial ring on the three affine coordinates.
+    weight -1 and the affine coordinates p, b00, c00 are weight 0, so degree
+    m is h0(O(twist)) times the degree-m monomials in three weight-0 pieces.
+    Twist 0 recovers the polynomial ring on the three affine coordinates.
     """
-    dims = []
-    fiber = max(twist + 1, 0)
-    for degree in range(max_degree + 1):
-        count = 0
-        for i in range(degree + 1):
-            for j in range(degree + 1 - i):
-                # monomials p^i b00^j c00^(degree-i-j), times O(twist) sections
-                count += fiber
-        dims.append(count)
-    return dims
-
-
-def e2_restriction() -> dict[str, object]:
-    """Restriction of Q and V to the resolved chart's projective line.
-
-    The residual torus embeds as diag(1, s^-1), so the preserved line has
-    weight 0 and the quotient weight -1.
-    """
-    v_weights = [0, -1]
-    line_weight = 0
-    q_weight = sum(v_weights) - line_weight  # det V = L x Q at weight level
-    names = {0: "O", -1: "O(-1)"}
-    return {"Q": names[q_weight], "V": [names[w] for w in v_weights]}
+    fiber = sum(pv_line_cohomology(0, twist)[0].values())
+    layers = sym_pieces_expansion([(0, 0, 0)] * 3, max_degree)
+    return [fiber * sum(layer.values()) for layer in layers]
 
 
 # ---------------------------------------------------------------------------

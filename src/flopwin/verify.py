@@ -2,7 +2,8 @@
 
 Each check reruns one slice of the library against its frozen expected
 values and returns (ok, details).  The suites group the checks the same way
-the command line exposes them; "all" runs everything.
+the command line exposes them; "all" runs everything.  The expected tables
+are public so that the tests compare against this one copy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .lattice import load_fixture, pair
 from .zonotope import eta, nabla, skms
 from .windows import FaceRef, big_window, kappa_generators, window
 
-_HEXAGON_HALFSPACES = {
+HEXAGON_HALFSPACES = {
     ((1, 0), Fraction(1)),
     ((0, 1), Fraction(1)),
     ((1, 1), Fraction(1)),
@@ -27,7 +28,7 @@ _HEXAGON_HALFSPACES = {
     ((-1, -1), Fraction(1)),
 }
 
-_HEXAGON_VERTICES = {
+HEXAGON_VERTICES = {
     (Fraction(1), Fraction(0)),
     (Fraction(-1), Fraction(0)),
     (Fraction(0), Fraction(1)),
@@ -41,9 +42,9 @@ def check_zonotope_hrep() -> tuple[bool, str]:
     """The stability polytope H/V-representation plus the primitive-direction oracle."""
     p = load_fixture("universal_flop_length2.json")
     z = nabla(p)
-    if set(z.halfspaces) != _HEXAGON_HALFSPACES:
+    if set(z.halfspaces) != HEXAGON_HALFSPACES:
         return False, f"halfspaces {sorted(z.halfspaces)}"
-    if set(z.vertices) != _HEXAGON_VERTICES:
+    if set(z.vertices) != HEXAGON_VERTICES:
         return False, f"vertices {sorted(z.vertices)}"
     bound = 8
     checked = 0
@@ -74,7 +75,7 @@ def check_skms_residues() -> tuple[bool, str]:
     return ok, detail
 
 
-_WINDOW_TABLE = {
+WINDOW_TABLE = {
     -2: "⟨O(-1), V(-1)⟩",
     -1: "⟨O, V(-1)⟩",
     0: "⟨O, V⟩",
@@ -82,7 +83,7 @@ _WINDOW_TABLE = {
     2: "⟨O(1), V(1)⟩",
 }
 
-_BIG_WINDOW_TABLE = {
+BIG_WINDOW_TABLE = {
     -2: "⟨O(-1), V(-1), O⟩",
     -1: "⟨O, V, V(-1), Sym^2V(-1)⟩",
     0: "⟨O, V, O(1)⟩",
@@ -93,11 +94,11 @@ _BIG_WINDOW_TABLE = {
 
 def check_window_tables() -> tuple[bool, str]:
     p = load_fixture("universal_flop_length2.json")
-    for j, expected in _WINDOW_TABLE.items():
+    for j, expected in WINDOW_TABLE.items():
         got = window(p, FaceRef("C", j)).render()
         if got != expected:
             return False, f"window C:{j} gave {got}, expected {expected}"
-    for j, expected in _BIG_WINDOW_TABLE.items():
+    for j, expected in BIG_WINDOW_TABLE.items():
         got = big_window(p, FaceRef("D", j)).render()
         if got != expected:
             return False, f"big window D:{j} gave {got}, expected {expected}"
@@ -110,11 +111,11 @@ def check_window_tables() -> tuple[bool, str]:
     return True, "5 window tables, 5 big-window tables, periodicity on 3 pairs"
 
 
-_KAPPA_WALL_EXPECTED = {
+KAPPA_WALL_EXPECTED = {
     ((0, 0), (-1, -1)): "O_S0",
 }
 
-_KAPPA_FLOP_EXPECTED = {
+KAPPA_FLOP_EXPECTED = {
     ((1, 0), (-1, -1)): "O_S0(V)",
     ((1, 0), (0, -1)): "sigma_* O(Q)",
     ((1, -1), (0, -1)): "sigma_* O(Q^2 D^-1)",
@@ -124,17 +125,17 @@ _KAPPA_FLOP_EXPECTED = {
 def check_kappa_generators() -> tuple[bool, str]:
     p = load_fixture("universal_flop_length2.json")
     low = {g.key(): g.object_name for g in kappa_generators(p, FaceRef("D", -2), FaceRef("C", -2))}
-    if low != _KAPPA_WALL_EXPECTED:
+    if low != KAPPA_WALL_EXPECTED:
         return False, f"(D:-2, C:-2) gave {low}"
     mid = {g.key(): g.object_name for g in kappa_generators(p, FaceRef("D", -1), FaceRef("C", 0))}
-    if mid != _KAPPA_FLOP_EXPECTED:
+    if mid != KAPPA_FLOP_EXPECTED:
         return False, f"(D:-1, C:0) gave {mid}"
     if any(co == (0, 1) for _, co in mid):
         return False, "excluded cocharacter (0, 1) appeared"
     return True, "2 wall computations, 4 generators total, (0, 1) filtered"
 
 
-def _even_series(max_degree: int) -> list[int]:
+def even_series(max_degree: int) -> list[int]:
     """Coefficients of 1/(1-s^2)^3 laid out degreewise."""
     return [comb(k // 2 + 2, 2) if k % 2 == 0 else 0 for k in range(max_degree + 1)]
 
@@ -142,13 +143,13 @@ def _even_series(max_degree: int) -> list[int]:
 def check_hilbert_series() -> tuple[bool, str]:
     d = 12
     invariants = cohomology.s0_invariant_dims(d)
-    if invariants != _even_series(d):
+    if invariants != even_series(d):
         return False, f"invariant dims {invariants}"
     endg = ncalg.hilbert(ncalg.catalog("endG"), d)
     ore = [
-        (_even_series(d) + [0, 0])[k]
-        + 2 * (_even_series(d) + [0, 0])[k - 1]
-        + (_even_series(d) + [0, 0])[k - 2]
+        (even_series(d) + [0, 0])[k]
+        + 2 * (even_series(d) + [0, 0])[k - 1]
+        + (even_series(d) + [0, 0])[k - 2]
         for k in range(d + 1)
     ]
     if endg != ore:

@@ -16,6 +16,15 @@ import random
 from flopwin import cohomology, ncalg, quiver
 from flopwin.cli import main
 from flopwin.lattice import load_fixture, pair
+from flopwin.verify import (
+    BIG_WINDOW_TABLE,
+    HEXAGON_HALFSPACES,
+    HEXAGON_VERTICES,
+    KAPPA_FLOP_EXPECTED,
+    KAPPA_WALL_EXPECTED,
+    WINDOW_TABLE,
+    even_series,
+)
 from flopwin.windows import FaceRef, big_window, kappa_generators, window
 from flopwin.zonotope import eta, nabla, skms
 
@@ -33,14 +42,8 @@ def test_criterion_01_stability_polytope():
     start = time.perf_counter()
     p = load_fixture("universal_flop_length2.json")
     z = nabla(p)
-    assert set(z.halfspaces) == {
-        ((1, 0), F(1)), ((0, 1), F(1)), ((1, 1), F(1)),
-        ((-1, 0), F(1)), ((0, -1), F(1)), ((-1, -1), F(1)),
-    }
-    assert set(z.vertices) == {
-        (F(1), F(0)), (F(-1), F(0)), (F(0), F(1)),
-        (F(0), F(-1)), (F(1), F(-1)), (F(-1), F(1)),
-    }
+    assert set(z.halfspaces) == HEXAGON_HALFSPACES
+    assert set(z.vertices) == HEXAGON_VERTICES
     # exhaustive oracle over primitive directions with coordinates up to 8
     for a in range(-8, 9):
         for b in range(-8, 9):
@@ -67,23 +70,9 @@ def test_criterion_02_arrangement_residues():
 def test_criterion_03_window_tables():
     start = time.perf_counter()
     p = load_fixture("universal_flop_length2.json")
-    expected = {
-        -2: "⟨O(-1), V(-1)⟩",
-        -1: "⟨O, V(-1)⟩",
-        0: "⟨O, V⟩",
-        1: "⟨O(1), V⟩",
-        2: "⟨O(1), V(1)⟩",
-    }
-    for j, text in expected.items():
+    for j, text in WINDOW_TABLE.items():
         assert window(p, FaceRef("C", j)).render() == text
-    expected_big = {
-        -2: "⟨O(-1), V(-1), O⟩",
-        -1: "⟨O, V, V(-1), Sym^2V(-1)⟩",
-        0: "⟨O, V, O(1)⟩",
-        1: "⟨O(1), V(1), V, Sym^2V⟩",
-        2: "⟨O(1), V(1), O(2)⟩",
-    }
-    for j, text in expected_big.items():
+    for j, text in BIG_WINDOW_TABLE.items():
         assert big_window(p, FaceRef("D", j)).render() == text
     for j in (-2, -1, 0):
         lower = window(p, FaceRef("C", j)).classes
@@ -97,29 +86,21 @@ def test_criterion_04_wall_generators():
     p = load_fixture("universal_flop_length2.json")
     vertex = {g.key(): g.object_name
               for g in kappa_generators(p, FaceRef("D", -2), FaceRef("C", -2))}
-    assert vertex == {((0, 0), (-1, -1)): "O_S0"}
+    assert vertex == KAPPA_WALL_EXPECTED
     wall = {g.key(): g.object_name
             for g in kappa_generators(p, FaceRef("D", -1), FaceRef("C", 0))}
-    assert wall == {
-        ((1, 0), (-1, -1)): "O_S0(V)",
-        ((1, 0), (0, -1)): "sigma_* O(Q)",
-        ((1, -1), (0, -1)): "sigma_* O(Q^2 D^-1)",
-    }
+    assert wall == KAPPA_FLOP_EXPECTED
     assert all(co != (0, 1) for _, co in wall)
     _finish(4, "wall-subcategory generator sets", start)
-
-
-def _even_coeffs(max_degree: int) -> list[int]:
-    return [comb(k // 2 + 2, 2) if k % 2 == 0 else 0 for k in range(max_degree + 1)]
 
 
 def test_criterion_05_hilbert_series():
     start = time.perf_counter()
     d = 12
-    assert cohomology.s0_invariant_dims(d) == _even_coeffs(d)
+    assert cohomology.s0_invariant_dims(d) == even_series(d)
     endg = ncalg.hilbert(ncalg.catalog("endG"), d)
     assert endg == [1, 2, 4, 6, 9, 12, 16, 20, 25, 30, 36, 42, 49]
-    padded = _even_coeffs(d) + [0, 0]
+    padded = even_series(d) + [0, 0]
     assert endg == [padded[k] + 2 * padded[k - 1] + padded[k - 2] for k in range(d + 1)]
     acon = ncalg.hilbert(ncalg.catalog("acon"), d)
     assert acon == [1, 3, 7, 12, 19, 27, 37, 48, 61, 75, 91, 108, 127]

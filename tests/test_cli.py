@@ -330,3 +330,38 @@ def test_module_invocation_round_trip():
     assert proc.returncode == 0
     assert proc.stdout == "⟨O, V⟩\n"
     assert proc.stdout.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("command", ["quiver-check", "ncalg-hilbert"])
+def test_closed_stdout_exits_2_without_traceback(tmp_path, command, unbuffered):
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({
+        "alpha": [1, 0],
+        "alpha_star": [2, 1],
+        "beta": [["1/2", 1], [0, "-1/2"]],
+        "gamma": [[0, 0], [1, 0]],
+    }), encoding="utf-8")
+    argv = {
+        "quiver-check": ["quiver", "check", "--rep", str(rep)],
+        "ncalg-hilbert": ["ncalg", "hilbert", "--algebra", "acon"],
+    }[command]
+    package_root = str(Path(flopwin.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    # stdout is a pipe whose read end is already closed, as in `flopwin ... | true`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flopwin.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr.count("error:") == 1

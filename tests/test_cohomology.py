@@ -1,19 +1,19 @@
 import random
 from collections import Counter
+from functools import reduce
 from math import comb
 
 import pytest
 
 from flopwin.cohomology import (
-    E2_CHART_WEIGHTS,
     INTERSECTION_BUNDLE_PIECES,
+    IRREP_NAMES,
     afib_vanishing,
     cech_line_cohomology,
     central_character_obstruction,
+    char_add,
     char_mul,
-    check_twist_bookkeeping,
     decompose,
-    e2_restriction,
     e2_sections,
     euler_characteristic,
     ext1_FG_dims,
@@ -34,6 +34,7 @@ from flopwin.cohomology import (
     semiorthogonality_multiplicities,
     serre_duality_dims,
     sym_graded,
+    sym_pieces_expansion,
     verify_resf_pushforward,
     verify_semiorthogonality,
 )
@@ -83,6 +84,69 @@ def test_decompose_round_trip():
                 char[w] = char.get(w, 0) + c * mult
         char = {w: c for w, c in char.items() if c}
         assert decompose(char) == dict(sorted(combo.items()))
+
+
+def quadratic_sym_pieces_expansion(pieces, max_degree):
+    """Sym^k(A + w) = sum_i Sym^(k-i)(A) w^i, summed term by term."""
+    layers = [Counter({(0, 0, 0): 1})] + [Counter() for _ in range(max_degree)]
+    for piece in pieces:
+        new = [Counter() for _ in range(max_degree + 1)]
+        for k in range(max_degree + 1):
+            for i in range(k + 1):
+                for (e1, e2, q), cnt in layers[k - i].items():
+                    key = (e1 + i * piece[0], e2 + i * piece[1], q + i * piece[2])
+                    new[k][key] += cnt
+        layers = new
+    return layers
+
+
+def char_add_sym_graded(labels, max_degree):
+    """The same expansion on characters, built with char_add and char_mul."""
+    weights = []
+    for label in labels:
+        weights.extend(irrep_character(irrep_from_name(label) if isinstance(label, str) else label))
+    graded = [{(0, 0): 1}] + [{} for _ in range(max_degree)]
+    for w1, w2 in weights:
+        graded = [
+            reduce(char_add, (char_mul(graded[k - i], {(i * w1, i * w2): 1}) for i in range(k + 1)), {})
+            for k in range(max_degree + 1)
+        ]
+    return dict(enumerate(graded))
+
+
+def test_sym_pieces_expansion_matches_quadratic_reference():
+    rng = random.Random(11)
+    for trial in range(40):
+        pool = [(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-3, 3)) for _ in range(3)]
+        pieces = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        max_degree = trial % 13
+        got = sym_pieces_expansion(pieces, max_degree)
+        assert got == quadratic_sym_pieces_expansion(pieces, max_degree), (pieces, max_degree)
+        assert all(cnt > 0 for layer in got for cnt in layer.values())
+    layers = sym_pieces_expansion(INTERSECTION_BUNDLE_PIECES, 9)
+    assert layers == quadratic_sym_pieces_expansion(INTERSECTION_BUNDLE_PIECES, 9)
+    # a negative truncation keeps no degree at all
+    assert sym_pieces_expansion(INTERSECTION_BUNDLE_PIECES, -1) == []
+    assert ext1_FG_dims(-1) == [] and e2_sections(-2) == [] and sym_graded(["V"], -1) == {}
+
+
+def test_sym_graded_matches_char_add_reference():
+    rng = random.Random(12)
+    names = sorted(IRREP_NAMES)
+    for trial in range(30):
+        labels = [rng.choice(names) for _ in range(rng.randint(0, 4))]
+        if trial % 3 == 0:
+            q = rng.randint(-2, 1)
+            labels.append((q + rng.randint(0, 3), q))
+        max_degree = trial % 9
+        assert sym_graded(labels, max_degree) == char_add_sym_graded(labels, max_degree), labels
+
+
+@pytest.mark.parametrize("name, n", [("Ctbc", 3), ("Cbc", 2), ("afib", 3)])
+def test_commutative_hilbert_matches_sym_counts(name, n):
+    d = 12
+    graded = sym_graded(["O"] * n, d)
+    assert hilbert(catalog(name), d) == [sum(graded[k].values()) for k in range(d + 1)]
 
 
 def test_sym_graded_basics():
@@ -186,7 +250,6 @@ def test_koszul_complex():
 
 
 def test_ext1_pipeline():
-    assert check_twist_bookkeeping()
     assert ext1_degree3_multiplicities(10) == [0] * 11
     dims = ext1_FG_dims(10)
     assert dims == list(range(1, 12))
@@ -196,8 +259,9 @@ def test_ext1_pipeline():
 def test_e2_sections():
     assert e2_sections(3) == [1, 3, 6, 10]
     assert e2_sections(5, twist=-1) == [0] * 6
-    assert E2_CHART_WEIGHTS == {"b00": 0, "c00": 0, "b01": -1, "c01": -1, "p": 0}
-    assert e2_restriction() == {"Q": "O(-1)", "V": ["O", "O(-1)"]}
+    for twist in range(-3, 4):
+        expected = [max(twist + 1, 0) * comb(m + 2, 2) for m in range(9)]
+        assert e2_sections(8, twist) == expected, twist
 
 
 def test_resolution_terms():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from flopwin.lattice import load_fixture, vec_add
+from flopwin.verify import BIG_WINDOW_TABLE, KAPPA_FLOP_EXPECTED, WINDOW_TABLE
 from flopwin.windows import (
     FaceRef,
     KappaGenerator,
@@ -67,23 +68,6 @@ def test_lattice_points_of_translates(flop):
         (-1, -1), (-1, 0), (0, -1), (0, 0),
     )
     assert len(lattice_points(z)) == 7
-
-
-WINDOW_TABLE = {
-    -2: "⟨O(-1), V(-1)⟩",
-    -1: "⟨O, V(-1)⟩",
-    0: "⟨O, V⟩",
-    1: "⟨O(1), V⟩",
-    2: "⟨O(1), V(1)⟩",
-}
-
-BIG_WINDOW_TABLE = {
-    -2: "⟨O(-1), V(-1), O⟩",
-    -1: "⟨O, V, V(-1), Sym^2V(-1)⟩",
-    0: "⟨O, V, O(1)⟩",
-    1: "⟨O(1), V(1), V, Sym^2V⟩",
-    2: "⟨O(1), V(1), O(2)⟩",
-}
 
 
 @pytest.mark.parametrize("j", sorted(WINDOW_TABLE))
@@ -207,14 +191,9 @@ def test_kappa_deepest_wall(flop):
 
 
 def test_kappa_flop_wall(flop):
-    expected = {
-        ((1, 0), (-1, -1)): "O_S0(V)",
-        ((1, 0), (0, -1)): "sigma_* O(Q)",
-        ((1, -1), (0, -1)): "sigma_* O(Q^2 D^-1)",
-    }
     for cface in ("C:0", "C:-1"):
         gens = kappa_generators(flop, "D:-1", cface)
-        assert {g.key(): g.object_name for g in gens} == expected
+        assert {g.key(): g.object_name for g in gens} == KAPPA_FLOP_EXPECTED
         # the two facet normals Weyl-conjugate to (0,1)/(1,0) never survive
         assert all(g.cocharacter not in {(0, 1), (1, 0), (1, 1)} for g in gens)
 
