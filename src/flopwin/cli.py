@@ -123,11 +123,10 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_quiver_check(args) -> int:
+    data = _read_json(args.rep)
     try:
-        rep = QuiverRep.from_dict(_read_json(args.rep))
+        rep = QuiverRep.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
         raise InputError(f"{args.rep}: {exc}") from None
     ok, residuals = relations_hold(rep)
     payload: dict = {"stability": args.stability, "relations_hold": ok}
@@ -321,9 +320,6 @@ def main(argv=None) -> int:
         # Point stdout at devnull so that the exit-time flush stays silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before the output was written", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -274,26 +274,29 @@ def sym_pieces_expansion(pieces: Sequence[Piece], max_degree: int) -> list[Count
     return layers
 
 
-def p1_graded_sections(
-    twist_pieces: Sequence[Piece],
-    bundle_pieces: Sequence[Piece],
-    max_degree: int,
-) -> tuple[GradedRep, GradedRep]:
-    """H0 and H1 of twist x Sym^k(bundle) on P(V), per symmetric degree k."""
-    layers = sym_pieces_expansion(bundle_pieces, max_degree)
-    h0: GradedRep = {}
-    h1: GradedRep = {}
-    for k, layer in enumerate(layers):
-        char0: Counter[Weight] = Counter()
-        char1: Counter[Weight] = Counter()
-        for (e1, e2, q), cnt in layer.items():
-            for t1, t2, tq in twist_pieces:
-                for target, line_char in zip((char0, char1), pv_line_cohomology(0, q + tq)):
-                    for (w1, w2), c in line_char.items():
-                        target[(w1 + e1 + t1, w2 + e2 + t2)] += c * cnt
-        h0[k] = dict(char0)
-        h1[k] = dict(char1)
-    return h0, h1
+def vstar_section_counts(twists: Sequence[Piece], max_degree: int) -> list[list[int]]:
+    """Per-degree V* multiplicity in H0 of twist x Sym^k(bundle) on P(V), per twist.
+
+    The bundle is INTERSECTION_BUNDLE_PIECES, expanded once for all twists.
+    The multiplicity is linear in the character, so each monomial of Sym^k
+    contributes its weight-difference term directly and no H0 character is
+    built.  H1 is not computed: every bundle piece has Q-power >= 0, so H1
+    vanishes for every twist with tq >= -1, which covers all callers.
+    """
+    layers = sym_pieces_expansion(INTERSECTION_BUNDLE_PIECES, max_degree)
+    v1, v2 = IRREP_NAMES["Vstar"]
+    counts = []
+    for t1, t2, tq in twists:
+        per_degree = []
+        for layer in layers:
+            total = 0
+            for (e1, e2, q), cnt in layer.items():
+                h0 = pv_line_cohomology(0, q + tq)[0]
+                a, b = v1 - e1 - t1, v2 - e2 - t2
+                total += cnt * (h0.get((a, b), 0) - h0.get((a + 1, b - 1), 0))
+            per_degree.append(total)
+        counts.append(per_degree)
+    return counts
 
 
 def semiorthogonality_multiplicities(max_degree: int) -> dict[str, list[int]]:
@@ -302,13 +305,8 @@ def semiorthogonality_multiplicities(max_degree: int) -> dict[str, list[int]]:
     Both lists collect the multiplicity of V* per symmetric degree: once in
     sections of Q x Sym(bundle) and once in sections of Sym(bundle).
     """
-    q_h0, _ = p1_graded_sections([(0, 0, 1)], INTERSECTION_BUNDLE_PIECES, max_degree)
-    plain_h0, _ = p1_graded_sections([(0, 0, 0)], INTERSECTION_BUNDLE_PIECES, max_degree)
-    vstar = IRREP_NAMES["Vstar"]
-    return {
-        "Q_twist": multiplicity(vstar, q_h0),
-        "V_twist": multiplicity(vstar, plain_h0),
-    }
+    q_twist, v_twist = vstar_section_counts([(0, 0, 1), (0, 0, 0)], max_degree)
+    return {"Q_twist": q_twist, "V_twist": v_twist}
 
 
 def verify_semiorthogonality(max_degree: int) -> bool:
@@ -433,8 +431,7 @@ def koszul_lines_consistent() -> bool:
 
 def ext1_degree3_multiplicities(max_degree: int) -> list[int]:
     """V*-multiplicity in sections of Q^2 D^-1 x Sym(bundle); must vanish."""
-    h0, _ = p1_graded_sections([(-1, -1, 2)], INTERSECTION_BUNDLE_PIECES, max_degree)
-    return multiplicity("Vstar", h0)
+    return vstar_section_counts([(-1, -1, 2)], max_degree)[0]
 
 
 def ext1_FG_dims(max_degree: int) -> list[int]:
@@ -450,10 +447,10 @@ def ext1_FG_dims(max_degree: int) -> list[int]:
         raise ValueError("dual Koszul differentials do not compose to zero")
     if not koszul_lines_consistent():
         raise ValueError("dual Koszul line bookkeeping is inconsistent")
-    if any(m != 0 for m in ext1_degree3_multiplicities(max_degree)):
+    degree3, dims = vstar_section_counts([(-1, -1, 2), (-1, -1, 1)], max_degree)
+    if any(m != 0 for m in degree3):
         raise ValueError("degree-3 obstruction term does not vanish")
-    h0, _ = p1_graded_sections([(-1, -1, 1)], INTERSECTION_BUNDLE_PIECES, max_degree)
-    return multiplicity("Vstar", h0)
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +471,6 @@ def e2_sections(max_degree: int, twist: int = 0) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # The two locally free resolutions and their pushforward bookkeeping
-
-RESOLUTION_NAMES = ("resG", "resF")
 
 _RES_G_TERMS: tuple[tuple[IrrepLabel, ...], ...] = (
     ((0, -1),),
@@ -509,34 +504,15 @@ def resolution_terms(name: str) -> dict[str, object]:
     raise ValueError(f"unknown resolution {name!r}; choose from resF, resG")
 
 
-def _piece_cohomology(piece: Piece) -> tuple[Counter[IrrepLabel], Counter[IrrepLabel]]:
-    e1, e2, q = piece
-    h0: Counter[IrrepLabel] = Counter()
-    h1: Counter[IrrepLabel] = Counter()
-    line_h0, line_h1 = pv_line_cohomology(0, q)
-    ext = {(e1, e2): 1}
-    for target, line_char in ((h0, line_h0), (h1, line_h1)):
-        if line_char:
-            for label, mult in decompose(char_mul(ext, line_char)).items():
-                target[label] += mult
-    return h0, h1
-
-
 def pushforward_assembly(upstairs: Sequence[Sequence[Piece]]) -> list[Counter[IrrepLabel]]:
     """Pushforward of a term complex, leftmost (deepest) term first.
 
     Entry i collects H0 of term i together with H1 of the deeper term i - 1;
     a trailing entry catches any H1 of the rightmost term.
     """
-    cohomology = []
-    for terms in upstairs:
-        h0: Counter[IrrepLabel] = Counter()
-        h1: Counter[IrrepLabel] = Counter()
-        for piece in terms:
-            piece_h0, piece_h1 = _piece_cohomology(piece)
-            h0.update(piece_h0)
-            h1.update(piece_h1)
-        cohomology.append((h0, h1))
+    # every upstairs piece has e1 == e2, so (e1, e2) labels an irreducible
+    cohomology = [pv_cohomology(Counter(((e1, e2), 0, q) for e1, e2, q in terms))
+                  for terms in upstairs]
     assembled: list[Counter[IrrepLabel]] = []
     for pos in range(len(cohomology) + 1):
         total: Counter[IrrepLabel] = Counter()

@@ -43,10 +43,6 @@ def vec_neg(a: Sequence) -> Vector:
     return tuple(-x for x in a)
 
 
-def vec_scale(c, a: Sequence) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def is_zero(a: Sequence) -> bool:
     return all(x == 0 for x in a)
 
@@ -216,8 +212,7 @@ def weyl_invariant_basis(p: GitPresentation) -> tuple:
     """
     n = p.rank
     rows = [[g[i][j] - int(i == j) for j in range(n)] for g in p.weyl for i in range(n)]
-    aug = [[Fraction(row[j]) for row in rows] + [Fraction(int(i == j)) for i in range(n)]
-           for j in range(n)]
+    aug = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
     _, _, kernel = echelon(aug, width=len(rows))
     return tuple(sorted((primitive_signed(v) for v in kernel), reverse=True))
 

@@ -264,7 +264,7 @@ class RewriteSystem:
         return [len(self.basis(k)) for k in range(max_degree + 1)]
 
 
-def _overlap_words(p: NCPresentation, l1: Word, l2: Word) -> list[tuple[Word, int, int]]:
+def _overlap_words(l1: Word, l2: Word) -> list[tuple[Word, int, int]]:
     """Words admitting a reduction by l1 at one spot and l2 at another.
 
     Returns (word, pos1, pos2) triples for proper suffix/prefix overlaps of
@@ -281,9 +281,18 @@ def _overlap_words(p: NCPresentation, l1: Word, l2: Word) -> list[tuple[Word, in
     return out
 
 
-def _one_step(rs: RewriteSystem, word: Word, pos: int, lhs: Word, rhs: Poly) -> Poly:
+def _one_step(word: Word, pos: int, lhs: Word, rhs: Poly) -> Poly:
     head, tail = word[:pos], word[pos + len(lhs):]
     return {head + rw + tail: rc for rw, rc in rhs.items()}
+
+
+def _s_polys(p: NCPresentation, d: int, rule1: tuple[Word, Poly],
+             rule2: tuple[Word, Poly]) -> Iterable[Poly]:
+    """Differences of the two one-step reductions of each overlap word of degree <= d."""
+    (l1, r1), (l2, r2) = rule1, rule2
+    for word, pos1, pos2 in _overlap_words(l1, l2):
+        if p.word_degree(word) <= d:
+            yield p_sub(_one_step(word, pos1, l1, r1), _one_step(word, pos2, l2, r2))
 
 
 def complete(p: NCPresentation, d: int) -> RewriteSystem:
@@ -292,15 +301,11 @@ def complete(p: NCPresentation, d: int) -> RewriteSystem:
     Relations (including the implicit central commutators) are oriented by
     the degree-lexicographic order with the presentation's generator order,
     S-polynomials of degree <= d are adjoined until exhausted, and a final
-    exhaustive overlap pass asserts confluence below the cutoff.
+    exhaustive overlap pass asserts confluence below the cutoff.  A relation
+    of degree > d cannot rewrite a word of degree <= d, so it is left out.
     """
-    relations = p.all_relations()
-    for rel in relations:
-        deg = p.poly_degree(rel)
-        if deg is not None and deg > d:
-            raise ValueError("cutoff is below a relation degree")
     rs = RewriteSystem(p, d, [])
-    queue: list[Poly] = list(relations)
+    queue = [rel for rel in p.all_relations() if rel and p.poly_degree(rel) <= d]
     while queue:
         poly = rs.normal_form(queue.pop(0))
         if not poly:
@@ -309,25 +314,13 @@ def complete(p: NCPresentation, d: int) -> RewriteSystem:
         coeff = poly[lead]
         rhs = {w: -c / coeff for w, c in poly.items() if w != lead}
         rs.add_rule(lead, rhs)
-        for other_lhs, other_rhs in list(rs.rules):
-            for l1, r1, l2, r2 in ((lead, rhs, other_lhs, other_rhs),
-                                   (other_lhs, other_rhs, lead, rhs)):
-                for word, pos1, pos2 in _overlap_words(p, l1, l2):
-                    if p.word_degree(word) > d:
-                        continue
-                    s_poly = p_sub(_one_step(rs, word, pos1, l1, r1),
-                                   _one_step(rs, word, pos2, l2, r2))
-                    if s_poly:
-                        queue.append(s_poly)
-    for l1, r1 in rs.rules:
-        for l2, r2 in rs.rules:
-            for word, pos1, pos2 in _overlap_words(p, l1, l2):
-                if p.word_degree(word) > d:
-                    continue
-                diff = p_sub(_one_step(rs, word, pos1, l1, r1),
-                             _one_step(rs, word, pos2, l2, r2))
-                if rs.normal_form(diff):
-                    raise RuntimeError("completion failed to reach confluence")
+        for other in list(rs.rules):
+            for rule1, rule2 in (((lead, rhs), other), (other, (lead, rhs))):
+                queue.extend(s for s in _s_polys(p, d, rule1, rule2) if s)
+    for rule1 in rs.rules:
+        for rule2 in rs.rules:
+            if any(rs.normal_form(diff) for diff in _s_polys(p, d, rule1, rule2)):
+                raise RuntimeError("completion failed to reach confluence")
     return rs
 
 
@@ -491,6 +484,19 @@ def resolution_check(rs: RewriteSystem, multipliers: Sequence[Poly], d: int,
 
 # -- morphisms and the fiber product ---------------------------------------
 
+def _evaluate(poly: Poly, images: Sequence[Poly]) -> Poly:
+    """Image of poly under the algebra map sending generator i to images[i]."""
+    out: Poly = {}
+    for word, coeff in poly.items():
+        term: Poly = {(): coeff}
+        for idx in word:
+            term = p_mul(term, images[idx])
+            if not term:
+                break
+        out = p_add(out, term)
+    return out
+
+
 @dataclass
 class Morphism:
     """Graded algebra map given on generators of the source."""
@@ -511,16 +517,8 @@ class Morphism:
                 raise ValueError(f"image of {name!r} has the wrong degree")
 
     def apply(self, poly: Poly) -> Poly:
-        spres = self.source.presentation
-        out: Poly = {}
-        for word, coeff in poly.items():
-            term: Poly = {(): coeff}
-            for idx in word:
-                term = p_mul(term, self.images[spres.generators[idx]])
-                if not term:
-                    break
-            out = p_add(out, term)
-        return self.target.normal_form(out)
+        images = [self.images[name] for name in self.source.presentation.generators]
+        return self.target.normal_form(_evaluate(poly, images))
 
     def surjective_upto(self, d: int) -> bool:
         for k in range(d + 1):
@@ -578,24 +576,11 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
     if len(pairs) != len(relation_source.generators):
         raise ValueError("one element pair is needed per relation-source generator")
 
-    def eval_pair(word: Word) -> tuple[Poly, Poly]:
-        left: Poly = {(): Fraction(1)}
-        right: Poly = {(): Fraction(1)}
-        for idx in word:
-            left = p_mul(left, pairs[idx][0])
-            right = p_mul(right, pairs[idx][1])
-        return rs_a.normal_form(left), rs_b.normal_form(right)
-
-    relations_ok = True
-    for rel_key in relation_source.relations:
-        total_a: Poly = {}
-        total_b: Poly = {}
-        for word, coeff in rel_key:
-            pa, pb = eval_pair(word)
-            total_a = p_add(total_a, p_scale(pa, coeff))
-            total_b = p_add(total_b, p_scale(pb, coeff))
-        if rs_a.normal_form(total_a) or rs_b.normal_form(total_b):
-            relations_ok = False
+    a_images, b_images = [a for a, _ in pairs], [b for _, b in pairs]
+    relations_ok = not any(
+        rs_a.normal_form(_evaluate(rel, a_images)) or rs_b.normal_form(_evaluate(rel, b_images))
+        for rel in map(poly_from_key, relation_source.relations)
+    )
 
     # grow the subalgebra generated by the pairs, degree by degree
     pair_degs = [relation_source.degrees[i] for i in range(len(pairs))]
@@ -669,15 +654,7 @@ def substitute_and_reduce(rs: RewriteSystem, dictionary: Mapping[str, Poly],
         deg = tpres.poly_degree(img)
         if deg is not None and deg != base.degrees[base.gen_index(name)]:
             raise ValueError(f"image of {name!r} is not degree-matching")
-    total: Poly = {}
-    for word, coeff in expr.items():
-        term: Poly = {(): coeff}
-        for idx in word:
-            term = p_mul(term, dictionary[base.generators[idx]])
-            if not term:
-                break
-        total = p_add(total, term)
-    return rs.normal_form(total)
+    return rs.normal_form(_evaluate(expr, [dictionary[name] for name in base.generators]))
 
 
 def hypersurface_polynomial(base: NCPresentation) -> Poly:

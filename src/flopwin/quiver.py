@@ -302,9 +302,6 @@ def base_equation(p: BasePoint) -> Fraction:
     )
 
 
-SINGULAR_GENERATORS = ("x", "uy+vz", "vy+wz", "z^2+ut^2", "y^2+wt^2", "yz-vt^2", "(uw-v^2)t")
-
-
 def singular_locus_generators(p: BasePoint) -> dict[str, Fraction]:
     return {
         "x": p.x,

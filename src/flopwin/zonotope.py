@@ -305,10 +305,6 @@ class FacePoset:
         mid = (lo + hi) / 2
         return tuple(mid * c for c in self.line)
 
-    def adjacent_intervals(self, j: int) -> tuple:
-        """Indices of the chambers whose closures contain the wall D_j."""
-        return (j, j + 1)
-
 
 def face_poset(p: GitPresentation, j_min: int, j_max: int) -> FacePoset:
     """Enumerate walls and chambers for wall indices j in [j_min, j_max].

@@ -168,6 +168,13 @@ def test_ncalg_hilbert_payload(capsys):
     assert payload["dims"] == [1, 3, 7, 12, 19, 27, 37, 48, 61, 75, 91, 108, 127]
 
 
+def test_ncalg_hilbert_below_the_relation_degree(capsys):
+    code, payload, _ = run_json(capsys, "ncalg", "hilbert", "--algebra", "acon",
+                                "--max-degree", "2")
+    assert code == 0
+    assert payload["dims"] == [1, 3, 7]
+
+
 def test_ncalg_hilbert_unknown_algebra(capsys):
     code, out, err = run_cli(capsys, "ncalg", "hilbert", "--algebra", "nope")
     assert code == 2

@@ -25,7 +25,6 @@ from flopwin.cohomology import (
     koszul_matrices,
     multiplicity,
     multiplicity_in_char,
-    p1_graded_sections,
     pushforward_assembly,
     pv_cohomology,
     pv_line_cohomology,
@@ -37,6 +36,7 @@ from flopwin.cohomology import (
     sym_pieces_expansion,
     verify_resf_pushforward,
     verify_semiorthogonality,
+    vstar_section_counts,
 )
 from flopwin.ncalg import catalog, hilbert
 
@@ -216,19 +216,50 @@ def test_pv_cohomology_bundle():
     assert h0 == {} and h1 == {(-1, -1): 3}
 
 
+def reference_graded_sections(twist_pieces, bundle_pieces, max_degree):
+    """H0 and H1 characters of twist x Sym^k(bundle) on P(V), per degree k.
+
+    The whole-character section engine, kept as the reference that
+    vstar_section_counts must agree with.
+    """
+    layers = sym_pieces_expansion(bundle_pieces, max_degree)
+    h0, h1 = {}, {}
+    for k, layer in enumerate(layers):
+        char0, char1 = Counter(), Counter()
+        for (e1, e2, q), cnt in layer.items():
+            for t1, t2, tq in twist_pieces:
+                for target, line_char in zip((char0, char1), pv_line_cohomology(0, q + tq)):
+                    for (w1, w2), c in line_char.items():
+                        target[(w1 + e1 + t1, w2 + e2 + t2)] += c * cnt
+        h0[k] = dict(char0)
+        h1[k] = dict(char1)
+    return h0, h1
+
+
+def test_vstar_section_counts_match_reference():
+    twists = [(e, e, q) for e in range(-2, 2) for q in range(-3, 4)] + [(1, 0, 0), (0, -1, 2)]
+    counts = vstar_section_counts(twists, 10)
+    expected = [
+        multiplicity("Vstar", reference_graded_sections([t], INTERSECTION_BUNDLE_PIECES, 10)[0])
+        for t in twists
+    ]
+    assert counts == expected
+    assert any(any(m) for m in counts)
+
+
 def test_semiorthogonality():
     report = semiorthogonality_multiplicities(12)
     assert report["Q_twist"] == [0] * 13
     assert report["V_twist"] == [0] * 13
     assert verify_semiorthogonality(12)
     # negative control: constants do appear in the untwisted sections
-    plain_h0, _ = p1_graded_sections([(0, 0, 0)], INTERSECTION_BUNDLE_PIECES, 4)
+    plain_h0, _ = reference_graded_sections([(0, 0, 0)], INTERSECTION_BUNDLE_PIECES, 4)
     trivial = multiplicity("O", plain_h0)
     assert trivial[0] == 1 and any(m > 0 for m in trivial[1:])
 
 
 def test_degree_two_has_no_cohomology():
-    q_h0, q_h1 = p1_graded_sections([(0, 0, 1)], INTERSECTION_BUNDLE_PIECES, 4)
+    q_h0, q_h1 = reference_graded_sections([(0, 0, 1)], INTERSECTION_BUNDLE_PIECES, 4)
     assert multiplicity("Vstar", q_h0)[2] == 0
     assert q_h1[2] == {}
 

@@ -104,6 +104,14 @@ def test_hilbert_series():
     assert hilbert(catalog("acon"), 12) == ACON_DIMS
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_hilbert_below_the_relation_degrees(name):
+    # a relation of degree > d cannot rewrite a word of degree <= d
+    full = hilbert(catalog(name), 12)
+    for d in range(5):
+        assert hilbert(catalog(name), d) == full[: d + 1]
+
+
 def test_endg_series_oracle():
     # (1+s)^2 / (1-s^2)^3 expanded independently
     a = [comb(k // 2 + 2, 2) if k % 2 == 0 else 0 for k in range(13)]
