@@ -21,7 +21,7 @@ import time
 from . import cohomology, ncalg, verify
 from .exact import rational_json
 from .figures import emit_figures
-from .lattice import GitPresentation
+from .lattice import GitPresentation, load_fixture
 from .quiver import QuiverRep, base_equation, base_map, is_semistable, relations_hold, stratum
 from .windows import FaceRef, big_window, kappa_generators, window
 from .zonotope import skms
@@ -45,16 +45,10 @@ def _load_presentation(source: str) -> GitPresentation:
     """Resolve a presentation argument: a file path or a bundled fixture name."""
     if os.path.exists(source):
         return GitPresentation.from_dict(_read_json(source))
-    from importlib.resources import files
-
-    res = files("flopwin.fixtures").joinpath(source)
-    if not res.is_file():
-        raise InputError(f"no such file or bundled fixture: {source}")
     try:
-        data = json.loads(res.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    return GitPresentation.from_dict(data)
+        return load_fixture(source)
+    except OSError:
+        raise InputError(f"no such file or bundled fixture: {source}") from None
 
 
 def _default_degree(fallback: int) -> int:

@@ -150,28 +150,6 @@ def multiplicity(label: IrrepLabel | str, graded: GradedRep) -> list[int]:
     return [multiplicity_in_char(label, graded[k]) for k in sorted(graded)]
 
 
-def min_det_weight(labels: Sequence[IrrepLabel | str]) -> int:
-    """Smallest total torus weight appearing among the given summands."""
-    weights = _weights_of(labels)
-    if not weights:
-        return 0
-    return min(e1 + e2 for e1, e2 in weights)
-
-
-def central_character_obstruction(
-    label: IrrepLabel | str, labels: Sequence[IrrepLabel | str]
-) -> bool:
-    """Whether determinant weights alone force the multiplicity to vanish.
-
-    An irreducible with negative determinant weight cannot occur in the
-    symmetric algebra of summands whose weights all have nonnegative
-    determinant weight.
-    """
-    if isinstance(label, str):
-        label = irrep_from_name(label)
-    return label[0] + label[1] < 0 and min_det_weight(labels) >= 0
-
-
 # ---------------------------------------------------------------------------
 # Line bundle cohomology on P(V)
 
@@ -214,11 +192,6 @@ def cech_line_cohomology(a: int, b: int) -> tuple[Char, Char]:
         if cokernel:
             h1[weight] = h1.get(weight, 0) + cokernel
     return h0, h1
-
-
-def euler_characteristic(a: int, b: int) -> int:
-    h0, h1 = pv_line_cohomology(a, b)
-    return sum(h0.values()) - sum(h1.values())
 
 
 PVTerm = tuple[IrrepLabel, int, int]
@@ -470,38 +443,28 @@ def e2_sections(max_degree: int, twist: int = 0) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# The two locally free resolutions and their pushforward bookkeeping
+# The two locally free resolutions and their pushforward bookkeeping.
+# Term lists run leftmost term first: irreducible labels downstairs, and
+# torus-line pieces over P(V) for the upstairs complex of resF.
 
-_RES_G_TERMS: tuple[tuple[IrrepLabel, ...], ...] = (
+RES_G_TERMS: tuple[tuple[IrrepLabel, ...], ...] = (
     ((0, -1),),
     ((0, 0), (1, -1)),
     ((1, 0),),
 )
 
-_RES_F_DOWNSTAIRS: tuple[tuple[IrrepLabel, ...], ...] = (
+RES_F_DOWNSTAIRS: tuple[tuple[IrrepLabel, ...], ...] = (
     ((1, -1),),
     ((0, 0), (0, 0), (0, 0), (1, 0)),
     ((1, 0),),
 )
 
-_RES_F_UPSTAIRS: tuple[tuple[Piece, ...], ...] = (
+RES_F_UPSTAIRS: tuple[tuple[Piece, ...], ...] = (
     ((2, 2, -4),),
     ((1, 1, -2), (1, 1, -2), (2, 2, -3)),
     ((1, 1, -1), (1, 1, -1), (0, 0, 0)),
     ((0, 0, 1),),
 )
-
-
-def resolution_terms(name: str) -> dict[str, object]:
-    """Term lists of the two locally free resolutions, leftmost term first."""
-    if name == "resG":
-        return {"terms": [list(t) for t in _RES_G_TERMS]}
-    if name == "resF":
-        return {
-            "terms": [list(t) for t in _RES_F_DOWNSTAIRS],
-            "upstairs": [list(t) for t in _RES_F_UPSTAIRS],
-        }
-    raise ValueError(f"unknown resolution {name!r}; choose from resF, resG")
 
 
 def pushforward_assembly(upstairs: Sequence[Sequence[Piece]]) -> list[Counter[IrrepLabel]]:
@@ -526,20 +489,10 @@ def pushforward_assembly(upstairs: Sequence[Sequence[Piece]]) -> list[Counter[Ir
 
 def verify_resf_pushforward() -> bool:
     """The upstairs complex must push down to the displayed resolution."""
-    assembled = pushforward_assembly(_RES_F_UPSTAIRS)
-    expected = [Counter(terms) for terms in _RES_F_DOWNSTAIRS]
+    assembled = pushforward_assembly(RES_F_UPSTAIRS)
+    expected = [Counter(terms) for terms in RES_F_DOWNSTAIRS]
     return (
         assembled[0] == Counter()
         and assembled[-1] == Counter()
         and assembled[1:-1] == expected
     )
-
-
-def serre_duality_dims(max_power: int) -> bool:
-    """Dimension form of the duality used when pushing down: h1(Q^-i) = h0(Q^{i-2} D^-1)."""
-    for i in range(max_power + 1):
-        _, h1 = pv_line_cohomology(0, -i)
-        h0, _ = pv_line_cohomology(0, i - 2)
-        if sum(h1.values()) != sum(h0.values()):
-            return False
-    return True

@@ -338,20 +338,18 @@ def hilbert(p: NCPresentation, d: int) -> list[int]:
     return _completed(p, d).graded_dims(d)
 
 
-def is_central(rs: RewriteSystem, expr: Poly, d: int | None = None) -> bool:
+def is_central(rs: RewriteSystem, expr: Poly) -> bool:
     """True iff the commutator with every generator reduces to zero.
 
-    The degree bound d (default: the cutoff) only limits which generators
-    can be tested; commutator degrees must stay within the cutoff.
+    Every commutator must stay within the rewrite cutoff.
     """
     pres = rs.presentation
     deg = pres.poly_degree(expr)
     if deg is None:
         return True
-    limit = rs.cutoff if d is None else min(d, rs.cutoff)
     for i, _ in enumerate(pres.generators):
-        if deg + pres.degrees[i] > limit:
-            raise ValueError("centrality check exceeds the degree bound")
+        if deg + pres.degrees[i] > rs.cutoff:
+            raise ValueError("centrality check exceeds the rewrite cutoff")
         g: Poly = {(i,): Fraction(1)}
         if rs.normal_form(commutator(expr, g)):
             return False
@@ -443,8 +441,8 @@ def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
     return [len(layers[k]) for k in range(d + 1)]
 
 
-def resolution_check(rs: RewriteSystem, multipliers: Sequence[Poly], d: int,
-                     shifts: Sequence[int] | None = None) -> tuple[bool, str | None]:
+def resolution_check(rs: RewriteSystem, multipliers: Sequence[Poly],
+                     d: int) -> tuple[bool, str | None]:
     """Degreewise exactness of A(-s_n) -> ... -> A(-s_1) -> A by right multiplication.
 
     Checks that consecutive multipliers compose to zero and that at every
@@ -455,10 +453,6 @@ def resolution_check(rs: RewriteSystem, multipliers: Sequence[Poly], d: int,
     degs = [pres.poly_degree(m) for m in multipliers]
     if any(e is None for e in degs):
         return False, "zero multiplier"
-    declared = list(shifts) if shifts is not None else list(degs)
-    for i, (e, s) in enumerate(zip(degs, declared)):
-        if e != s:
-            return False, f"map {i} is not homogeneous of the declared shift"
     for i in range(len(multipliers) - 1):
         if rs.normal_form(p_mul(multipliers[i + 1], multipliers[i])):
             return False, f"composite of maps {i + 1} and {i} is nonzero"
@@ -544,15 +538,15 @@ class FiberReport:
 
 
 def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
-                  pairs: Sequence[tuple[Poly, Poly]] | None = None,
-                  relation_source: NCPresentation | None = None) -> FiberReport:
+                  pairs: Sequence[tuple[Poly, Poly]] | None = None) -> FiberReport:
     """Degreewise fiber product of two surjections onto a common target.
 
     dims[k] counts pairs (f, g) with matching images; with both maps
     degreewise surjective this is dim A_k + dim B_k - dim C_k.  The given
     element pairs (defaults: (t,0), (b,beta), (c,gamma)) are checked against
-    every relation of relation_source (default: the A_con presentation) and
-    must generate the fiber product degree by degree.
+    every relation of the A_con presentation; they generate the fiber
+    product when each pair has matching images and their products span it
+    degree by degree.
     """
     if f_a.target.presentation != f_b.target.presentation:
         raise ValueError("fiber product requires a common target")
@@ -571,34 +565,30 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
             (a_pres.gen("b"), b_pres.gen("beta")),
             (a_pres.gen("c"), b_pres.gen("gamma")),
         ]
-    if relation_source is None:
-        relation_source = catalog("acon")
-    if len(pairs) != len(relation_source.generators):
-        raise ValueError("one element pair is needed per relation-source generator")
+    acon = catalog("acon")
+    if len(pairs) != len(acon.generators):
+        raise ValueError("one element pair is needed per A_con generator")
 
     a_images, b_images = [a for a, _ in pairs], [b for _, b in pairs]
     relations_ok = not any(
         rs_a.normal_form(_evaluate(rel, a_images)) or rs_b.normal_form(_evaluate(rel, b_images))
-        for rel in map(poly_from_key, relation_source.relations)
+        for rel in map(poly_from_key, acon.relations)
     )
 
     # grow the subalgebra generated by the pairs, degree by degree
-    pair_degs = [relation_source.degrees[i] for i in range(len(pairs))]
     layers: dict[int, list[tuple[Poly, Poly]]] = {0: [({(): Fraction(1)}, {(): Fraction(1)})]}
-    generates = dims[0] == 1
+    generates = dims[0] == 1 and all(f_a.apply(a) == f_b.apply(b) for a, b in pairs)
     for k in range(1, d + 1):
         a_index = {w: i for i, w in enumerate(rs_a.basis(k))}
         b_index = {w: i for i, w in enumerate(rs_b.basis(k))}
         width_a, width_b = len(a_index), len(b_index)
         rows = []
-        elements: list[tuple[Poly, Poly]] = []
         for gi, (ga, gb) in enumerate(pairs):
-            prev = layers.get(k - pair_degs[gi], [])
+            prev = layers.get(k - acon.degrees[gi], [])
             for (va, vb) in prev:
                 na = rs_a.normal_form(p_mul(va, ga))
                 nb = rs_b.normal_form(p_mul(vb, gb))
                 rows.append(_coords(na, a_index, width_a) + _coords(nb, b_index, width_b))
-                elements.append((na, nb))
         reduced, _, _ = echelon(rows)
         a_words, b_words = rs_a.basis(k), rs_b.basis(k)
         layers[k] = [
@@ -712,51 +702,6 @@ def laufer_slice(d: int) -> tuple[list[int], list[int]]:
         [("t", 4), ("beta", 3), ("gamma", 2)], central=["t"], relations=relations
     )
     return hilbert(sliced, d), hilbert(catalog("laufer_target"), d)
-
-
-# -- gluing -----------------------------------------------------------------
-
-@dataclass
-class GluedAlgebra:
-    top_dims: list[int]
-    bottom_dims: list[int]
-    bimodule_dims: list[int]
-    shift: int
-
-    def total(self, k: int) -> int:
-        j = k - self.shift
-        bim = self.bimodule_dims[j] if 0 <= j < len(self.bimodule_dims) else 0
-        return self.top_dims[k] + self.bottom_dims[k] + bim
-
-    def table(self) -> list[list[list[int]]]:
-        zero = [0] * len(self.bottom_dims)
-        return [[self.top_dims, self.bimodule_dims], [zero, self.bottom_dims]]
-
-
-def glue(top: NCPresentation, bottom: NCPresentation, bimodule: Sequence[int],
-         d: int, shift: int = 0,
-         top_quotient: Iterable[Poly] | None = None,
-         bottom_quotient: Iterable[Poly] | None = None) -> GluedAlgebra:
-    """Upper-triangular dimension table with a bimodule compatibility check.
-
-    When quotient relations are supplied for a side, the dims of that side's
-    quotient must reproduce the bimodule dims (the dimension-level check that
-    the bimodule carries the expected action from that side).
-    """
-    bim = list(bimodule)
-    if len(bim) < d + 1:
-        raise ValueError("bimodule dims are shorter than the requested degree")
-    for pres, extra in ((top, top_quotient), (bottom, bottom_quotient)):
-        if extra is None:
-            continue
-        quotient = NCPresentation.build(
-            list(zip(pres.generators, pres.degrees)),
-            central=pres.central,
-            relations=[poly_from_key(k) for k in pres.relations] + list(extra),
-        )
-        if hilbert(quotient, d) != bim[: d + 1]:
-            raise ValueError("bimodule dims are incompatible with the action")
-    return GluedAlgebra(hilbert(top, d), hilbert(bottom, d), bim, shift)
 
 
 # -- expression parsing and the algebra catalog ------------------------------
@@ -906,9 +851,7 @@ def catalog(name: str) -> NCPresentation:
     try:
         builder = _CATALOG[name]
     except KeyError:
-        raise ValueError(
-            f"unknown algebra {name!r}; choose from {sorted(_CATALOG)}"
-        ) from None
+        raise ValueError(f"unknown algebra {name!r}; choose from {catalog_names()}") from None
     return builder()
 
 

@@ -38,9 +38,6 @@ def _mat2(rows) -> Mat2:
     return out  # type: ignore[return-value]
 
 
-ZERO2: Mat2 = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
-
-
 def mat2_identity(scale: Fraction = Fraction(1)) -> Mat2:
     return ((scale, Fraction(0)), (Fraction(0), scale))
 
@@ -74,13 +71,6 @@ def mat2_det(m: Mat2) -> Fraction:
 
 def mat2_trace(m: Mat2) -> Fraction:
     return m[0][0] + m[1][1]
-
-
-def mat2_inverse(m: Mat2) -> Mat2:
-    d = mat2_det(m)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    return ((m[1][1] / d, -m[0][1] / d), (-m[1][0] / d, m[0][0] / d))
 
 
 def outer(col: Vec2, row: Vec2) -> Mat2:
@@ -360,35 +350,6 @@ def singular_locus_check(p: BasePoint) -> SingularReport:
     else:
         component = "neither"
     return SingularReport(gens, in_locus, in_z1, in_z2, component)
-
-
-def conic_discriminant(u, v, w) -> Fraction:
-    """Discriminant uw - v^2 of the conic family over the (u, v, w) plane."""
-    return rational(u) * rational(w) - rational(v) * rational(v)
-
-
-def gauge_transform(rep: QuiverRep, g: Mat2, g0: Fraction = Fraction(1)) -> QuiverRep:
-    """Act by (g0, g) in GL1 x GL2: conjugate the loops, rescale the arrows."""
-    g = _mat2(g)
-    g0 = rational(g0)
-    if g0 == 0:
-        raise ValueError("g0 must be invertible")
-    ginv = mat2_inverse(g)
-    alpha = tuple(v / g0 for v in mat2_vec(g, rep.alpha))
-    star_row = (
-        rep.alpha_star[0] * ginv[0][0] + rep.alpha_star[1] * ginv[1][0],
-        rep.alpha_star[0] * ginv[0][1] + rep.alpha_star[1] * ginv[1][1],
-    )
-    alpha_star = (g0 * star_row[0], g0 * star_row[1])
-    conj = lambda m: mat2_mul(mat2_mul(g, m), ginv)
-    return QuiverRep(
-        alpha,  # type: ignore[arg-type]
-        alpha_star,
-        conj(rep.beta),
-        conj(rep.gamma),
-        conj(rep.delta),
-        dict(rep.params),
-    )
 
 
 def random_chart_rep(rng, bound: int = 5) -> QuiverRep:

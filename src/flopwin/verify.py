@@ -17,7 +17,7 @@ from math import comb, gcd
 from . import cohomology, ncalg, quiver
 from .lattice import load_fixture, pair
 from .zonotope import eta, nabla, skms
-from .windows import FaceRef, big_window, kappa_generators, window
+from .windows import FaceRef, big_window, k_class, kappa_generators, window
 
 HEXAGON_HALFSPACES = {
     ((1, 0), Fraction(1)),
@@ -132,6 +132,10 @@ def check_kappa_generators() -> tuple[bool, str]:
         return False, f"(D:-1, C:0) gave {mid}"
     if any(co == (0, 1) for _, co in mid):
         return False, "excluded cocharacter (0, 1) appeared"
+    wall = set(big_window(p, FaceRef("D", -1)).classes)
+    for name, terms in (("resG", cohomology.RES_G_TERMS), ("resF", cohomology.RES_F_DOWNSTAIRS)):
+        if not set(k_class(terms)) <= wall:
+            return False, f"K-class of {name} leaves the D:-1 window"
     return True, "2 wall computations, 4 generators total, (0, 1) filtered"
 
 
@@ -206,6 +210,9 @@ def check_substitution_laufer() -> tuple[bool, str]:
     base = ncalg.base_coordinates()
     rs = ncalg.completed("acon", 10)
     mapping = ncalg.acon_dictionary(rs.presentation)
+    for name, image in mapping.items():
+        if not ncalg.is_central(rs, image):
+            return False, f"image of {name} is not central"
     poly = ncalg.hypersurface_polynomial(base)
     if ncalg.substitute_and_reduce(rs, mapping, poly, base) != {}:
         return False, "hypersurface polynomial does not reduce to zero"
@@ -234,6 +241,12 @@ def check_cohomology_suite() -> tuple[bool, str]:
     expected = [comb(m + 2, 2) for m in range(d + 1)]
     if cohomology.e2_sections(d) != expected:
         return False, "chart sections do not match the three-variable polynomial ring"
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            if cohomology.pv_line_cohomology(a, b) != cohomology.cech_line_cohomology(a, b):
+                return False, f"line cohomology of L^{a} Q^{b} disagrees with the Cech count"
+    if not cohomology.verify_resf_pushforward():
+        return False, "the resF upstairs complex does not push down to its displayed terms"
     return True, f"vanishing, bimodule and chart section checks to degree {d}"
 
 

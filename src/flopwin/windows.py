@@ -202,15 +202,6 @@ def big_window(p: GitPresentation, face) -> WindowSpec:
     )
 
 
-def mu_F(z: Zonotope, facet_normal: Sequence) -> tuple:
-    """Primitive inner normal of the facet with the given outward normal."""
-    n = tuple(int(x) for x in facet_normal)
-    for fn, _b, _sat in z.facets():
-        if fn == n:
-            return vec_neg(n)
-    raise ValueError(f"{n} is not the outward normal of a facet")
-
-
 def is_weakly_decreasing(lam: Sequence) -> bool:
     return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
 

@@ -112,11 +112,6 @@ class Zonotope:
             center=vec_add(self.center, delta),
         )
 
-    def is_centrally_symmetric(self) -> bool:
-        pts = set(self.vertices)
-        c2 = tuple(2 * x for x in self.center)
-        return all(tuple(c2[i] - v[i] for i in range(self.rank)) in pts for v in pts)
-
 
 def polytope_from_constraints(rank: int, constraints: Sequence) -> Zonotope:
     """Build a Zonotope from (normal, bound) pairs by exact vertex enumeration.
@@ -237,20 +232,13 @@ def arrangement(p: GitPresentation, z: Zonotope | None = None) -> tuple:
 @dataclass(frozen=True)
 class SKMSDescriptor:
     """Punctured-line data: the polytope, its arrangement, the invariant line,
-    and the puncture residues modulo the unit translation.
-
-    translation_generator is the step of the invariant-lattice action in the
-    primitive parametrization of the line; since M intersect the line is
-    generated by the primitive vector itself, the step is 1 whenever the line
-    exists.
-    """
+    and the puncture residues modulo the unit translation."""
 
     zonotope: Zonotope
     families: tuple
     line: tuple | None
     punctures: tuple  # Fractions in [0, 1), sorted
     N: int
-    translation_generator: Fraction | None = None
 
     def to_jsonable(self) -> dict:
         return {
@@ -274,16 +262,14 @@ def skms(p: GitPresentation) -> SKMSDescriptor:
     z = nabla(p)
     fams = arrangement(p, z)
     if not fams:
-        return SKMSDescriptor(zonotope=z, families=(), line=None, punctures=(), N=0,
-                              translation_generator=None)
+        return SKMSDescriptor(zonotope=z, families=(), line=None, punctures=(), N=0)
     line = invariant_line(p)
     residues: set = set()
     for f in fams:
         residues.update(f.punctures_on_line(line))
     punctures = tuple(sorted(residues))
     return SKMSDescriptor(zonotope=z, families=fams, line=line,
-                          punctures=punctures, N=len(punctures),
-                          translation_generator=Fraction(1))
+                          punctures=punctures, N=len(punctures))
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ from flopwin.quiver import (
     QuiverRep,
     base_equation,
     base_map,
-    conic_discriminant,
     from_chart,
-    gauge_transform,
     is_semistable,
+    mat2_det,
+    mat2_mul,
+    mat2_vec,
     random_chart_rep,
     relations_hold,
     scalar_pair_rep,
@@ -172,6 +173,26 @@ def test_base_map_chart_dictionary():
     assert p.z == -p.t * rep.beta[0][0]
 
 
+def mat2_inverse(m):
+    d = F(mat2_det(m))
+    return ((m[1][1] / d, -m[0][1] / d), (-m[1][0] / d, m[0][0] / d))
+
+
+def gauge_transform(rep, g, g0):
+    """Act by (g0, g) in GL1 x GL2: conjugate the loops, rescale the arrows."""
+    ginv = mat2_inverse(g)
+    alpha = tuple(v / g0 for v in mat2_vec(g, rep.alpha))
+    star_row = (
+        rep.alpha_star[0] * ginv[0][0] + rep.alpha_star[1] * ginv[1][0],
+        rep.alpha_star[0] * ginv[0][1] + rep.alpha_star[1] * ginv[1][1],
+    )
+    alpha_star = (g0 * star_row[0], g0 * star_row[1])
+    conj = lambda m: mat2_mul(mat2_mul(g, m), ginv)
+    return QuiverRep(
+        alpha, alpha_star, conj(rep.beta), conj(rep.gamma), conj(rep.delta), dict(rep.params)
+    )
+
+
 def test_gauge_invariance():
     rng = random.Random(31)
     for _ in range(60):
@@ -218,10 +239,3 @@ def test_singular_components():
     assert generic.component == "neither"
     assert generic.generators["x"] == 1
     assert not generic.in_singular_locus
-
-
-def test_conic_discriminant():
-    assert conic_discriminant(1, 1, 1) == 0
-    assert conic_discriminant(1, 0, 1) == 1
-    assert conic_discriminant(0, 0, 0) == 0
-    assert conic_discriminant(F(1, 2), F(1, 3), F(2, 9)) == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from flopwin.cohomology import RES_F_DOWNSTAIRS, RES_G_TERMS
 from flopwin.lattice import load_fixture, vec_add
 from flopwin.verify import BIG_WINDOW_TABLE, KAPPA_FLOP_EXPECTED, WINDOW_TABLE
 from flopwin.windows import (
@@ -14,7 +15,6 @@ from flopwin.windows import (
     k_class,
     kappa_generators,
     lattice_points,
-    mu_F,
     nu_filter,
     rep_name,
     window,
@@ -164,16 +164,6 @@ def test_conifold_windows(conifold):
     assert big_window(conifold, "D:-1").lattice == ((-1,), (0,), (1,))
 
 
-def test_mu_F(flop):
-    poset = face_poset(flop, -1, -1)
-    zt = nabla(flop).translate(poset.point_in_ambient(-1))
-    assert mu_F(zt, (1, 1)) == (-1, -1)
-    assert mu_F(zt, (1, 0)) == (-1, 0)
-    assert mu_F(zt, (0, -1)) == (0, 1)
-    with pytest.raises(ValueError):
-        mu_F(zt, (2, 1))
-
-
 def test_nu_filter():
     eps = (Fraction(-1, 4), Fraction(-1, 4))
     assert nu_filter(eps, (-1, -1))
@@ -215,18 +205,13 @@ def test_kappa_conifold(conifold):
 
 
 def test_k_class_alternating_sums():
-    res_g = [[(0, -1)], [(0, 0), (1, -1)], [(1, 0)]]
-    assert k_class(res_g) == {(1, 0): 1, (0, 0): -1, (1, -1): -1, (0, -1): 1}
-    res_f = [[(1, -1)], [(0, 0), (0, 0), (0, 0), (1, 0)], [(1, 0)]]
-    assert k_class(res_f) == {(0, 0): -3, (1, -1): 1}
+    assert k_class(RES_G_TERMS) == {(1, 0): 1, (0, 0): -1, (1, -1): -1, (0, -1): 1}
+    assert k_class(RES_F_DOWNSTAIRS) == {(0, 0): -3, (1, -1): 1}
 
 
 def test_k_class_supported_on_wall_window(flop):
     wall = set(big_window(flop, "D:-1").classes)
-    for terms in (
-        [[(0, -1)], [(0, 0), (1, -1)], [(1, 0)]],
-        [[(1, -1)], [(0, 0), (0, 0), (0, 0), (1, 0)], [(1, 0)]],
-    ):
+    for terms in (RES_G_TERMS, RES_F_DOWNSTAIRS):
         assert set(k_class(terms)) <= wall
 
 
