@@ -37,6 +37,8 @@ def _read_json(path: str):
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
 

@@ -12,6 +12,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
+# Largest decimal exponent `rational` reads: CPython's default int-to-str digit
+# limit, so rational_json could not print a larger power of ten anyway.
+_MAX_EXPONENT = 4300
 
 
 def echelon(rows, width: int | None = None):
@@ -86,11 +89,20 @@ def echelon(rows, width: int | None = None):
     return pivot_rows, pivots, null_tails
 
 
+def _decimal_exponent(text: str) -> int:
+    """The exponent of a literal such as "1.5e-3"; 0 when it has none (or a malformed one)."""
+    _, marker, tail = text.lower().partition("e")
+    try:
+        return int(tail) if marker else 0
+    except ValueError:
+        return 0
+
+
 def rational(value) -> Fraction:
     """Read an int, Fraction, float (through its str) or "p/q" string exactly.
 
-    Booleans and other types raise TypeError; malformed strings and zero
-    denominators raise ValueError.
+    Booleans and other types raise TypeError; malformed strings, zero
+    denominators and decimal exponents beyond +-4300 raise ValueError.
     """
     if isinstance(value, bool):
         raise TypeError("boolean is not a rational value")
@@ -99,6 +111,8 @@ def rational(value) -> Fraction:
     if isinstance(value, float):
         value = str(value)
     if isinstance(value, str):
+        if abs(_decimal_exponent(value)) > _MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in {value!r}")
         try:
             return Fraction(value)
         except ZeroDivisionError:

@@ -788,7 +788,10 @@ def parse_expr(pres: NCPresentation, text: str) -> Poly:
                 out = p_sub(out, term())
         return out
 
-    result = expr_rule()
+    try:
+        result = expr_rule()
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
     if pos != len(tokens):
         raise ValueError("trailing tokens in expression")
     return result

@@ -12,7 +12,8 @@ All arithmetic is exact over Fraction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -38,7 +39,7 @@ def _mat2(rows) -> Mat2:
     return out  # type: ignore[return-value]
 
 
-def mat2_identity(scale: Fraction = Fraction(1)) -> Mat2:
+def mat2_identity(scale: Fraction) -> Mat2:
     return ((scale, Fraction(0)), (Fraction(0), scale))
 
 
@@ -94,26 +95,28 @@ class QuiverRep:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "QuiverRep":
+        if not isinstance(data, Mapping):
+            raise ValueError("a representation must be a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown representation keys: {sorted(unknown)}")
         alpha = _vec2(data["alpha"])
         alpha_star = _vec2(data["alpha_star"])
         beta = _mat2(data["beta"])
         gamma = _mat2(data["gamma"])
         t = alpha_star[0] * alpha[0] + alpha_star[1] * alpha[1]
-        if "delta" in data and data["delta"] is not None:
+        if data.get("delta") is not None:
             delta = _mat2(data["delta"])
         else:
-            delta = mat2_sub(
-                mat2_identity(t / 2), mat2_add(mat2_add(beta, gamma), outer(alpha, alpha_star))
-            )
-        if "params" in data and data["params"] is not None:
-            if not isinstance(data["params"], Mapping):
-                raise ValueError("params must be a mapping of parameter names to values")
-            params = {k: rational(v) for k, v in data["params"].items()}
-            unknown = set(params) - set(PARAM_KEYS)
-            if unknown:
-                raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        else:
-            params = {}
+            loops = mat2_add(mat2_add(beta, gamma), outer(alpha, alpha_star))
+            delta = mat2_sub(mat2_identity(t / 2), loops)
+        given = {} if data.get("params") is None else data["params"]
+        if not isinstance(given, Mapping):
+            raise ValueError("params must be a mapping of parameter names to values")
+        params = {k: rational(v) for k, v in given.items()}
+        unknown = set(params) - set(PARAM_KEYS)
+        if unknown:
+            raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
         params.setdefault("t", t)
         for key, loop in (("Tbeta", beta), ("Tgamma", gamma), ("Tdelta", delta)):
             params.setdefault(key, mat2_mul(loop, loop)[0][0])
@@ -133,6 +136,11 @@ class QuiverRep:
     def t(self) -> Fraction:
         return self.params["t"]
 
+    @cached_property
+    def relations_ok(self) -> bool:
+        """The verdict of relations_hold, evaluated once per representation."""
+        return relations_hold(self)[0]
+
 
 def from_chart(alpha, alpha_star, beta, gamma) -> QuiverRep:
     """Build a representation from chart data with delta eliminated.
@@ -140,21 +148,10 @@ def from_chart(alpha, alpha_star, beta, gamma) -> QuiverRep:
     beta and gamma must be trace-free; delta and all scalar parameters are
     recovered from the relations, so relations_hold is true on the output.
     """
-    a = _vec2(alpha)
-    s = _vec2(alpha_star)
-    b = _mat2(beta)
-    c = _mat2(gamma)
-    if mat2_trace(b) != 0 or mat2_trace(c) != 0:
+    rep = QuiverRep.from_dict(dict(alpha=alpha, alpha_star=alpha_star, beta=beta, gamma=gamma))
+    if mat2_trace(rep.beta) != 0 or mat2_trace(rep.gamma) != 0:
         raise ValueError("chart loops must be trace-free")
-    t = s[0] * a[0] + s[1] * a[1]
-    d = mat2_sub(mat2_identity(t / 2), mat2_add(mat2_add(b, c), outer(a, s)))
-    params = {
-        "t": t,
-        "Tbeta": -mat2_det(b),
-        "Tgamma": -mat2_det(c),
-        "Tdelta": -mat2_det(d),
-    }
-    return QuiverRep(a, s, b, c, d, params)
+    return rep
 
 
 def relations_hold(rep: QuiverRep) -> tuple[bool, dict]:
@@ -184,8 +181,7 @@ def relations_hold(rep: QuiverRep) -> tuple[bool, dict]:
 
 
 def _require_relations(rep: QuiverRep) -> None:
-    ok, _ = relations_hold(rep)
-    if not ok:
+    if not rep.relations_ok:
         raise ValueError("representation does not satisfy the quiver relations")
 
 
@@ -263,7 +259,6 @@ def base_map(rep: QuiverRep) -> BasePoint:
     """
     _require_relations(rep)
     a, s, b, c = rep.alpha, rep.alpha_star, rep.beta, rep.gamma
-    t = s[0] * a[0] + s[1] * a[1]
     comm = mat2_sub(mat2_mul(b, c), mat2_mul(c, b))
 
     def contract(m: Mat2) -> Fraction:
@@ -274,7 +269,7 @@ def base_map(rep: QuiverRep) -> BasePoint:
         x=contract(comm) / 2,
         y=-contract(c),
         z=-contract(b),
-        t=t,
+        t=rep.t,
         u=mat2_det(b),
         w=mat2_det(c),
         v=mat2_trace(mat2_mul(b, c)) / 2,
@@ -367,26 +362,16 @@ def random_chart_rep(rng, bound: int = 5) -> QuiverRep:
 def scalar_pair_rep(rng, bound: int = 5) -> QuiverRep:
     """Sample a relation-scheme point with beta = b.I and gamma = -b.I, b != 0.
 
-    These loops are not trace-free, so the representation is assembled
-    directly; every loop still squares to a scalar and the vertex relation
+    These loops are not trace-free, so the sample is built by from_dict, not
+    from_chart; every loop still squares to a scalar and the vertex relation
     holds, which makes the family a probe for the instability lemma.
     """
+    pick = lambda: rng.randint(-bound, bound)
     b = 0
     while b == 0:
-        b = rng.randint(-bound, bound)
+        b = pick()
     alpha = (0, 0)
     while alpha == (0, 0):
-        alpha = (rng.randint(-bound, bound), rng.randint(-bound, bound))
-    a = _vec2(alpha)
-    s = _vec2((rng.randint(-bound, bound), rng.randint(-bound, bound)))
-    t = s[0] * a[0] + s[1] * a[1]
-    beta = mat2_identity(Fraction(b))
-    gamma = mat2_identity(Fraction(-b))
-    delta = mat2_sub(mat2_identity(t / 2), outer(a, s))
-    params = {
-        "t": t,
-        "Tbeta": Fraction(b * b),
-        "Tgamma": Fraction(b * b),
-        "Tdelta": t * t / 4,
-    }
-    return QuiverRep(a, s, beta, gamma, delta, params)
+        alpha = (pick(), pick())
+    loops = {"beta": mat2_identity(b), "gamma": mat2_identity(-b)}
+    return QuiverRep.from_dict(dict(loops, alpha=alpha, alpha_star=(pick(), pick())))

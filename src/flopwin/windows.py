@@ -133,13 +133,12 @@ def _class_sort_key(dom: Sequence):
     return (a, dom[1])
 
 
-def window(p: GitPresentation, face, _sample_checks: bool = True) -> WindowSpec:
+def window(p: GitPresentation, ref: FaceRef, _sample_checks: bool = True) -> WindowSpec:
     """Window of a chamber C_j: classes of the open-interval translate.
 
     The lattice-point set is checked at three interior points of the chamber
     and must be boundary-free and constant across them.
     """
-    ref = face if isinstance(face, FaceRef) else FaceRef.parse(str(face))
     if ref.kind != "C":
         raise ValueError(f"window expects a chamber reference, got {ref}")
     poset = face_poset(p, ref.j, ref.j)
@@ -172,14 +171,13 @@ def window(p: GitPresentation, face, _sample_checks: bool = True) -> WindowSpec:
     )
 
 
-def big_window(p: GitPresentation, face) -> WindowSpec:
+def big_window(p: GitPresentation, ref: FaceRef) -> WindowSpec:
     """Window of a closed wall translate D_j.
 
     Display order: the adjacent chamber window on the even side first (lower
     chamber C_j for even j, upper chamber C_{j+1} for odd j), then the
     remaining classes sorted by symmetric power and twist.
     """
-    ref = face if isinstance(face, FaceRef) else FaceRef.parse(str(face))
     if ref.kind != "D":
         raise ValueError(f"big_window expects a wall reference, got {ref}")
     poset = face_poset(p, ref.j, ref.j)
@@ -256,7 +254,7 @@ def _object_name(p: GitPresentation, b_weight: tuple, lam: tuple) -> str:
     return f"sigma_* O({_line_bundle_name(b_weight)})"
 
 
-def kappa_generators(p: GitPresentation, d_face, c_face) -> tuple:
+def kappa_generators(p: GitPresentation, dref: FaceRef, cref: FaceRef) -> tuple:
     """Generators of the wall subcategory for the crossing (D_j, adjacent C).
 
     The character set is the lattice-point difference between the wall
@@ -268,8 +266,6 @@ def kappa_generators(p: GitPresentation, d_face, c_face) -> tuple:
     the chamber only selects which side the sign filter reads, and the
     mirrored run is re-expressed through the lower chamber.
     """
-    dref = d_face if isinstance(d_face, FaceRef) else FaceRef.parse(str(d_face))
-    cref = c_face if isinstance(c_face, FaceRef) else FaceRef.parse(str(c_face))
     if dref.kind != "D" or cref.kind != "C":
         raise ValueError(f"expected a wall and a chamber, got {dref} and {cref}")
     if cref.j not in (dref.j, dref.j + 1):

@@ -102,6 +102,12 @@ def test_malformed_json_reports_line_and_column(tmp_path, capsys):
     code, out, err = run_cli(capsys, "skms", "--input", str(bad))
     assert code == 2
     assert "line 1" in err and "column 12" in err
+    bad.write_text("[" * 100000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "skms", "--input", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "broken.json" in err and "nested too deeply" in err
 
 
 def test_quiver_check_semistable_rep(tmp_path, capsys):
@@ -150,10 +156,17 @@ def test_quiver_check_rejects_incomplete_rep(tmp_path, capsys):
     }
     complete = {key: zero_denominator[key] for key in ("alpha", "alpha_star", "gamma")}
     complete["beta"] = [[1, 1], [0, "-1/2"]]
+    deep_alpha = json.dumps(dict(complete, alpha="deep"))
+    deep_alpha = deep_alpha.replace('"deep"', "[" * 3000 + "1" + "]" * 3000)
+    texts = [json.dumps(rep) for rep in (
+        {"alpha": [1, 0]}, zero_denominator,
+        dict(complete, params=[1]), dict(complete, params="xy"),
+        dict(complete, delat=[[0, 0], [0, 0]]), [complete],
+        dict(complete, params={"t": "1e99999999"}),
+    )] + ["[" * 100000, deep_alpha]
     path = tmp_path / "rep.json"
-    for rep in ({"alpha": [1, 0]}, zero_denominator,
-                dict(complete, params=[1]), dict(complete, params="xy")):
-        path.write_text(json.dumps(rep), encoding="utf-8")
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "quiver", "check", "--rep", str(path))
         assert code == 2
         assert out == ""
@@ -197,7 +210,8 @@ def test_ncalg_normal_form_nontrivial(capsys):
 
 def test_ncalg_normal_form_parse_error(capsys):
     for expr, message in (("beta $ gamma", "unexpected character"),
-                          ("1/0*t", "zero denominator")):
+                          ("1/0*t", "zero denominator"),
+                          ("(" * 2000 + "t" + ")" * 2000, "nested too deeply")):
         code, out, err = run_cli(capsys, "ncalg", "normal-form", "--algebra", "acon",
                                  "--expr", expr)
         assert code == 2

@@ -165,7 +165,16 @@ def test_rational_rejects_non_numbers(value):
         rational(value)
 
 
-@pytest.mark.parametrize("value", ["1/0", "-3/0", "abc", "", "1/2/3", "nan", float("inf")])
+@pytest.mark.parametrize("value", ["1/0", "-3/0", "abc", "", "1/2/3", "nan", float("inf"),
+                                   "1e9999999", "1e99999999", "-2E-4301", "1e4_301"])
 def test_rational_rejects_zero_denominators_and_junk(value):
     with pytest.raises(ValueError):
         rational(value)
+
+
+def test_rational_reads_decimal_exponents_up_to_the_limit_exactly():
+    assert rational("1e300") == 10**300
+    assert rational_json(rational("1e300")) == 10**300
+    assert rational("-2.5E-3") == Fraction(-1, 400)
+    assert rational("1e4300") == 10**4300
+    assert rational("3e-4300") == Fraction(3, 10**4300)

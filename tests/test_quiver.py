@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from flopwin import quiver
 from flopwin.quiver import (
     BasePoint,
     QuiverRep,
@@ -83,6 +84,81 @@ def test_operations_require_relations():
     for call in (lambda: is_semistable(rep, "theta1"), lambda: stratum(rep), lambda: base_map(rep)):
         with pytest.raises(ValueError):
             call()
+
+
+def test_relations_are_evaluated_once_per_rep(monkeypatch):
+    calls = []
+    real = quiver.relations_hold
+    monkeypatch.setattr(quiver, "relations_hold", lambda rep: calls.append(rep) or real(rep))
+    rep = chart(alpha=(1, 2), alpha_star=(3, -1), beta=((1, 2), (0, -1)), gamma=((0, 1), (4, 0)))
+    base_map(rep)
+    stratum(rep)
+    is_semistable(rep, "theta1")
+    is_semistable(rep, "theta2")
+    assert calls == [rep]
+    broken = QuiverRep.from_dict(
+        {"alpha": [1, 0], "alpha_star": [0, 0], "beta": [[0, 1], [1, 1]], "gamma": [[0, 0], [0, 0]]}
+    )
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            stratum(broken)
+    assert calls == [rep, broken]
+
+
+def typed(rep):
+    """Every entry of a representation with its type, parameters in key order."""
+    entries = [*rep.alpha, *rep.alpha_star]
+    entries += [x for m in (rep.beta, rep.gamma, rep.delta) for row in m for x in row]
+    return [(type(x), x) for x in entries] + [(k, type(v), v) for k, v in rep.params.items()]
+
+
+def reference_chart(alpha, alpha_star, beta, gamma):
+    """Chart assembly by the explicit formulas: delta from the vertex relation
+    and each loop parameter as minus the determinant of its trace-free loop."""
+    a, s = tuple(map(F, alpha)), tuple(map(F, alpha_star))
+    b, c = (tuple(tuple(map(F, row)) for row in m) for m in (beta, gamma))
+    t = s[0] * a[0] + s[1] * a[1]
+    d = tuple(
+        tuple((t / 2 if i == j else 0) - b[i][j] - c[i][j] - a[i] * s[j] for j in range(2))
+        for i in range(2)
+    )
+    params = {"t": t, "Tbeta": -mat2_det(b), "Tgamma": -mat2_det(c), "Tdelta": -mat2_det(d)}
+    return QuiverRep(a, s, b, c, d, params)
+
+
+def reference_scalar_pair(rng, bound=5):
+    """scalar_pair_rep by the explicit formulas: parameters b^2, b^2 and t^2/4."""
+    b = 0
+    while b == 0:
+        b = rng.randint(-bound, bound)
+    alpha = (0, 0)
+    while alpha == (0, 0):
+        alpha = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+    a = tuple(map(F, alpha))
+    s = (F(rng.randint(-bound, bound)), F(rng.randint(-bound, bound)))
+    t = s[0] * a[0] + s[1] * a[1]
+    delta = tuple(
+        tuple((t / 2 if i == j else 0) - a[i] * s[j] for j in range(2)) for i in range(2)
+    )
+    scalar = lambda k: ((F(k), F(0)), (F(0), F(k)))
+    params = {"t": t, "Tbeta": F(b * b), "Tgamma": F(b * b), "Tdelta": t * t / 4}
+    return QuiverRep(a, s, scalar(b), scalar(-b), delta, params)
+
+
+def test_assembly_matches_the_explicit_formulas():
+    rng = random.Random(53)
+    for _ in range(300):
+        pick = lambda: rng.randint(-5, 5)
+        a, s = (pick(), pick()), (F(pick(), 2), str(pick()))
+        b00, c00 = pick(), pick()
+        b, c = ((b00, pick()), (pick(), -b00)), ((c00, pick()), (pick(), -c00))
+        assert typed(from_chart(a, s, b, c)) == typed(reference_chart(a, s, b, c))
+    for seed in range(300):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert typed(scalar_pair_rep(ours, 1 + seed % 5)) == typed(
+            reference_scalar_pair(theirs, 1 + seed % 5)
+        )
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_json_round_trip():

@@ -72,29 +72,29 @@ def test_lattice_points_of_translates(flop):
 
 @pytest.mark.parametrize("j", sorted(WINDOW_TABLE))
 def test_window_table(flop, j):
-    assert window(flop, f"C:{j}").render() == WINDOW_TABLE[j]
+    assert window(flop, FaceRef.parse(f"C:{j}")).render() == WINDOW_TABLE[j]
 
 
 @pytest.mark.parametrize("j", sorted(BIG_WINDOW_TABLE))
 def test_big_window_table(flop, j):
-    assert big_window(flop, f"D:{j}").render() == BIG_WINDOW_TABLE[j]
+    assert big_window(flop, FaceRef.parse(f"D:{j}")).render() == BIG_WINDOW_TABLE[j]
 
 
 def test_window_lattice_sets(flop):
-    assert window(flop, "C:0").lattice == ((0, 0), (0, 1), (1, 0))
-    assert window(flop, "C:-1").lattice == ((-1, 0), (0, -1), (0, 0))
-    assert big_window(flop, "D:-1").lattice == (
+    assert window(flop, FaceRef.parse("C:0")).lattice == ((0, 0), (0, 1), (1, 0))
+    assert window(flop, FaceRef.parse("C:-1")).lattice == ((-1, 0), (0, -1), (0, 0))
+    assert big_window(flop, FaceRef.parse("D:-1")).lattice == (
         (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0),
     )
-    spec = big_window(flop, "D:-1")
+    spec = big_window(flop, FaceRef.parse("D:-1"))
     assert len(spec.boundary) == 6
     assert (0, 0) not in spec.boundary
 
 
 def test_picard_periodicity(flop):
     for j in range(-4, 5):
-        w = window(flop, f"C:{j}")
-        w2 = window(flop, f"C:{j + 2}")
+        w = window(flop, FaceRef.parse(f"C:{j}"))
+        w2 = window(flop, FaceRef.parse(f"C:{j + 2}"))
         assert w2.lattice == tuple(sorted(vec_add(pt, (1, 1)) for pt in w.lattice))
         assert w2.classes == tuple(vec_add(c, (1, 1)) for c in w.classes)
 
@@ -105,7 +105,7 @@ def assert_picard_twist(p, kind, j, base):
     j0 = 0 if j % 2 == 0 else -1
     q = (j - j0) // 2
     ref = base[j0]
-    got = spec(p, f"{kind}:{j}")
+    got = spec(p, FaceRef.parse(f"{kind}:{j}"))
     classes = tuple(vec_add(c, (q, q)) for c in ref.classes)
     assert got.classes == classes
     assert got.lattice == tuple(sorted(vec_add(pt, (q, q)) for pt in ref.lattice))
@@ -116,7 +116,7 @@ def assert_picard_twist(p, kind, j, base):
 def test_picard_periodicity_far_from_the_origin(flop, kind):
     """Every face in [-12, 12] is the C:0/C:-1 (or D:0/D:-1) face twisted by O(q)."""
     spec = window if kind == "C" else big_window
-    base = {0: spec(flop, f"{kind}:0"), -1: spec(flop, f"{kind}:-1")}
+    base = {0: spec(flop, FaceRef.parse(f"{kind}:0")), -1: spec(flop, FaceRef.parse(f"{kind}:-1"))}
     for j in range(-12, 13):
         assert_picard_twist(flop, kind, j, base)
 
@@ -124,7 +124,7 @@ def test_picard_periodicity_far_from_the_origin(flop, kind):
 @pytest.mark.parametrize("kind", ["C", "D"])
 def test_faces_at_huge_indices_cost_constant_time(flop, kind):
     spec = window if kind == "C" else big_window
-    base = {0: spec(flop, f"{kind}:0"), -1: spec(flop, f"{kind}:-1")}
+    base = {0: spec(flop, FaceRef.parse(f"{kind}:0")), -1: spec(flop, FaceRef.parse(f"{kind}:-1"))}
     start = time.perf_counter()
     for j in (10**9, 10**9 + 1, -10**9, -10**9 - 1):
         assert_picard_twist(flop, kind, j, base)
@@ -153,15 +153,15 @@ def test_face_poset_matches_enumerated_punctures(fixture, request):
 
 def test_window_wrong_kind_rejected(flop):
     with pytest.raises(ValueError):
-        window(flop, "D:0")
+        window(flop, FaceRef.parse("D:0"))
     with pytest.raises(ValueError):
-        big_window(flop, "C:0")
+        big_window(flop, FaceRef.parse("C:0"))
 
 
 def test_conifold_windows(conifold):
-    assert window(conifold, "C:0").render() == "⟨O, O(1)⟩"
-    assert window(conifold, "C:-1").render() == "⟨O(-1), O⟩"
-    assert big_window(conifold, "D:-1").lattice == ((-1,), (0,), (1,))
+    assert window(conifold, FaceRef.parse("C:0")).render() == "⟨O, O(1)⟩"
+    assert window(conifold, FaceRef.parse("C:-1")).render() == "⟨O(-1), O⟩"
+    assert big_window(conifold, FaceRef.parse("D:-1")).lattice == ((-1,), (0,), (1,))
 
 
 def test_nu_filter():
@@ -175,14 +175,14 @@ def test_nu_filter():
 
 
 def test_kappa_deepest_wall(flop):
-    gens = kappa_generators(flop, "D:-2", "C:-2")
+    gens = kappa_generators(flop, FaceRef.parse("D:-2"), FaceRef.parse("C:-2"))
     assert [(g.chi_class, g.cocharacter) for g in gens] == [((0, 0), (-1, -1))]
     assert gens[0].object_name == "O_S0"
 
 
 def test_kappa_flop_wall(flop):
     for cface in ("C:0", "C:-1"):
-        gens = kappa_generators(flop, "D:-1", cface)
+        gens = kappa_generators(flop, FaceRef.parse("D:-1"), FaceRef.parse(cface))
         assert {g.key(): g.object_name for g in gens} == KAPPA_FLOP_EXPECTED
         # the two facet normals Weyl-conjugate to (0,1)/(1,0) never survive
         assert all(g.cocharacter not in {(0, 1), (1, 0), (1, 1)} for g in gens)
@@ -190,17 +190,17 @@ def test_kappa_flop_wall(flop):
 
 def test_kappa_adjacency_validation(flop):
     with pytest.raises(ValueError):
-        kappa_generators(flop, "D:-1", "C:2")
+        kappa_generators(flop, FaceRef.parse("D:-1"), FaceRef.parse("C:2"))
     with pytest.raises(ValueError):
-        kappa_generators(flop, "C:0", "C:0")
+        kappa_generators(flop, FaceRef.parse("C:0"), FaceRef.parse("C:0"))
 
 
 def test_kappa_conifold(conifold):
-    gens = kappa_generators(conifold, "D:-1", "C:0")
+    gens = kappa_generators(conifold, FaceRef.parse("D:-1"), FaceRef.parse("C:0"))
     assert len(gens) == 1
     assert gens[0].chi_class == (1,)
     assert gens[0].cocharacter == (-1,)
-    gens_low = kappa_generators(conifold, "D:-1", "C:-1")
+    gens_low = kappa_generators(conifold, FaceRef.parse("D:-1"), FaceRef.parse("C:-1"))
     assert [g.key() for g in gens_low] == [g.key() for g in gens]
 
 
@@ -210,12 +210,12 @@ def test_k_class_alternating_sums():
 
 
 def test_k_class_supported_on_wall_window(flop):
-    wall = set(big_window(flop, "D:-1").classes)
+    wall = set(big_window(flop, FaceRef.parse("D:-1")).classes)
     for terms in (RES_G_TERMS, RES_F_DOWNSTAIRS):
         assert set(k_class(terms)) <= wall
 
 
 def test_kappa_generator_is_hashable_record(flop):
-    gens = kappa_generators(flop, "D:-1", "C:0")
+    gens = kappa_generators(flop, FaceRef.parse("D:-1"), FaceRef.parse("C:0"))
     assert len({g.key() for g in gens}) == 3
     assert all(isinstance(g, KappaGenerator) for g in gens)
