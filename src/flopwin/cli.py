@@ -53,29 +53,36 @@ def _load_presentation(source: str) -> GitPresentation:
         raise InputError(f"no such file or bundled fixture: {source}") from None
 
 
-def _default_degree(fallback: int) -> int:
-    raw = os.environ.get("FLOPWIN_MAX_DEGREE")
-    if raw is None:
+# The README, tests and bench query degree 15 at most.  The Sym tables grow
+# as the cube of the degree: the README's three-summand `coh multiplicity`
+# peaks at about 140 MiB and 2.6 s at degree 100 and would need about 1000
+# times that at degree 1000.
+MAX_DEGREE_CAP = 100
+
+
+def _max_degree(args, fallback: int) -> int:
+    """The degree bound from --max-degree, else FLOPWIN_MAX_DEGREE, else fallback."""
+    if args.max_degree is not None:
+        name, raw = "--max-degree", args.max_degree
+    elif "FLOPWIN_MAX_DEGREE" in os.environ:
+        name, raw = "FLOPWIN_MAX_DEGREE", os.environ["FLOPWIN_MAX_DEGREE"]
+    else:
         return fallback
     try:
         value = int(raw)
     except ValueError:
-        raise InputError(f"FLOPWIN_MAX_DEGREE must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise InputError("FLOPWIN_MAX_DEGREE must be nonnegative")
+        raise InputError(f"{name} must be an integer, got {raw!r}") from None
+    if not 0 <= value <= MAX_DEGREE_CAP:
+        raise InputError(f"{name} must be between 0 and {MAX_DEGREE_CAP}, got {value}")
     return value
 
 
-def _resolve_degree(args, fallback: int) -> int:
-    if args.max_degree is not None:
-        if args.max_degree < 0:
-            raise InputError("--max-degree must be nonnegative")
-        return args.max_degree
-    return _default_degree(fallback)
+def _render(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_render(payload))
 
 
 def _cmd_skms(args) -> int:
@@ -120,23 +127,26 @@ def _cmd_kappa(args) -> int:
 
 def _cmd_quiver_check(args) -> int:
     data = _read_json(args.rep)
+    # a value the codec reads but cannot render back (say, an integer past
+    # the interpreter's digit limit) fails late, so the whole payload is
+    # built and rendered before anything is printed
     try:
         rep = QuiverRep.from_dict(data)
+        ok, residuals = relations_hold(rep)
+        payload: dict = {"stability": args.stability, "relations_hold": ok}
+        if ok:
+            point = base_map(rep)
+            payload["semistable"] = is_semistable(rep, args.stability)
+            payload["stratum"] = stratum(rep)
+            payload["base_point"] = point.to_dict()
+            payload["base_equation"] = rational_json(base_equation(point))
+        else:
+            payload["residuals"] = {k: rational_json(v) for k, v in residuals.items()}
+        text = _render(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{args.rep}: {exc}") from None
-    ok, residuals = relations_hold(rep)
-    payload: dict = {"stability": args.stability, "relations_hold": ok}
-    if not ok:
-        payload["residuals"] = {k: rational_json(v) for k, v in residuals.items()}
-        _emit(payload)
-        return 1
-    point = base_map(rep)
-    payload["semistable"] = is_semistable(rep, args.stability)
-    payload["stratum"] = stratum(rep)
-    payload["base_point"] = point.to_dict()
-    payload["base_equation"] = rational_json(base_equation(point))
-    _emit(payload)
-    return 0
+    print(text)
+    return 0 if ok else 1
 
 
 def _cmd_ncalg_hilbert(args) -> int:
@@ -144,7 +154,7 @@ def _cmd_ncalg_hilbert(args) -> int:
         pres = ncalg.catalog(args.algebra)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    d = _resolve_degree(args, 12)
+    d = _max_degree(args, 12)
     _emit({"algebra": args.algebra, "max_degree": d, "dims": ncalg.hilbert(pres, d)})
     return 0
 
@@ -156,7 +166,7 @@ def _cmd_ncalg_normal_form(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     degree = max((pres.word_degree(w) for w in expr), default=0)
-    cutoff = max(_resolve_degree(args, 12), degree)
+    cutoff = max(_max_degree(args, 12), degree)
     rs = ncalg.completed(pres, cutoff)
     print(pres.render(rs.normal_form(expr)))
     return 0
@@ -185,7 +195,7 @@ def _cmd_coh_multiplicity(args) -> int:
     names = [part.strip() for part in args.sym.split(",") if part.strip()]
     if not names:
         raise InputError("--sym needs at least one summand name")
-    d = _resolve_degree(args, 15)
+    d = _max_degree(args, 15)
     try:
         graded = cohomology.sym_graded(names, d)
     except ValueError as exc:
@@ -271,12 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     ncalg_sub = p_ncalg.add_subparsers(dest="ncalg_command", required=True)
     p_hilbert = ncalg_sub.add_parser("hilbert", help="graded dimensions of a catalog algebra")
     p_hilbert.add_argument("--algebra", required=True, help="catalog name, e.g. acon")
-    p_hilbert.add_argument("--max-degree", type=int, default=None)
+    p_hilbert.add_argument("--max-degree", default=None)
     p_hilbert.set_defaults(handler=_cmd_ncalg_hilbert)
     p_nf = ncalg_sub.add_parser("normal-form", help="normal form of an expression")
     p_nf.add_argument("--algebra", required=True, help="catalog name, e.g. acon")
     p_nf.add_argument("--expr", required=True, help="e.g. \"t*(beta*gamma - gamma*beta)\"")
-    p_nf.add_argument("--max-degree", type=int, default=None)
+    p_nf.add_argument("--max-degree", default=None)
     p_nf.set_defaults(handler=_cmd_ncalg_normal_form)
 
     p_coh = sub.add_parser("coh", help="equivariant cohomology queries")
@@ -284,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mult = coh_sub.add_parser("multiplicity", help="irreducible multiplicity in a Sym algebra")
     p_mult.add_argument("--irrep", required=True, help="name (e.g. Vstar) or pair \"p,q\"")
     p_mult.add_argument("--sym", required=True, help="comma-separated summands, e.g. V,S2Vm1,S2Vm1")
-    p_mult.add_argument("--max-degree", type=int, default=None)
+    p_mult.add_argument("--max-degree", default=None)
     p_mult.set_defaults(handler=_cmd_coh_multiplicity)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")

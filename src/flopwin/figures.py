@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .lattice import GitPresentation
-from .zonotope import UnboundedPolytopeError, Zonotope, arrangement, nabla, skms
+from .zonotope import SKMSDescriptor, UnboundedPolytopeError, Zonotope, skms
 
 FIGURE_NAMES = ("polytope.svg", "arrangement.svg", "facets.svg")
 
@@ -105,10 +105,11 @@ def _polytope_figure(p: GitPresentation, z: Zonotope) -> str:
     return _svg(elements)
 
 
-def _arrangement_figure(p: GitPresentation, z: Zonotope) -> str:
+def _arrangement_figure(desc: SKMSDescriptor) -> str:
+    z = desc.zonotope
     elements = _axes()
     span = 2.5
-    for fam in arrangement(p, z):
+    for fam in desc.families:
         n = fam.normal
         for off in fam.offsets:
             for k in range(-3, 4):
@@ -138,7 +139,6 @@ def _arrangement_figure(p: GitPresentation, z: Zonotope) -> str:
                     f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
                     'stroke="#888888" stroke-width="1"/>'
                 )
-    desc = skms(p)
     if desc.line is not None:
         (x1, y1) = _project(tuple(-span * c for c in desc.line))
         (x2, y2) = _project(tuple(span * c for c in desc.line))
@@ -190,16 +190,15 @@ def emit_figures(out_dir: str, p: GitPresentation) -> list[str]:
     """Write the three SVG figures for a presentation; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     try:
-        z = nabla(p)
-        usable = bool(z.vertices) and bool(z.halfspaces)
+        desc = skms(p)
+        usable = bool(desc.zonotope.vertices) and bool(desc.zonotope.halfspaces)
     except UnboundedPolytopeError:
-        z = None
         usable = False
     if usable:
         contents = {
-            "polytope.svg": _polytope_figure(p, z),
-            "arrangement.svg": _arrangement_figure(p, z),
-            "facets.svg": _facet_figure(z),
+            "polytope.svg": _polytope_figure(p, desc.zonotope),
+            "arrangement.svg": _arrangement_figure(desc),
+            "facets.svg": _facet_figure(desc.zonotope),
         }
     else:
         contents = {

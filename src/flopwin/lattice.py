@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exact import echelon
 
@@ -193,11 +193,11 @@ class GitPresentation:
 def is_quasi_symmetric(p: GitPresentation) -> bool:
     """True when the weights on every line through the origin sum to zero."""
     lines: dict = {}
-    for w in p.weight_multiset():
+    for w, m in p.weights:
         if is_zero(w):
             continue
         d = primitive_signed(w)
-        lines[d] = vec_add(lines.get(d, (0,) * p.rank), w)
+        lines[d] = vec_add(lines.get(d, (0,) * p.rank), tuple(m * x for x in w))
     return all(is_zero(total) for total in lines.values())
 
 
@@ -227,17 +227,9 @@ def invariant_line(p: GitPresentation) -> Vector:
     return basis[0]
 
 
-def weight_orbit(p: GitPresentation, chi: Sequence) -> tuple:
-    """Weyl orbit of a weight, sorted lexicographically."""
-    chi = tuple(chi)
-    orbit = {mat_apply(g, chi) for g in p.weyl_elements()}
-    return tuple(sorted(orbit))
-
-
-def dominant_representative(p: GitPresentation, chi: Sequence):
-    """Lexicographically maximal element of the Weyl orbit, with the orbit."""
-    orbit = weight_orbit(p, chi)
-    return orbit[-1], orbit
+def dominant_representative(p: GitPresentation, chi: Sequence) -> Vector:
+    """Lexicographically maximal element of the Weyl orbit."""
+    return max(mat_apply(g, chi) for g in p.weyl_elements())
 
 
 def load_fixture(name: str) -> GitPresentation:

@@ -12,7 +12,7 @@ the weakly-decreasing cocharacter chamber.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import product
 from math import ceil, floor
 from typing import Sequence
 
@@ -25,7 +25,7 @@ from .lattice import (
     vec_neg,
     vec_sub,
 )
-from .zonotope import Zonotope, face_poset, nabla
+from .zonotope import SKMSDescriptor, Zonotope, skms
 
 
 @dataclass(frozen=True)
@@ -71,27 +71,11 @@ def lattice_points(z: Zonotope) -> tuple:
     """All lattice points of the closed polytope, sorted."""
     if not z.vertices:
         return ()
-    out = []
-    if z.rank == 1:
-        lo = min(v[0] for v in z.vertices)
-        hi = max(v[0] for v in z.vertices)
-        for x in range(ceil(lo), floor(hi) + 1):
-            if z.contains((x,)):
-                out.append((x,))
-        return tuple(out)
-    lo0 = min(v[0] for v in z.vertices)
-    hi0 = max(v[0] for v in z.vertices)
-    lo1 = min(v[1] for v in z.vertices)
-    hi1 = max(v[1] for v in z.vertices)
-    for x in range(ceil(lo0), floor(hi0) + 1):
-        for y in range(ceil(lo1), floor(hi1) + 1):
-            if z.contains((x, y)):
-                out.append((x, y))
-    return tuple(sorted(out))
-
-
-def boundary_lattice_points(z: Zonotope) -> tuple:
-    return tuple(pt for pt in lattice_points(z) if z.on_boundary(pt))
+    axes = (
+        range(ceil(min(v[i] for v in z.vertices)), floor(max(v[i] for v in z.vertices)) + 1)
+        for i in range(z.rank)
+    )
+    return tuple(pt for pt in product(*axes) if z.contains(pt))
 
 
 @dataclass(frozen=True)
@@ -117,13 +101,9 @@ class WindowSpec:
         }
 
 
-def _group_classes(p: GitPresentation, points: Sequence) -> dict:
-    """Dominant representative -> sorted orbit points present."""
-    groups: dict = {}
-    for pt in points:
-        rep, _ = dominant_representative(p, pt)
-        groups.setdefault(rep, []).append(pt)
-    return groups
+def _classes(p: GitPresentation, points: Sequence) -> set:
+    """Dominant representatives of the Weyl orbits through the points."""
+    return {dominant_representative(p, pt) for pt in points}
 
 
 def _class_sort_key(dom: Sequence):
@@ -133,42 +113,44 @@ def _class_sort_key(dom: Sequence):
     return (a, dom[1])
 
 
-def window(p: GitPresentation, ref: FaceRef, _sample_checks: bool = True) -> WindowSpec:
-    """Window of a chamber C_j: classes of the open-interval translate.
+def _chamber_points(desc: SKMSDescriptor, j: int) -> tuple:
+    """Lattice points of the polytope translated into the open chamber C_j.
 
-    The lattice-point set is checked at three interior points of the chamber
-    and must be boundary-free and constant across them.
+    The set is computed at three interior points of the chamber and must be
+    boundary-free and constant across them.
     """
-    if ref.kind != "C":
-        raise ValueError(f"window expects a chamber reference, got {ref}")
-    poset = face_poset(p, ref.j, ref.j)
-    lo, hi = poset.intervals[ref.j]
-    z = nabla(p)
-    samples = [Fraction(lo + hi, 2)]
-    if _sample_checks:
-        samples += [lo + (hi - lo) / 3, lo + (hi - lo) * 2 / 3]
+    lo, hi = desc.wall(j - 1), desc.wall(j)
     sets = []
-    for tau in samples:
-        delta = tuple(tau * c for c in poset.line)
-        zt = z.translate(delta)
+    for tau in ((lo + hi) / 2, lo + (hi - lo) / 3, lo + (hi - lo) * 2 / 3):
+        zt = desc.zonotope.translate(desc.at(tau))
         pts = lattice_points(zt)
-        if boundary_lattice_points(zt):
+        if any(zt.on_boundary(pt) for pt in pts):
             raise ValueError(
-                f"lattice point on the boundary at interior sample {tau} of {ref}"
+                f"lattice point on the boundary at interior sample {tau} of C:{j}"
             )
         sets.append(pts)
     if any(s != sets[0] for s in sets[1:]):
-        raise ValueError(f"lattice points vary across the open chamber {ref}")
-    points = sets[0]
-    groups = _group_classes(p, points)
-    classes = tuple(sorted(groups, key=_class_sort_key))
+        raise ValueError(f"lattice points vary across the open chamber C:{j}")
+    return sets[0]
+
+
+def _spec(ref: FaceRef, classes: Sequence, points: tuple, boundary: tuple) -> WindowSpec:
     return WindowSpec(
         face=str(ref),
-        classes=classes,
+        classes=tuple(classes),
         names=tuple(rep_name(c) for c in classes),
         lattice=points,
-        boundary=(),
+        boundary=boundary,
     )
+
+
+def window(p: GitPresentation, ref: FaceRef) -> WindowSpec:
+    """Window of a chamber C_j: classes of the open-interval translate."""
+    if ref.kind != "C":
+        raise ValueError(f"window expects a chamber reference, got {ref}")
+    points = _chamber_points(skms(p), ref.j)
+    classes = sorted(_classes(p, points), key=_class_sort_key)
+    return _spec(ref, classes, points, ())
 
 
 def big_window(p: GitPresentation, ref: FaceRef) -> WindowSpec:
@@ -180,24 +162,13 @@ def big_window(p: GitPresentation, ref: FaceRef) -> WindowSpec:
     """
     if ref.kind != "D":
         raise ValueError(f"big_window expects a wall reference, got {ref}")
-    poset = face_poset(p, ref.j, ref.j)
-    delta = poset.point_in_ambient(ref.j)
-    zt = nabla(p).translate(delta)
+    desc = skms(p)
+    zt = desc.zonotope.translate(desc.at(desc.wall(ref.j)))
     points = lattice_points(zt)
-    boundary = boundary_lattice_points(zt)
-    groups = _group_classes(p, points)
-    lead_j = ref.j if ref.j % 2 == 0 else ref.j + 1
-    lead = window(p, FaceRef("C", lead_j), _sample_checks=False)
-    ordered = [c for c in lead.classes if c in groups]
-    ordered += sorted((c for c in groups if c not in ordered), key=_class_sort_key)
-    classes = tuple(ordered)
-    return WindowSpec(
-        face=str(ref),
-        classes=classes,
-        names=tuple(rep_name(c) for c in classes),
-        lattice=points,
-        boundary=boundary,
-    )
+    classes = _classes(p, points)
+    lead = classes & _classes(p, _chamber_points(desc, ref.j if ref.j % 2 == 0 else ref.j + 1))
+    ordered = sorted(lead, key=_class_sort_key) + sorted(classes - lead, key=_class_sort_key)
+    return _spec(ref, ordered, points, tuple(pt for pt in points if zt.on_boundary(pt)))
 
 
 def is_weakly_decreasing(lam: Sequence) -> bool:
@@ -271,16 +242,14 @@ def kappa_generators(p: GitPresentation, dref: FaceRef, cref: FaceRef) -> tuple:
     if cref.j not in (dref.j, dref.j + 1):
         raise ValueError(f"{cref} is not adjacent to {dref}")
     j = dref.j
-    poset = face_poset(p, j, j + 1)
-    d_point = poset.point_in_ambient(j)
-    low = FaceRef("C", j)
+    desc = skms(p)
+    lo, d = desc.wall(j - 1), desc.wall(j)
+    d_point = desc.at(d)
+    zt = desc.zonotope.translate(d_point)
+    low = set(_chamber_points(desc, j))
+    diff = [pt for pt in lattice_points(zt) if pt not in low]
+    epsilon = vec_sub(desc.at((lo + d) / 2), d_point)
 
-    wall = big_window(p, dref)
-    low_window = window(p, low, _sample_checks=False)
-    diff = [pt for pt in wall.lattice if pt not in set(low_window.lattice)]
-    epsilon = vec_sub(poset.interval_midpoint_in_ambient(j), d_point)
-
-    zt = nabla(p).translate(d_point)
     facets = zt.facets()
     group_elements = p.weyl_elements()
     actions = [(g, mat_inverse_transpose(g)) for g in group_elements]
@@ -302,7 +271,7 @@ def kappa_generators(p: GitPresentation, dref: FaceRef, cref: FaceRef) -> tuple:
             chi_n, lam_n = normalized
             if not nu_filter(epsilon, lam_n):
                 continue
-            rep, _ = dominant_representative(p, chi_n)
+            rep = dominant_representative(p, chi_n)
             collected.setdefault((rep, lam_n), set()).add(chi_n)
 
     out = []

@@ -1,11 +1,11 @@
-"""Stability polytope, hyperplane arrangement and wall poset on the invariant line.
+"""Stability polytope, moduli descriptor and its walls on the invariant line.
 
 The polytope nabla is cut out by |<lam, chi>| <= eta(lam)/2 over all
 cocharacters lam; eta is piecewise linear on the fan whose walls are the
 hyperplanes orthogonal to the weights and roots, so the primitive ray
 generators of that fan suffice as candidate normals. Everything downstream
-(arrangement families, punctures on the Weyl-invariant line, wall/chamber
-poset) is exact rational arithmetic.
+(arrangement families, punctures on the Weyl-invariant line, walls and
+chambers) is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -68,14 +68,12 @@ class Zonotope:
     """Closed polytope with exact H- and V-representations.
 
     halfspaces: tuple of (normal, bound) meaning <normal, chi> <= bound.
-    vertices: tuple of Fraction tuples. center: the translation applied
-    (origin for the untranslated stability polytope).
+    vertices: tuple of Fraction tuples.
     """
 
     rank: int
     halfspaces: tuple
     vertices: tuple
-    center: tuple
 
     def contains(self, point: Sequence) -> bool:
         if not self.vertices:
@@ -109,7 +107,6 @@ class Zonotope:
             rank=self.rank,
             halfspaces=tuple((n, b + pair(n, delta)) for n, b in self.halfspaces),
             vertices=tuple(vec_add(v, delta) for v in self.vertices),
-            center=vec_add(self.center, delta),
         )
 
 
@@ -129,8 +126,7 @@ def polytope_from_constraints(rank: int, constraints: Sequence) -> Zonotope:
             merged[n] = b
     normals = sorted(merged)
     if not normals:
-        return Zonotope(rank=rank, halfspaces=(), vertices=((Fraction(0),) * rank,),
-                        center=(Fraction(0),) * rank)
+        return Zonotope(rank=rank, halfspaces=(), vertices=((Fraction(0),) * rank,))
     # boundedness: the kernel of the normal matrix must be trivial and the
     # normals must not all lie in a closed halfplane with 0 on its boundary
     if rank == 1:
@@ -140,11 +136,11 @@ def polytope_from_constraints(rank: int, constraints: Sequence) -> Zonotope:
         hi = min(Fraction(merged[n], n[0]) for n in normals if n[0] > 0)
         lo = max(Fraction(merged[n], n[0]) for n in normals if n[0] < 0)
         if lo > hi:
-            return Zonotope(rank=1, halfspaces=tuple(merged.items()), vertices=(), center=(Fraction(0),))
+            return Zonotope(rank=1, halfspaces=tuple(merged.items()), vertices=())
         verts = ((lo,),) if lo == hi else ((lo,), (hi,))
         hs = tuple((n, merged[n]) for n in normals
                    if any(pair(n, v) == merged[n] for v in verts))
-        return Zonotope(rank=1, halfspaces=hs, vertices=verts, center=(Fraction(0),))
+        return Zonotope(rank=1, halfspaces=hs, vertices=verts)
     # rank 2: recession direction d satisfies <n, d> <= 0 for all n; extreme
     # rays of that cone lie on some wall <n, d> = 0, so checking the rotated
     # normals is exhaustive
@@ -169,7 +165,7 @@ def polytope_from_constraints(rank: int, constraints: Sequence) -> Zonotope:
                 verts.add((x, y))
     vertices = tuple(sorted(verts))
     if not vertices:
-        return Zonotope(rank=2, halfspaces=tuple(items), vertices=(), center=(Fraction(0),) * 2)
+        return Zonotope(rank=2, halfspaces=tuple(items), vertices=())
     full_dim = len(vertices) >= 3
     if full_dim:
         hs = tuple(
@@ -178,7 +174,7 @@ def polytope_from_constraints(rank: int, constraints: Sequence) -> Zonotope:
         )
     else:
         hs = tuple(items)
-    return Zonotope(rank=2, halfspaces=hs, vertices=vertices, center=(Fraction(0), Fraction(0)))
+    return Zonotope(rank=2, halfspaces=hs, vertices=vertices)
 
 
 def nabla(p: GitPresentation) -> Zonotope:
@@ -213,32 +209,38 @@ class HyperplaneFamily:
         return tuple(sorted(out))
 
 
-def arrangement(p: GitPresentation, z: Zonotope | None = None) -> tuple:
-    """Hyperplane families spanned by lattice translates of the facet supports."""
-    if z is None:
-        z = nabla(p)
-    fams: dict = {}
-    for n, b, _sat in z.facets():
-        key = primitive_signed(n)
-        sign = 1 if key == n else -1
-        off = (sign * b) % 1
-        fams.setdefault(key, set()).add(off)
-    return tuple(
-        HyperplaneFamily(normal=k, offsets=tuple(sorted(v)))
-        for k, v in sorted(fams.items())
-    )
-
-
 @dataclass(frozen=True)
 class SKMSDescriptor:
     """Punctured-line data: the polytope, its arrangement, the invariant line,
-    and the puncture residues modulo the unit translation."""
+    and the puncture residues modulo the unit translation.
+
+    The walls D_j are the punctures r + k (r a residue, k an integer) in
+    increasing order, numbered so that D_{-1} is the largest one <= 0; the
+    chamber C_j is the open interval (D_{j-1}, D_j).
+    """
 
     zonotope: Zonotope
     families: tuple
     line: tuple | None
     punctures: tuple  # Fractions in [0, 1), sorted
     N: int
+
+    def wall(self, j: int) -> Fraction:
+        """Line parameter of D_j, in O(1) however far j is from the origin.
+
+        Numbering r_i + q as q*N + i lists the punctures in increasing order.
+        The largest one <= 0 is number 0 when 0 is a puncture and -1 when it
+        is not, and D_j comes j + 1 places after it.
+        """
+        if self.N == 0:
+            raise ValueError("arrangement has no walls; the face poset is empty")
+        anchor = 0 if self.punctures[0] == 0 else -1
+        q, i = divmod(anchor + j + 1, self.N)
+        return self.punctures[i] + q
+
+    def at(self, tau) -> tuple:
+        """The point tau * line of the ambient weight space."""
+        return tuple(tau * c for c in self.line)
 
     def to_jsonable(self) -> dict:
         return {
@@ -260,7 +262,16 @@ def skms(p: GitPresentation) -> SKMSDescriptor:
     taken mod 1.
     """
     z = nabla(p)
-    fams = arrangement(p, z)
+    # one family per facet direction: the lattice translates of the supporting
+    # hyperplanes, recorded by their offsets mod 1
+    offsets: dict = {}
+    for n, b, _sat in z.facets():
+        key = primitive_signed(n)
+        offsets.setdefault(key, set()).add((b if key == n else -b) % 1)
+    fams = tuple(
+        HyperplaneFamily(normal=k, offsets=tuple(sorted(v)))
+        for k, v in sorted(offsets.items())
+    )
     if not fams:
         return SKMSDescriptor(zonotope=z, families=(), line=None, punctures=(), N=0)
     line = invariant_line(p)
@@ -270,51 +281,3 @@ def skms(p: GitPresentation) -> SKMSDescriptor:
     punctures = tuple(sorted(residues))
     return SKMSDescriptor(zonotope=z, families=fams, line=line,
                           punctures=punctures, N=len(punctures))
-
-
-@dataclass(frozen=True)
-class FacePoset:
-    """Walls D_j (points) and chambers C_j (open intervals) on the invariant
-    line, in the primitive parametrization. D_{-1} is the largest wall <= 0
-    and C_j = (D_{j-1}, D_j)."""
-
-    line: tuple
-    points: dict  # j -> Fraction
-    intervals: dict  # j -> (Fraction, Fraction)
-
-    def point_in_ambient(self, j: int) -> tuple:
-        tau = self.points[j]
-        return tuple(tau * c for c in self.line)
-
-    def interval_midpoint_in_ambient(self, j: int) -> tuple:
-        lo, hi = self.intervals[j]
-        mid = (lo + hi) / 2
-        return tuple(mid * c for c in self.line)
-
-
-def face_poset(p: GitPresentation, j_min: int, j_max: int) -> FacePoset:
-    """Enumerate walls and chambers for wall indices j in [j_min, j_max].
-
-    Intervals C_j are produced for the same index range; C_j needs D_{j-1},
-    so walls are computed one step below j_min.  The punctures are the
-    residues r_0 < ... < r_{N-1} in [0, 1) plus integers: numbering r_i + q
-    as q*N + i lists them in increasing order, and D_j is number a + j + 1,
-    where a numbers the largest puncture <= 0.  Each wall costs O(1), however
-    far j is from the origin.
-    """
-    desc = skms(p)
-    if desc.N == 0:
-        raise ValueError("arrangement has no walls; the face poset is empty")
-    if j_min > j_max:
-        raise ValueError("empty index range")
-    residues = desc.punctures
-    anchor = sum(1 for r in residues if r <= 0) - 1
-
-    def wall(j: int) -> Fraction:
-        q, i = divmod(anchor + j + 1, len(residues))
-        return residues[i] + q
-
-    points = {j: wall(j) for j in range(j_min - 1, j_max + 1)}
-    intervals = {j: (points[j - 1], points[j]) for j in range(j_min, j_max + 1)}
-    return FacePoset(line=desc.line, points={j: points[j] for j in range(j_min, j_max + 1)},
-                     intervals=intervals)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -72,6 +73,19 @@ def test_skms_output_is_byte_identical(capsys):
     _, first, _ = run_cli(capsys, "skms")
     _, second, _ = run_cli(capsys, "skms")
     assert first == second
+
+
+def test_skms_cost_does_not_grow_with_multiplicity(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"rank": 1, "weights": [
+        {"vec": [1], "mult": 10**6}, {"vec": [-1], "mult": 10**6},
+    ]}), encoding="utf-8")
+    start = time.perf_counter()
+    code, payload, _ = run_json(capsys, "skms", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert payload["vertices"] == [["-500000"], ["500000"]]
+    assert payload["punctures"] == ["0"]
 
 
 def test_kappa_payload(capsys):
@@ -163,6 +177,7 @@ def test_quiver_check_rejects_incomplete_rep(tmp_path, capsys):
         dict(complete, params=[1]), dict(complete, params="xy"),
         dict(complete, delat=[[0, 0], [0, 0]]), [complete],
         dict(complete, params={"t": "1e99999999"}),
+        dict(complete, params={"t": "-1e4300"}),
     )] + ["[" * 100000, deep_alpha]
     path = tmp_path / "rep.json"
     for text in texts:
@@ -258,10 +273,30 @@ def test_max_degree_flag_beats_env(capsys, monkeypatch):
 
 
 def test_max_degree_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("FLOPWIN_MAX_DEGREE", "oops")
-    code, out, err = run_cli(capsys, "ncalg", "hilbert", "--algebra", "Cbc")
+    # 101 is one past the cap
+    for raw in ("oops", "101", "-1", "7.5"):
+        monkeypatch.setenv("FLOPWIN_MAX_DEGREE", raw)
+        code, out, err = run_cli(capsys, "ncalg", "hilbert", "--algebra", "Cbc")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: FLOPWIN_MAX_DEGREE") and err.count("\n") == 1
+
+
+def test_max_degree_cap_is_accepted(capsys):
+    code, payload, _ = run_json(capsys, "coh", "multiplicity", "--irrep", "V", "--sym", "V",
+                                "--max-degree", "100")
+    assert code == 0
+    assert payload["multiplicities"][:3] == [0, 1, 0]
+    assert len(payload["multiplicities"]) == 101
+
+
+@pytest.mark.parametrize("raw", ["101", "-1", "7.5", "x"])  # 101 is one past the cap
+def test_max_degree_flag_out_of_range(capsys, raw):
+    code, out, err = run_cli(capsys, "coh", "multiplicity", "--irrep", "V", "--sym", "V",
+                             "--max-degree", raw)
     assert code == 2
-    assert "FLOPWIN_MAX_DEGREE" in err
+    assert out == ""
+    assert err.startswith("error: --max-degree") and err.count("\n") == 1
 
 
 def test_verify_polyhedral_suite(capsys):

@@ -137,25 +137,27 @@ def test_sign_flip_group_has_no_invariant_line():
     assert weyl_invariant_basis(p) == ()
 
 
+def orbit(p, chi):
+    """Weyl orbit of a weight, sorted lexicographically."""
+    return tuple(sorted({mat_apply(g, chi) for g in p.weyl_elements()}))
+
+
 def test_dominant_representative(flop):
-    rep, orbit = dominant_representative(flop, (0, 1))
-    assert rep == (1, 0)
-    assert orbit == ((0, 1), (1, 0))
-    rep, orbit = dominant_representative(flop, (-1, 1))
-    assert rep == (1, -1)
-    assert orbit == ((-1, 1), (1, -1))
-    rep, orbit = dominant_representative(flop, (0, 0))
-    assert rep == (0, 0)
-    assert orbit == ((0, 0),)
+    assert dominant_representative(flop, (0, 1)) == (1, 0)
+    assert orbit(flop, (0, 1)) == ((0, 1), (1, 0))
+    assert dominant_representative(flop, (-1, 1)) == (1, -1)
+    assert orbit(flop, (-1, 1)) == ((-1, 1), (1, -1))
+    assert dominant_representative(flop, (0, 0)) == (0, 0)
+    assert orbit(flop, (0, 0)) == ((0, 0),)
 
 
 def test_dominant_representative_invariant_on_orbit(flop):
     for chi in [(2, -1), (-3, 5), (0, 4)]:
-        rep, orbit = dominant_representative(flop, chi)
-        for other in orbit:
-            rep2, orbit2 = dominant_representative(flop, other)
-            assert rep2 == rep
-            assert orbit2 == orbit
+        rep = dominant_representative(flop, chi)
+        assert rep == orbit(flop, chi)[-1]
+        for other in orbit(flop, chi):
+            assert dominant_representative(flop, other) == rep
+            assert orbit(flop, other) == orbit(flop, chi)
 
 
 def test_weyl_elements_group_order(flop, conifold):

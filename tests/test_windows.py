@@ -19,7 +19,8 @@ from flopwin.windows import (
     rep_name,
     window,
 )
-from flopwin.zonotope import face_poset, nabla, skms
+from flopwin import windows, zonotope
+from flopwin.zonotope import nabla, skms
 
 
 @pytest.fixture(scope="module")
@@ -143,12 +144,26 @@ def reference_walls(p, j_min, j_max):
 def test_face_poset_matches_enumerated_punctures(fixture, request):
     p = request.getfixturevalue(fixture)
     walls = reference_walls(p, -61, 60)
-    for j in range(-60, 61):
-        poset = face_poset(p, j, j)
-        assert poset.points == {j: walls[j]}
-        assert poset.intervals == {j: (walls[j - 1], walls[j])}
-    wide = face_poset(p, -60, 60)
-    assert wide.points == {j: walls[j] for j in range(-60, 61)}
+    d = skms(p)
+    # D_{-61} .. D_60 bound every chamber C_j = (D_{j-1}, D_j) with |j| <= 60
+    for j in range(-61, 61):
+        assert d.wall(j) == walls[j]
+        assert d.at(d.wall(j)) == tuple(walls[j] * c for c in d.line)
+
+
+def test_window_builds_the_polytope_once(flop, monkeypatch):
+    calls = []
+
+    def counting_nabla(p):
+        calls.append(p)
+        return nabla(p)
+
+    # windows.py must reach the polytope through the descriptor alone; the
+    # second wrapper also counts calls through a direct import of nabla there
+    monkeypatch.setattr(zonotope, "nabla", counting_nabla)
+    monkeypatch.setattr(windows, "nabla", counting_nabla, raising=False)
+    assert window(flop, FaceRef.parse("C:0")).render() == "⟨O, V⟩"
+    assert len(calls) == 1
 
 
 def test_window_wrong_kind_rejected(flop):

@@ -7,9 +7,7 @@ import pytest
 from flopwin.lattice import GitPresentation, load_fixture, mat_inverse_transpose, mat_apply, pair
 from flopwin.zonotope import (
     UnboundedPolytopeError,
-    arrangement,
     eta,
-    face_poset,
     nabla,
     polytope_from_constraints,
     skms,
@@ -140,12 +138,14 @@ def test_membership_matches_pointwise_oracle(flop):
 
 
 def test_translate(flop):
-    z = nabla(flop).translate((Fraction(1, 2), Fraction(1, 2)))
-    assert z.center == (Fraction(1, 2), Fraction(1, 2))
+    cx, cy = delta = (Fraction(1, 2), Fraction(1, 2))
+    z = nabla(flop).translate(delta)
     assert z.contains((Fraction(3, 2), Fraction(1, 2)))
     assert not z.contains((Fraction(-1), Fraction(0)))
-    cx, cy = z.center
+    # the hexagon is centrally symmetric about the origin, so its translate
+    # is symmetric about delta and no longer about the origin
     assert {(2 * cx - x, 2 * cy - y) for x, y in z.vertices} == set(z.vertices)
+    assert {(-x, -y) for x, y in z.vertices} != set(z.vertices)
 
 
 def test_unbounded_report():
@@ -163,13 +163,13 @@ def test_non_quasi_symmetric_warns():
 
 
 def test_arrangement_families(flop, conifold):
-    fams = arrangement(flop)
+    fams = skms(flop).families
     assert [(f.normal, f.offsets) for f in fams] == [
         ((0, 1), (Fraction(0),)),
         ((1, 0), (Fraction(0),)),
         ((1, 1), (Fraction(0),)),
     ]
-    fams1 = arrangement(conifold)
+    fams1 = skms(conifold).families
     assert [(f.normal, f.offsets) for f in fams1] == [((1,), (Fraction(0),))]
 
 
@@ -230,8 +230,8 @@ def test_skms_invariant_under_weyl_image(flop):
 
 
 def test_face_poset_walls_and_chambers(flop):
-    poset = face_poset(flop, -3, 3)
-    assert poset.points == {
+    d = skms(flop)
+    assert {j: d.wall(j) for j in range(-3, 4)} == {
         -3: Fraction(-1),
         -2: Fraction(-1, 2),
         -1: Fraction(0),
@@ -240,30 +240,40 @@ def test_face_poset_walls_and_chambers(flop):
         2: Fraction(3, 2),
         3: Fraction(2),
     }
-    assert poset.intervals[0] == (Fraction(0), Fraction(1, 2))
-    assert poset.intervals[-1] == (Fraction(-1, 2), Fraction(0))
-    assert poset.point_in_ambient(-2) == (Fraction(-1, 2), Fraction(-1, 2))
-    assert poset.interval_midpoint_in_ambient(0) == (Fraction(1, 4), Fraction(1, 4))
+    assert (d.wall(-1), d.wall(0)) == (Fraction(0), Fraction(1, 2))
+    assert (d.wall(-2), d.wall(-1)) == (Fraction(-1, 2), Fraction(0))
+    assert d.at(d.wall(-2)) == (Fraction(-1, 2), Fraction(-1, 2))
+    assert d.at((d.wall(-1) + d.wall(0)) / 2) == (Fraction(1, 4), Fraction(1, 4))
 
 
-def test_face_poset_adjacency(flop):
-    poset = face_poset(flop, -4, 4)
-    for j in range(-3, 4):
-        lo_j, hi_j = poset.intervals[j]
-        lo_next, hi_next = poset.intervals[j + 1]
-        # closures of adjacent chambers meet exactly in the wall D_j
-        assert hi_j == poset.points[j] == lo_next
+def test_face_poset_adjacency(flop, conifold):
+    # strictly increasing walls make every C_j = (D_{j-1}, D_j) nonempty, and
+    # the closures of C_j and C_{j+1} meet exactly in the wall D_j
+    for p in (flop, conifold):
+        d = skms(p)
+        walls = [d.wall(j) for j in range(-5, 6)]
+        assert walls == sorted(set(walls))
+        assert max(w for w in walls if w <= 0) == d.wall(-1)
 
 
 def test_face_poset_conifold(conifold):
-    poset = face_poset(conifold, -2, 2)
-    assert poset.points == {
+    d = skms(conifold)
+    assert {j: d.wall(j) for j in range(-2, 3)} == {
         -2: Fraction(-1), -1: Fraction(0), 0: Fraction(1), 1: Fraction(2), 2: Fraction(3)
     }
-    assert poset.intervals[0] == (Fraction(0), Fraction(1))
+    assert d.at(d.wall(0)) == (Fraction(1),)
+
+
+def test_face_poset_off_the_origin_puncture():
+    # the punctures of [-1/2, 1/2] are the half-integers, so D_{-1} = -1/2
+    p = GitPresentation.from_dict({"rank": 1, "weights": [{"vec": [1]}, {"vec": [-1]}]})
+    d = skms(p)
+    assert [d.wall(j) for j in (-2, -1, 0, 1)] == [
+        Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)
+    ]
 
 
 def test_face_poset_requires_walls():
     p = GitPresentation.from_dict({"rank": 2, "weights": [{"vec": [0, 0]}]})
-    with pytest.raises(ValueError):
-        face_poset(p, 0, 0)
+    with pytest.raises(ValueError, match="no walls"):
+        skms(p).wall(0)
