@@ -56,7 +56,10 @@ def _load_presentation(source: str) -> GitPresentation:
 # The README, tests and bench query degree 15 at most.  The Sym tables grow
 # as the cube of the degree: the README's three-summand `coh multiplicity`
 # peaks at about 140 MiB and 2.6 s at degree 100 and would need about 1000
-# times that at degree 1000.
+# times that at degree 1000.  The cap also bounds the degree of an
+# `ncalg normal-form --expr`, which sets the completion cutoff when it is
+# the larger: completing to degree 100 takes about 2 s, growing about as the
+# cube of the degree.
 MAX_DEGREE_CAP = 100
 
 
@@ -166,6 +169,8 @@ def _cmd_ncalg_normal_form(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     degree = max((pres.word_degree(w) for w in expr), default=0)
+    if degree > MAX_DEGREE_CAP:
+        raise InputError(f"--expr has degree {degree}, above the cap of {MAX_DEGREE_CAP}")
     cutoff = max(_max_degree(args, 12), degree)
     rs = ncalg.completed(pres, cutoff)
     print(pres.render(rs.normal_form(expr)))

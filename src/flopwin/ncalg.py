@@ -12,13 +12,15 @@ substitution identities all reduce to exact linear algebra on bases of
 irreducible words.
 
 The catalog at the bottom holds the handful of named algebras the rest
-of the package verifies statements about.
+of the package verifies statements about.  Every fixed polynomial here,
+catalog relations included, is written as text and read by `parse_expr`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .exact import echelon, rational
@@ -358,22 +360,31 @@ def is_central(rs: RewriteSystem, expr: Poly) -> bool:
 
 # -- exact linear algebra on irreducible-word bases ------------------------
 
-def _coords(poly: Poly, index: Mapping[Word, int], size: int) -> list:
+def _coords(poly: Poly, index: Mapping[Word, int]) -> list:
     # plain int zeros: echelon skips them without Fraction arithmetic
-    vec: list = [0] * size
+    vec: list = [0] * len(index)
     for w, c in poly.items():
         vec[index[w]] = c
     return vec
 
 
-def _map_matrix(rs: RewriteSystem, source: list[Word], multiplier: Poly,
-                side: str, target_index: Mapping[Word, int]) -> list[list[Fraction]]:
-    rows = []
-    for w in source:
-        unit: Poly = {w: Fraction(1)}
-        image = p_mul(unit, multiplier) if side == "right" else p_mul(multiplier, unit)
-        rows.append(_coords(rs.normal_form(image), target_index, len(target_index)))
-    return rows
+def _span(vectors: Iterable[Sequence[Poly]], bases: Sequence[list[Word]]) -> list[list[Poly]]:
+    """Echelon basis of the span of vectors, read back as polynomials.
+
+    The i-th polynomial of a vector lies in the span of the words bases[i];
+    the coordinates of a vector are those of its polynomials, concatenated.
+    The rank is the length of the result.
+    """
+    indexes = [{w: i for i, w in enumerate(words)} for words in bases]
+    rows = [list(chain.from_iterable(map(_coords, vec, indexes))) for vec in vectors]
+    out = []
+    for row in echelon(rows)[0]:
+        parts, start = [], 0
+        for words in bases:
+            parts.append({w: c for w, c in zip(words, row[start:start + len(words)]) if c != 0})
+            start += len(words)
+        out.append(parts)
+    return out
 
 
 @dataclass
@@ -398,19 +409,19 @@ def graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> Ker
     dims: list[int] = []
     witnesses: list[tuple[int, Poly]] = []
     for k in range(0, d - deg + 1):
-        source = rs.basis(k)
-        target = rs.basis(k + deg)
+        source, target = rs.basis(k), rs.basis(k + deg)
         index = {w: i for i, w in enumerate(target)}
-        rows = _map_matrix(rs, source, multiplier, side, index)
-        # augment with unit vectors: the null tails then span the kernel
-        aug = [rows[i] + [int(j == i) for j in range(len(source))]
-               for i in range(len(source))]
-        _, _, kernel_rows = echelon(aug, width=len(target))
-        dims.append(len(kernel_rows))
-        if kernel_rows and not witnesses:
-            for combo in kernel_rows:
-                poly = {w: c for w, c in zip(source, combo) if c != 0}
-                witnesses.append((k, poly))
+        rows = []
+        for w in source:
+            unit: Poly = {w: Fraction(1)}
+            image = p_mul(unit, multiplier) if side == "right" else p_mul(multiplier, unit)
+            rows.append(_coords(rs.normal_form(image), index))
+        dims.append(len(source) - len(echelon(rows)[1]))
+        if dims[-1] and not witnesses:
+            # augment with unit vectors: the null tails then span the kernel
+            aug = [row + [int(j == i) for j in range(len(source))] for i, row in enumerate(rows)]
+            for combo in echelon(aug, width=len(target))[2]:
+                witnesses.append((k, {w: c for w, c in zip(source, combo) if c != 0}))
     return KernelReport(dims, witnesses)
 
 
@@ -427,17 +438,11 @@ def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
     for k in range(d + 1):
         candidates = list(seeds.get(k, []))
         for i, _ in enumerate(pres.generators):
-            gdeg = pres.degrees[i]
             unit: Poly = {(i,): Fraction(1)}
-            for v in layers.get(k - gdeg, []):
+            for v in layers.get(k - pres.degrees[i], []):
                 candidates.append(rs.normal_form(p_mul(unit, v)))
                 candidates.append(rs.normal_form(p_mul(v, unit)))
-        basis_words = rs.basis(k)
-        index = {w: i for i, w in enumerate(basis_words)}
-        reduced, _, _ = echelon([_coords(c, index, len(index)) for c in candidates])
-        layers[k] = [
-            {w: c for w, c in zip(basis_words, row) if c != 0} for row in reduced
-        ]
+        layers[k] = [v for v, in _span([(c,) for c in candidates], [rs.basis(k)])]
     return [len(layers[k]) for k in range(d + 1)]
 
 
@@ -446,8 +451,8 @@ def resolution_check(rs: RewriteSystem, multipliers: Sequence[Poly],
     """Degreewise exactness of A(-s_n) -> ... -> A(-s_1) -> A by right multiplication.
 
     Checks that consecutive multipliers compose to zero and that at every
-    intermediate free module the kernel and image ranks add up to the full
-    dimension, degree by degree.  Returns (ok, failure description).
+    intermediate free module the kernel of the outgoing map has the rank of
+    the incoming one, degree by degree.  Returns (ok, failure description).
     """
     pres = rs.presentation
     degs = [pres.poly_degree(m) for m in multipliers]
@@ -456,22 +461,14 @@ def resolution_check(rs: RewriteSystem, multipliers: Sequence[Poly],
     for i in range(len(multipliers) - 1):
         if rs.normal_form(p_mul(multipliers[i + 1], multipliers[i])):
             return False, f"composite of maps {i + 1} and {i} is nonzero"
-    ranks: dict[tuple[PolyKey, int], int] = {}
-
-    def rank(m: Poly, e: int, k: int) -> int:
-        """Rank of right multiplication by m from degree k to degree k + e."""
-        key = (poly_key(m), k)
-        if key not in ranks:
-            target = {w: j for j, w in enumerate(rs.basis(k + e))}
-            ranks[key] = len(echelon(_map_matrix(rs, rs.basis(k), m, "right", target))[1])
-        return ranks[key]
-
+    kernels = {key: graded_kernel(rs, poly_from_key(key), "right", d).dims
+               for key in dict.fromkeys(map(poly_key, multipliers))}
     for i in range(len(multipliers) - 1):
-        e_out, e_in = degs[i], degs[i + 1]
-        for k in range(0, d - e_out + 1):
-            rank_out = rank(multipliers[i], e_out, k)
-            rank_in = rank(multipliers[i + 1], e_in, k - e_in) if k >= e_in else 0
-            if len(rs.basis(k)) - rank_out != rank_in:
+        ker_out, ker_in = kernels[poly_key(multipliers[i])], kernels[poly_key(multipliers[i + 1])]
+        e_in = degs[i + 1]
+        for k, dim in enumerate(ker_out):
+            rank_in = len(rs.basis(k - e_in)) - ker_in[k - e_in] if k >= e_in else 0
+            if dim != rank_in:
                 return False, f"not exact at position {i + 1}, degree {k}"
     return True, None
 
@@ -519,13 +516,8 @@ class Morphism:
             target = self.target.basis(k)
             if not target:
                 continue
-            index = {w: i for i, w in enumerate(target)}
-            rows = [
-                _coords(self.apply({w: Fraction(1)}), index, len(index))
-                for w in self.source.basis(k)
-            ]
-            _, pivots, _ = echelon(rows)
-            if len(pivots) < len(target):
+            images = [(self.apply({w: Fraction(1)}),) for w in self.source.basis(k)]
+            if len(_span(images, [target])) < len(target):
                 return False
         return True
 
@@ -559,12 +551,8 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
     ]
 
     if pairs is None:
-        a_pres, b_pres = rs_a.presentation, rs_b.presentation
-        pairs = [
-            (a_pres.gen("t"), {}),
-            (a_pres.gen("b"), b_pres.gen("beta")),
-            (a_pres.gen("c"), b_pres.gen("gamma")),
-        ]
+        pairs = [(parse_expr(rs_a.presentation, a), parse_expr(rs_b.presentation, b))
+                 for a, b in (("t", "0"), ("b", "beta"), ("c", "gamma"))]
     acon = catalog("acon")
     if len(pairs) != len(acon.generators):
         raise ValueError("one element pair is needed per A_con generator")
@@ -576,29 +564,16 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
     )
 
     # grow the subalgebra generated by the pairs, degree by degree
-    layers: dict[int, list[tuple[Poly, Poly]]] = {0: [({(): Fraction(1)}, {(): Fraction(1)})]}
+    layers: dict[int, list[list[Poly]]] = {0: [[{(): Fraction(1)}, {(): Fraction(1)}]]}
     generates = dims[0] == 1 and all(f_a.apply(a) == f_b.apply(b) for a, b in pairs)
     for k in range(1, d + 1):
-        a_index = {w: i for i, w in enumerate(rs_a.basis(k))}
-        b_index = {w: i for i, w in enumerate(rs_b.basis(k))}
-        width_a, width_b = len(a_index), len(b_index)
-        rows = []
-        for gi, (ga, gb) in enumerate(pairs):
-            prev = layers.get(k - acon.degrees[gi], [])
-            for (va, vb) in prev:
-                na = rs_a.normal_form(p_mul(va, ga))
-                nb = rs_b.normal_form(p_mul(vb, gb))
-                rows.append(_coords(na, a_index, width_a) + _coords(nb, b_index, width_b))
-        reduced, _, _ = echelon(rows)
-        a_words, b_words = rs_a.basis(k), rs_b.basis(k)
-        layers[k] = [
-            (
-                {w: c for w, c in zip(a_words, row[:width_a]) if c != 0},
-                {w: c for w, c in zip(b_words, row[width_a:]) if c != 0},
-            )
-            for row in reduced
+        products = [
+            (rs_a.normal_form(p_mul(va, ga)), rs_b.normal_form(p_mul(vb, gb)))
+            for gi, (ga, gb) in enumerate(pairs)
+            for va, vb in layers.get(k - acon.degrees[gi], [])
         ]
-        if len(reduced) != dims[k]:
+        layers[k] = _span(products, [rs_a.basis(k), rs_b.basis(k)])
+        if len(layers[k]) != dims[k]:
             generates = False
     return FiberReport(dims, relations_ok, generates)
 
@@ -615,17 +590,10 @@ def base_coordinates() -> NCPresentation:
 
 def acon_dictionary(pres: NCPresentation) -> dict[str, Poly]:
     """Images of the seven coordinates inside A_con; every image is central."""
-    t, beta, gamma = pres.gen("t"), pres.gen("beta"), pres.gen("gamma")
-    half = Fraction(1, 2)
-    return {
-        "x": {},
-        "y": p_scale(p_mul(t, gamma), Fraction(-1)),
-        "z": p_scale(p_mul(t, beta), Fraction(-1)),
-        "t": t,
-        "u": p_scale(p_mul(beta, beta), Fraction(-1)),
-        "w": p_scale(p_mul(gamma, gamma), Fraction(-1)),
-        "v": p_scale(p_add(p_mul(beta, gamma), p_mul(gamma, beta)), half),
-    }
+    return _parse_all(pres, {
+        "x": "0", "y": "-t*gamma", "z": "-t*beta", "t": "t", "u": "-beta*beta",
+        "w": "-gamma*gamma", "v": "1/2*(beta*gamma + gamma*beta)",
+    })
 
 
 def substitute_and_reduce(rs: RewriteSystem, dictionary: Mapping[str, Poly],
@@ -648,34 +616,19 @@ def substitute_and_reduce(rs: RewriteSystem, dictionary: Mapping[str, Poly],
 
 
 def hypersurface_polynomial(base: NCPresentation) -> Poly:
-    x, y, z = base.gen("x"), base.gen("y"), base.gen("z")
-    t, u, v, w = base.gen("t"), base.gen("u"), base.gen("v"), base.gen("w")
-    terms = [
-        p_mul(x, x),
-        p_mul(u, p_mul(y, y)),
-        p_scale(p_mul(v, p_mul(y, z)), Fraction(2)),
-        p_mul(w, p_mul(z, z)),
-        p_mul(p_sub(p_mul(u, w), p_mul(v, v)), p_mul(t, t)),
-    ]
-    out: Poly = {}
-    for term in terms:
-        out = p_add(out, term)
-    return out
+    return parse_expr(base, "x*x + u*y*y + 2*v*y*z + w*z*z + (u*w - v*v)*t*t")
 
 
 def singular_polynomials(base: NCPresentation) -> dict[str, Poly]:
-    x, y, z = base.gen("x"), base.gen("y"), base.gen("z")
-    t, u, v, w = base.gen("t"), base.gen("u"), base.gen("v"), base.gen("w")
-    tt = p_mul(t, t)
-    return {
-        "x": x,
-        "uy+vz": p_add(p_mul(u, y), p_mul(v, z)),
-        "vy+wz": p_add(p_mul(v, y), p_mul(w, z)),
-        "z^2+ut^2": p_add(p_mul(z, z), p_mul(u, tt)),
-        "y^2+wt^2": p_add(p_mul(y, y), p_mul(w, tt)),
-        "yz-vt^2": p_sub(p_mul(y, z), p_mul(v, tt)),
-        "(uw-v^2)t": p_mul(p_sub(p_mul(u, w), p_mul(v, v)), t),
-    }
+    return _parse_all(base, {
+        "x": "x",
+        "uy+vz": "u*y + v*z",
+        "vy+wz": "v*y + w*z",
+        "z^2+ut^2": "z*z + u*t*t",
+        "y^2+wt^2": "y*y + w*t*t",
+        "yz-vt^2": "y*z - v*t*t",
+        "(uw-v^2)t": "(u*w - v*v)*t",
+    })
 
 
 def laufer_slice(d: int) -> tuple[list[int], list[int]]:
@@ -686,21 +639,8 @@ def laufer_slice(d: int) -> tuple[list[int], list[int]]:
     homogeneous and the quotient should match C<beta,gamma>/(beta^2 - gamma^3,
     beta*gamma + gamma*beta) degree by degree.
     """
-    F1 = Fraction(1)
-    tb, bb, gb = (0,), (1,), (2,)
-    relations = [
-        # A_con relations under the weighted grading
-        {bb + bb + gb: F1, gb + bb + bb: -F1},
-        {gb + gb + bb: F1, bb + gb + gb: -F1},
-        {tb + bb + gb: F1, tb + gb + bb: -F1},
-        # slice relations from the hyperplane cut
-        {tb: F1, gb + gb: -F1},
-        {bb + bb: F1, tb + gb: -F1},
-        {bb + gb: F1, gb + bb: F1},
-    ]
-    sliced = NCPresentation.build(
-        [("t", 4), ("beta", 3), ("gamma", 2)], central=["t"], relations=relations
-    )
+    sliced = _build((("t", 4), ("beta", 3), ("gamma", 2)), ("t",), _ACON_RELATIONS + (
+        "t - gamma*gamma", "beta*beta - t*gamma", "beta*gamma + gamma*beta"))
     return hilbert(sliced, d), hilbert(catalog("laufer_target"), d)
 
 
@@ -762,7 +702,8 @@ def parse_expr(pres: NCPresentation, text: str) -> Poly:
             return inner
         take()
         if tok[0].isdigit():
-            return {(): rational(tok)}
+            value = rational(tok)
+            return {(): value} if value else {}
         return pres.gen(tok)
 
     def factor() -> Poly:
@@ -797,65 +738,45 @@ def parse_expr(pres: NCPresentation, text: str) -> Poly:
     return result
 
 
-def _acon() -> NCPresentation:
-    F1 = Fraction(1)
-    t, b, g = (0,), (1,), (2,)
-    return NCPresentation.build(
-        [("t", 1), ("beta", 1), ("gamma", 1)],
-        central=["t"],
-        relations=[
-            {b + b + g: F1, g + b + b: -F1},
-            {g + g + b: F1, b + g + g: -F1},
-            {t + b + g: F1, t + g + b: -F1},
-        ],
-    )
+def _parse_all(pres: NCPresentation, texts: Mapping[str, str]) -> dict[str, Poly]:
+    return {name: parse_expr(pres, text) for name, text in texts.items()}
 
 
-def _endg() -> NCPresentation:
-    F1 = Fraction(1)
-    b, g = (0,), (1,)
-    return NCPresentation.build(
-        [("beta", 1), ("gamma", 1)],
-        relations=[
-            {b + b + g: F1, g + b + b: -F1},
-            {g + g + b: F1, b + g + g: -F1},
-        ],
-    )
+# The defining relations of A_con = C<t, beta, gamma> with t central; endG
+# keeps the first two.
+_ACON_RELATIONS = (
+    "beta*beta*gamma - gamma*beta*beta",
+    "gamma*gamma*beta - beta*gamma*gamma",
+    "t*beta*gamma - t*gamma*beta",
+)
 
-
-def _laufer_target() -> NCPresentation:
-    F1 = Fraction(1)
-    b, g = (0,), (1,)
-    return NCPresentation.build(
-        [("beta", 3), ("gamma", 2)],
-        relations=[
-            {b + b: F1, g + g + g: -F1},
-            {b + g: F1, g + b: F1},
-        ],
-    )
-
-
+# name -> (generators with degrees, central generators, relations)
 _CATALOG = {
-    "acon": _acon,
-    "endG": _endg,
-    "Ctbc": lambda: NCPresentation.build(
-        [("t", 1), ("b", 1), ("c", 1)], central=["t", "b", "c"]
-    ),
-    "Cbc": lambda: NCPresentation.build([("b", 1), ("c", 1)], central=["b", "c"]),
-    "afib": lambda: NCPresentation.build(
-        [("Tbeta", 1), ("Tgamma", 1), ("Tdelta", 1)],
-        central=["Tbeta", "Tgamma", "Tdelta"],
-    ),
-    "laufer_target": _laufer_target,
+    "acon": ((("t", 1), ("beta", 1), ("gamma", 1)), ("t",), _ACON_RELATIONS),
+    "endG": ((("beta", 1), ("gamma", 1)), (), _ACON_RELATIONS[:2]),
+    "Ctbc": ((("t", 1), ("b", 1), ("c", 1)), ("t", "b", "c"), ()),
+    "Cbc": ((("b", 1), ("c", 1)), ("b", "c"), ()),
+    "afib": ((("Tbeta", 1), ("Tgamma", 1), ("Tdelta", 1)), ("Tbeta", "Tgamma", "Tdelta"), ()),
+    "laufer_target": ((("beta", 3), ("gamma", 2)), (),
+                      ("beta*beta - gamma*gamma*gamma", "beta*gamma + gamma*beta")),
 }
 
 
+def _build(gens: Sequence[tuple[str, int]], central: Sequence[str],
+           relations: Sequence[str]) -> NCPresentation:
+    """A presentation whose relations are read against its own generators."""
+    free = NCPresentation.build(gens, central)
+    return NCPresentation.build(gens, central, [parse_expr(free, r) for r in relations])
+
+
+@lru_cache(maxsize=None)
 def catalog(name: str) -> NCPresentation:
+    """A named presentation; each is read from its text once per process."""
     try:
-        builder = _CATALOG[name]
+        spec = _CATALOG[name]
     except KeyError:
         raise ValueError(f"unknown algebra {name!r}; choose from {catalog_names()}") from None
-    return builder()
+    return _build(*spec)
 
 
 def catalog_names() -> list[str]:
@@ -867,15 +788,10 @@ def standard_morphisms(d: int) -> tuple[Morphism, Morphism]:
     rs_ctbc = _completed(catalog("Ctbc"), d)
     rs_endg = _completed(catalog("endG"), d)
     rs_cbc = _completed(catalog("Cbc"), d)
-    f_a = Morphism(rs_ctbc, rs_cbc, {
-        "t": {},
-        "b": rs_cbc.presentation.gen("b"),
-        "c": rs_cbc.presentation.gen("c"),
-    })
-    f_b = Morphism(rs_endg, rs_cbc, {
-        "beta": rs_cbc.presentation.gen("b"),
-        "gamma": rs_cbc.presentation.gen("c"),
-    })
+    f_a = Morphism(rs_ctbc, rs_cbc, _parse_all(rs_cbc.presentation,
+                                               {"t": "0", "b": "b", "c": "c"}))
+    f_b = Morphism(rs_endg, rs_cbc, _parse_all(rs_cbc.presentation,
+                                               {"beta": "b", "gamma": "c"}))
     return f_a, f_b
 
 

@@ -119,7 +119,8 @@ class QuiverRep:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
         params.setdefault("t", t)
         for key, loop in (("Tbeta", beta), ("Tgamma", gamma), ("Tdelta", delta)):
-            params.setdefault(key, mat2_mul(loop, loop)[0][0])
+            # entry (0, 0) of loop^2
+            params.setdefault(key, loop[0][0] * loop[0][0] + loop[0][1] * loop[1][0])
         return cls(alpha, alpha_star, beta, gamma, delta, params)
 
     def to_dict(self) -> dict:
@@ -259,7 +260,8 @@ def base_map(rep: QuiverRep) -> BasePoint:
     """
     _require_relations(rep)
     a, s, b, c = rep.alpha, rep.alpha_star, rep.beta, rep.gamma
-    comm = mat2_sub(mat2_mul(b, c), mat2_mul(c, b))
+    bc = mat2_mul(b, c)
+    comm = mat2_sub(bc, mat2_mul(c, b))
 
     def contract(m: Mat2) -> Fraction:
         mv = mat2_vec(m, a)
@@ -272,7 +274,7 @@ def base_map(rep: QuiverRep) -> BasePoint:
         t=rep.t,
         u=mat2_det(b),
         w=mat2_det(c),
-        v=mat2_trace(mat2_mul(b, c)) / 2,
+        v=mat2_trace(bc) / 2,
     )
 
 

@@ -113,6 +113,16 @@ def _class_sort_key(dom: Sequence):
     return (a, dom[1])
 
 
+def _boundary_points(z: Zonotope, points: tuple) -> tuple:
+    """Those of points, all lattice points of z, that lie on a bounding hyperplane.
+
+    A polytope with no halfspaces is a single point, all of it boundary.
+    """
+    if not z.halfspaces:
+        return points
+    return tuple(pt for pt in points if any(pair(n, pt) == b for n, b in z.halfspaces))
+
+
 def _chamber_points(desc: SKMSDescriptor, j: int) -> tuple:
     """Lattice points of the polytope translated into the open chamber C_j.
 
@@ -124,7 +134,7 @@ def _chamber_points(desc: SKMSDescriptor, j: int) -> tuple:
     for tau in ((lo + hi) / 2, lo + (hi - lo) / 3, lo + (hi - lo) * 2 / 3):
         zt = desc.zonotope.translate(desc.at(tau))
         pts = lattice_points(zt)
-        if any(zt.on_boundary(pt) for pt in pts):
+        if _boundary_points(zt, pts):
             raise ValueError(
                 f"lattice point on the boundary at interior sample {tau} of C:{j}"
             )
@@ -168,7 +178,7 @@ def big_window(p: GitPresentation, ref: FaceRef) -> WindowSpec:
     classes = _classes(p, points)
     lead = classes & _classes(p, _chamber_points(desc, ref.j if ref.j % 2 == 0 else ref.j + 1))
     ordered = sorted(lead, key=_class_sort_key) + sorted(classes - lead, key=_class_sort_key)
-    return _spec(ref, ordered, points, tuple(pt for pt in points if zt.on_boundary(pt)))
+    return _spec(ref, ordered, points, _boundary_points(zt, points))
 
 
 def is_weakly_decreasing(lam: Sequence) -> bool:

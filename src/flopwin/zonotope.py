@@ -82,12 +82,6 @@ class Zonotope:
             return tuple(Fraction(x) for x in point) == self.vertices[0]
         return all(pair(n, point) <= b for n, b in self.halfspaces)
 
-    def on_boundary(self, point: Sequence) -> bool:
-        return self.contains(point) and (
-            not self.halfspaces
-            or any(pair(n, point) == b for n, b in self.halfspaces)
-        )
-
     def facets(self) -> tuple:
         """Constraints whose contact set has dimension rank - 1.
 

@@ -226,7 +226,9 @@ def test_ncalg_normal_form_nontrivial(capsys):
 def test_ncalg_normal_form_parse_error(capsys):
     for expr, message in (("beta $ gamma", "unexpected character"),
                           ("1/0*t", "zero denominator"),
-                          ("(" * 2000 + "t" + ")" * 2000, "nested too deeply")):
+                          ("(" * 2000 + "t" + ")" * 2000, "nested too deeply"),
+                          # one letter past the degree cap
+                          ("*".join(["beta"] * 101), "degree 101, above the cap of 100")):
         code, out, err = run_cli(capsys, "ncalg", "normal-form", "--algebra", "acon",
                                  "--expr", expr)
         assert code == 2

@@ -47,6 +47,37 @@ def test_catalog_names():
         catalog("nope")
 
 
+def test_catalog_matches_word_tuples():
+    # the presentations written out as word tuples, independently of parse_expr
+    one = Fraction(1)
+    t, b, g = (0,), (1,), (2,)
+    acon_relations = [
+        {b + b + g: one, g + b + b: -one},
+        {g + g + b: one, b + g + g: -one},
+        {t + b + g: one, t + g + b: -one},
+    ]
+    b2, g2 = (0,), (1,)
+    expected = {
+        "acon": NCPresentation.build([("t", 1), ("beta", 1), ("gamma", 1)], ["t"],
+                                     acon_relations),
+        "endG": NCPresentation.build([("beta", 1), ("gamma", 1)], relations=[
+            {b2 + b2 + g2: one, g2 + b2 + b2: -one},
+            {g2 + g2 + b2: one, b2 + g2 + g2: -one},
+        ]),
+        "Ctbc": NCPresentation.build([("t", 1), ("b", 1), ("c", 1)], ["t", "b", "c"]),
+        "Cbc": NCPresentation.build([("b", 1), ("c", 1)], ["b", "c"]),
+        "afib": NCPresentation.build([("Tbeta", 1), ("Tgamma", 1), ("Tdelta", 1)],
+                                     ["Tbeta", "Tgamma", "Tdelta"]),
+        "laufer_target": NCPresentation.build([("beta", 3), ("gamma", 2)], relations=[
+            {b2 + b2: one, g2 + g2 + g2: -one},
+            {b2 + g2: one, g2 + b2: one},
+        ]),
+    }
+    assert catalog_names() == sorted(expected)
+    for name, pres in expected.items():
+        assert catalog(name) == pres, name
+
+
 def test_completion_rules_acon():
     rs = completed("acon", 6)
     lhs = {l for l, _ in rs.rules}
@@ -375,6 +406,10 @@ def test_parse_expr():
     }
     assert parse_expr(pres, "1/2*beta + -3") == {(1,): Fraction(1, 2), (): Fraction(-3)}
     assert parse_expr(pres, "-(t - t)") == {}
+    # no zero coefficients, as p_add would give
+    assert parse_expr(pres, "0") == {}
+    assert parse_expr(pres, "0/3*beta + 0 + t*0") == {}
+    assert parse_expr(pres, "0 - beta") == {(1,): Fraction(-1)}
     for bad in ("beta +", "(beta", "beta)", "qqq", "beta $ t"):
         with pytest.raises(ValueError):
             parse_expr(pres, bad)

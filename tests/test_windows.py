@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import ceil, floor, prod
 
 import pytest
 
@@ -164,6 +165,31 @@ def test_window_builds_the_polytope_once(flop, monkeypatch):
     monkeypatch.setattr(windows, "nabla", counting_nabla, raising=False)
     assert window(flop, FaceRef.parse("C:0")).render() == "⟨O, V⟩"
     assert len(calls) == 1
+
+    # membership is tested once per candidate lattice point; the boundary
+    # filter only reads the halfspaces of the points already kept
+    seen, contains = [], zonotope.Zonotope.contains
+
+    def counting_contains(z, point):
+        seen.append((z, tuple(point)))
+        return contains(z, point)
+
+    monkeypatch.setattr(zonotope.Zonotope, "contains", counting_contains)
+    assert big_window(flop, FaceRef.parse("D:-1")).boundary
+    polytopes = {id(z): z for z, _ in seen}
+    candidates = sum(
+        prod(floor(max(v[i] for v in z.vertices)) - ceil(min(v[i] for v in z.vertices)) + 1
+             for i in range(z.rank))
+        for z in polytopes.values()
+    )
+    assert len(polytopes) == 4  # the wall translate and three chamber samples
+    assert len(seen) == len({(id(z), pt) for z, pt in seen}) == candidates
+
+
+def test_point_polytope_is_all_boundary():
+    point = zonotope.Zonotope(rank=1, halfspaces=(), vertices=((Fraction(0),),))
+    assert lattice_points(point) == ((0,),)
+    assert windows._boundary_points(point, ((0,),)) == ((0,),)
 
 
 def test_window_wrong_kind_rejected(flop):
