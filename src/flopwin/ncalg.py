@@ -64,7 +64,9 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     for wa, ca in a.items():
         for wb, cb in b.items():
             w = wa + wb
-            s = out.get(w, Fraction(0)) + ca * cb
+            s = ca * cb
+            if w in out:
+                s += out[w]
             if s == 0:
                 out.pop(w, None)
             else:
@@ -202,13 +204,14 @@ class RewriteSystem:
 
     def normal_form(self, poly: Poly) -> Poly:
         pres = self.presentation
-        for word in poly:
-            if pres.word_degree(word) > self.cutoff:
-                raise ValueError("expression degree exceeds the rewrite cutoff")
+        # each pending word's order key, computed once as the word enters work
+        keys = {word: pres.order_key(word) for word in poly}
+        if any(degree > self.cutoff for degree, _ in keys.values()):
+            raise ValueError("expression degree exceeds the rewrite cutoff")
         work = dict(poly)
         result: Poly = {}
         while work:
-            word = max(work, key=pres.order_key)
+            word = max(work, key=keys.__getitem__)
             coeff = work.pop(word)
             if coeff == 0:
                 continue
@@ -227,6 +230,8 @@ class RewriteSystem:
                 s = coeff * rc
                 if new in work:
                     s += work[new]
+                elif new not in keys:
+                    keys[new] = pres.order_key(new)
                 if s == 0:
                     work.pop(new, None)
                 else:
@@ -707,11 +712,11 @@ def parse_expr(pres: NCPresentation, text: str) -> Poly:
         return pres.gen(tok)
 
     def factor() -> Poly:
-        sign = Fraction(1)
+        negative = False
         while peek() in ("+", "-"):
             if take() == "-":
-                sign = -sign
-        return p_scale(atom(), sign)
+                negative = not negative
+        return p_scale(atom(), Fraction(-1)) if negative else atom()
 
     def term() -> Poly:
         out = factor()

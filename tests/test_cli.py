@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import pytest
 
 import flopwin
 from flopwin.cli import main
+from flopwin.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -21,6 +23,21 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     return code, json.loads(out), err
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this test run's flopwin."""
+    package_root = str(Path(flopwin.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+SEMISTABLE_REP = {
+    "alpha": [1, 0],
+    "alpha_star": [2, 1],
+    "beta": [["1/2", 1], [0, "-1/2"]],
+    "gamma": [[0, 0], [1, 0]],
+}
 
 
 def test_windows_text_render(capsys):
@@ -125,14 +142,8 @@ def test_malformed_json_reports_line_and_column(tmp_path, capsys):
 
 
 def test_quiver_check_semistable_rep(tmp_path, capsys):
-    rep = {
-        "alpha": [1, 0],
-        "alpha_star": [2, 1],
-        "beta": [["1/2", 1], [0, "-1/2"]],
-        "gamma": [[0, 0], [1, 0]],
-    }
     path = tmp_path / "rep.json"
-    path.write_text(json.dumps(rep), encoding="utf-8")
+    path.write_text(json.dumps(SEMISTABLE_REP), encoding="utf-8")
     code, payload, _ = run_json(capsys, "quiver", "check", "--rep", str(path),
                                 "--stability", "theta1")
     assert code == 0
@@ -320,6 +331,10 @@ def test_verify_polyhedral_suite(capsys):
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "everything")
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "everything" in err
+    assert all(name in err for name in SUITES)
 
 
 def test_usage_errors(capsys):
@@ -376,14 +391,11 @@ def test_figures_unwritable_directory(tmp_path, capsys):
 
 
 def test_module_invocation_round_trip():
-    # the child interpreter imports the same flopwin as this test run
-    package_root = str(Path(flopwin.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "flopwin.cli", "windows", "--face", "C:0"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "⟨O, V⟩\n"
@@ -394,18 +406,11 @@ def test_module_invocation_round_trip():
 @pytest.mark.parametrize("command", ["quiver-check", "ncalg-hilbert"])
 def test_closed_stdout_exits_2_without_traceback(tmp_path, command, unbuffered):
     rep = tmp_path / "rep.json"
-    rep.write_text(json.dumps({
-        "alpha": [1, 0],
-        "alpha_star": [2, 1],
-        "beta": [["1/2", 1], [0, "-1/2"]],
-        "gamma": [[0, 0], [1, 0]],
-    }), encoding="utf-8")
+    rep.write_text(json.dumps(SEMISTABLE_REP), encoding="utf-8")
     argv = {
         "quiver-check": ["quiver", "check", "--rep", str(rep)],
         "ncalg-hilbert": ["ncalg", "hilbert", "--algebra", "acon"],
     }[command]
-    package_root = str(Path(flopwin.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     # stdout is a pipe whose read end is already closed, as in `flopwin ... | true`
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -415,7 +420,7 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path, command, unbuffered):
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
-            env={**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered},
+            env={**_child_env(), "PYTHONUNBUFFERED": unbuffered},
         )
     finally:
         os.close(write_end)
@@ -423,3 +428,66 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path, command, unbuffered):
     assert "Exception ignored" not in proc.stderr
     assert proc.returncode == 2
     assert proc.stderr.count("error:") == 1
+
+
+# One valid run of every subcommand, with the flopwin modules it loads: each
+# subcommand imports only the layers it runs, and only verify loads them all.
+# "{tmp}" stands for a scratch directory holding rep.json.
+PRESENTATION = {"cli", "exact", "fixtures", "lattice", "zonotope"}
+SUBCOMMANDS = {
+    "skms": (["skms"], PRESENTATION),
+    "windows": (["windows", "--face", "C:0"], PRESENTATION | {"windows"}),
+    "kappa": (["kappa", "--wall", "D:-1", "--chamber", "C:0"], PRESENTATION | {"windows"}),
+    "figures": (["figures", "--out-dir", "{tmp}/figs"], PRESENTATION | {"figures"}),
+    "quiver-check": (["quiver", "check", "--rep", "{tmp}/rep.json"], {"cli", "exact", "quiver"}),
+    "ncalg-hilbert": (["ncalg", "hilbert", "--algebra", "acon"], {"cli", "exact", "ncalg"}),
+    "ncalg-normal-form": (["ncalg", "normal-form", "--algebra", "acon", "--expr", "t*beta"],
+                          {"cli", "exact", "ncalg"}),
+    "coh-multiplicity": (["coh", "multiplicity", "--irrep", "Vstar", "--sym", "V,S2Vm1"],
+                         {"cli", "cohomology"}),
+    "verify": (["verify", "--suite", "polyhedral"],
+               PRESENTATION | {"cohomology", "ncalg", "quiver", "verify", "windows"}),
+}
+
+
+def _subcommand_argv(name, tmp_path):
+    (tmp_path / "rep.json").write_text(json.dumps(SEMISTABLE_REP), encoding="utf-8")
+    argv, _ = SUBCOMMANDS[name]
+    return [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_subcommand_loads_only_its_layers(tmp_path, name):
+    # a fresh interpreter, so that only this one run of main has imported anything
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from flopwin.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m.split('.')[1] for m in sys.modules\n"
+        "                                if m.startswith('flopwin.'))]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *_subcommand_argv(name, tmp_path)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    assert set(loaded) == SUBCOMMANDS[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_subcommand_timing_lines(tmp_path, capsys, name):
+    # the '<name>: <seconds>s' lines on stderr are read by the benchmark
+    argv = _subcommand_argv(name, tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    timed = [line.rpartition(": ") for line in err.splitlines()]
+    assert all(sep and re.fullmatch(r"\d+\.\d{3}s", value) for _, sep, value in timed), err
+    names = [label for label, _, _ in timed]
+    if name == "verify":
+        assert names == list(SUITES["polyhedral"]) + ["verify"]
+    else:
+        assert names == [argv[0]]

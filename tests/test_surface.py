@@ -5,10 +5,11 @@ checks (``verify._CHECKS``) and every flopwin name a benchmark file under
 ``bench/`` references.  Reachability is a static scan with the stdlib
 ``ast`` module: a top-level definition reaches every module-level name it
 mentions, whether by bare name, through ``from .mod import name`` or as
-``mod.name`` on an imported flopwin module.  A class counts as one node, so
-its methods are live whenever the class is.  Importing a module runs its
-body, so the statements outside named definitions are reached with the
-module.
+``mod.name`` on an imported flopwin module, and whether the import sits at
+the top of the file or inside the definition's body.  A class counts as one
+node, so its methods are live whenever the class is.  Importing a module
+runs its body, so the statements outside named definitions are reached with
+the module.
 """
 
 import ast
@@ -59,13 +60,18 @@ def _references(node: ast.AST, module: str, modules: dict, names: dict) -> set:
     return out
 
 
-def _graph() -> tuple[dict, set]:
-    """Edges between (module, name) nodes, and the public names."""
+def _graph(sources: dict | None = None) -> tuple[dict, set]:
+    """Edges between (module, name) nodes, and the public names.
+
+    sources maps module names to their text; it defaults to the package.
+    """
+    if sources is None:
+        sources = {path.stem: path.read_text(encoding="utf-8")
+                   for path in sorted(PACKAGE.glob("*.py"))}
     edges: dict = {}
     public: set = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        module = path.stem
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, text in sources.items():
+        tree = ast.parse(text)
         modules, names = _imports(tree, inside=True)
         body = edges.setdefault((module, None), set())
         for stmt in tree.body:
@@ -103,14 +109,34 @@ def test_roots_exist():
     assert {("ncalg", "complete"), ("lattice", "load_fixture")} <= _bench_roots()
 
 
-def test_every_public_name_is_reached():
-    edges, public = _graph()
-    stack = [("cli", "main"), ("verify", "_CHECKS")] + sorted(_bench_roots() & set(edges))
+def _reached(edges: dict, roots: list) -> set:
+    stack = list(roots)
     seen: set = set()
     while stack:
         node = stack.pop()
         if node not in seen:
             seen.add(node)
             stack.extend(n for n in edges[node] if n in edges)
+    return seen
+
+
+def test_every_public_name_is_reached():
+    edges, public = _graph()
+    seen = _reached(edges, [("cli", "main"), ("verify", "_CHECKS")]
+                    + sorted(_bench_roots() & set(edges)))
     unreached = sorted(f"{m}.{n}" for m, n in public - seen - ALLOWED_UNREACHED)
     assert not unreached, "public names no root reaches: " + ", ".join(unreached)
+
+
+def test_a_name_imported_inside_a_function_is_reached():
+    # the command line imports each engine module inside the handler that runs it
+    edges, public = _graph({
+        "cli": "def main():\n"
+               "    from .windows import window\n"
+               "    from . import ncalg\n"
+               "    return window(), ncalg.hilbert()\n",
+        "windows": "def window():\n    pass\n\n\ndef unused():\n    pass\n",
+        "ncalg": "def hilbert():\n    pass\n",
+    })
+    seen = _reached(edges, [("cli", "main")])
+    assert public - seen == {("windows", "unused")}
