@@ -16,7 +16,7 @@ which is validated against an explicit two-chart Cech computation.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 Weight = tuple[int, int]
 Char = dict[Weight, int]
@@ -252,19 +252,23 @@ def vstar_section_counts(twists: Sequence[Piece], max_degree: int) -> list[list[
 
     The bundle is INTERSECTION_BUNDLE_PIECES, expanded once for all twists.
     The multiplicity is linear in the character, so each monomial of Sym^k
-    contributes its weight-difference term directly and no H0 character is
-    built.  H1 is not computed: every bundle piece has Q-power >= 0, so H1
-    vanishes for every twist with tq >= -1, which covers all callers.
+    contributes its weight-difference term against the H0 character of its
+    line Q^(q + tq), and that character is built once per Q-power.  H1 is
+    not computed: every bundle piece has Q-power >= 0, so H1 vanishes for
+    every twist with tq >= -1, which covers all callers.
     """
     layers = sym_pieces_expansion(INTERSECTION_BUNDLE_PIECES, max_degree)
     v1, v2 = IRREP_NAMES["Vstar"]
+    line_h0: dict[int, Char] = {}
     counts = []
     for t1, t2, tq in twists:
         per_degree = []
         for layer in layers:
             total = 0
             for (e1, e2, q), cnt in layer.items():
-                h0 = pv_line_cohomology(0, q + tq)[0]
+                h0 = line_h0.get(q + tq)
+                if h0 is None:
+                    h0 = line_h0[q + tq] = pv_line_cohomology(0, q + tq)[0]
                 a, b = v1 - e1 - t1, v2 - e2 - t2
                 total += cnt * (h0.get((a, b), 0) - h0.get((a + 1, b - 1), 0))
             per_degree.append(total)

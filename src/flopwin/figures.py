@@ -96,7 +96,7 @@ def _placeholder(title: str) -> str:
 
 def _polytope_figure(p: GitPresentation, z: Zonotope) -> str:
     elements = _axes() + _polytope_outline(z)
-    for w in p.weight_multiset():
+    for w in dict.fromkeys(w for w, _ in p.weights):  # each distinct weight once
         elements.append(_dot(w, 4.5, "#c0392b"))
     elements.append(
         f'<text x="12" y="24" font-family="sans-serif" font-size="14" '

@@ -165,13 +165,6 @@ class GitPresentation:
             if ws != sorted(self.weights):
                 raise PresentationError("Weyl generator does not permute the weights")
 
-    def weight_multiset(self) -> list:
-        """All weights with multiplicity expanded, in input order."""
-        out = []
-        for w, m in self.weights:
-            out.extend([w] * m)
-        return out
-
     def weyl_elements(self) -> tuple:
         """All elements of the finite group generated by the Weyl generators."""
         seen = {mat_identity(self.rank)}

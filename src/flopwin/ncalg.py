@@ -11,17 +11,22 @@ kernels of multiplication maps, resolution exactness, fiber products and
 substitution identities all reduce to exact linear algebra on bases of
 irreducible words.
 
+A rewrite system memoises its graded kernels: `graded_kernel` builds the
+multiplication matrices for each (multiplier, side, degree) once per system,
+so `resolution_check` reuses the kernels a caller has already asked for, and
+every caller receives its own copy of the report.  `RewriteSystem.add_rule`
+invalidates the memo, together with the cached basis of irreducible words.
+
 The catalog at the bottom holds the handful of named algebras the rest
 of the package verifies statements about.  Every fixed polynomial here,
 catalog relations included, is written as text and read by `parse_expr`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
 
 from .exact import echelon, rational
 
@@ -78,14 +83,40 @@ def commutator(a: Poly, b: Poly) -> Poly:
     return p_sub(p_mul(a, b), p_mul(b, a))
 
 
-@dataclass(frozen=True)
 class NCPresentation:
-    """Generators with degrees, central generators, homogeneous relations."""
+    """Generators with degrees, central generators, homogeneous relations.
 
-    generators: tuple[str, ...]
-    degrees: tuple[int, ...]
-    central: frozenset[str]
-    relations: tuple[PolyKey, ...]
+    Immutable, and equal and hashed by its four fields, so that it can key
+    the completion cache.
+    """
+
+    __slots__ = ("generators", "degrees", "central", "relations")
+
+    def __init__(self, generators: tuple[str, ...], degrees: tuple[int, ...],
+                 central: frozenset[str], relations: tuple[PolyKey, ...]):
+        for name, value in zip(self.__slots__, (generators, degrees, central, relations)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NCPresentation is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"NCPresentation is immutable; cannot delete {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.generators, self.degrees, self.central, self.relations)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "NCPresentation({})".format(", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())))
 
     @classmethod
     def build(cls, gens: Sequence[tuple[str, int]], central: Iterable[str] = (),
@@ -175,11 +206,23 @@ class RewriteSystem:
         # a lhs holds (index of the first rule with that lhs, lhs, rhs) under None
         self._trie: dict = {}
         self._basis: dict[int, list[Word]] = {}
+        # graded_kernel reports keyed by (poly_key(multiplier), side, d)
+        self._kernels: dict[tuple[PolyKey, str, int], KernelReport] = {}
         for lhs, rhs in rules:
             self.add_rule(lhs, rhs)
 
     def add_rule(self, lhs: Word, rhs: Poly) -> None:
-        """Append lhs -> rhs to the rules and to the lhs trie."""
+        """Append lhs -> rhs to the rules and to the lhs trie.
+
+        Every rhs word must have the degree of lhs, so that a rewrite keeps
+        the degree of the word it rewrites.  The basis and the kernels
+        computed so far are dropped.
+        """
+        degree = self.presentation.word_degree(lhs)
+        if any(self.presentation.word_degree(w) != degree for w in rhs):
+            raise ValueError("rewrite rule is not homogeneous")
+        self._basis = {}
+        self._kernels = {}
         node = self._trie
         for g in lhs:
             node = node.setdefault(g, {})
@@ -203,9 +246,10 @@ class RewriteSystem:
         return None
 
     def normal_form(self, poly: Poly) -> Poly:
-        pres = self.presentation
-        # each pending word's order key, computed once as the word enters work
-        keys = {word: pres.order_key(word) for word in poly}
+        # each pending word's order key, computed once as the word enters
+        # work; rules are homogeneous, so a rewritten word keeps the degree
+        # of the word it came from
+        keys = {word: self.presentation.order_key(word) for word in poly}
         if any(degree > self.cutoff for degree, _ in keys.values()):
             raise ValueError("expression degree exceeds the rewrite cutoff")
         work = dict(poly)
@@ -225,13 +269,14 @@ class RewriteSystem:
                 continue
             pos, lhs, rhs = hit
             head, tail = word[:pos], word[pos + len(lhs):]
+            degree = keys[word][0]
             for rw, rc in rhs.items():
                 new = head + rw + tail
                 s = coeff * rc
                 if new in work:
                     s += work[new]
                 elif new not in keys:
-                    keys[new] = pres.order_key(new)
+                    keys[new] = (degree, new)
                 if s == 0:
                     work.pop(new, None)
                 else:
@@ -392,10 +437,12 @@ def _span(vectors: Iterable[Sequence[Poly]], bases: Sequence[list[Word]]) -> lis
     return out
 
 
-@dataclass
 class KernelReport:
-    dims: list[int]
-    witnesses: list[tuple[int, Poly]]
+    """Kernel dimensions per source degree, and (degree, vector) witnesses."""
+
+    def __init__(self, dims: list[int], witnesses: list[tuple[int, Poly]]):
+        self.dims = dims
+        self.witnesses = witnesses
 
 
 def graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> KernelReport:
@@ -403,10 +450,19 @@ def graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> Ker
 
     Kernel dimensions are reported for source degrees k with k + deg(m) <= d;
     the witnesses are spanning kernel vectors of the lowest degree where the
-    kernel is nonzero.
+    kernel is nonzero.  The report is memoised on rs; each call returns a
+    copy the caller may change.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    key = (poly_key(multiplier), side, d)
+    report = rs._kernels.get(key)
+    if report is None:
+        report = rs._kernels[key] = _graded_kernel(rs, multiplier, side, d)
+    return KernelReport(list(report.dims), [(k, dict(v)) for k, v in report.witnesses])
+
+
+def _graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> KernelReport:
     pres = rs.presentation
     deg = pres.poly_degree(multiplier)
     if deg is None:
@@ -466,10 +522,9 @@ def resolution_check(rs: RewriteSystem, multipliers: Sequence[Poly],
     for i in range(len(multipliers) - 1):
         if rs.normal_form(p_mul(multipliers[i + 1], multipliers[i])):
             return False, f"composite of maps {i + 1} and {i} is nonzero"
-    kernels = {key: graded_kernel(rs, poly_from_key(key), "right", d).dims
-               for key in dict.fromkeys(map(poly_key, multipliers))}
+    kernels = [graded_kernel(rs, m, "right", d).dims for m in multipliers]
     for i in range(len(multipliers) - 1):
-        ker_out, ker_in = kernels[poly_key(multipliers[i])], kernels[poly_key(multipliers[i + 1])]
+        ker_out, ker_in = kernels[i], kernels[i + 1]
         e_in = degs[i + 1]
         for k, dim in enumerate(ker_out):
             rank_in = len(rs.basis(k - e_in)) - ker_in[k - e_in] if k >= e_in else 0
@@ -493,21 +548,20 @@ def _evaluate(poly: Poly, images: Sequence[Poly]) -> Poly:
     return out
 
 
-@dataclass
 class Morphism:
     """Graded algebra map given on generators of the source."""
 
-    source: RewriteSystem
-    target: RewriteSystem
-    images: Mapping[str, Poly]
-
-    def __post_init__(self) -> None:
-        spres = self.source.presentation
-        tpres = self.target.presentation
+    def __init__(self, source: RewriteSystem, target: RewriteSystem,
+                 images: Mapping[str, Poly]):
+        self.source = source
+        self.target = target
+        self.images = images
+        spres = source.presentation
+        tpres = target.presentation
         for name in spres.generators:
-            if name not in self.images:
+            if name not in images:
                 raise ValueError(f"no image for generator {name!r}")
-            img = self.images[name]
+            img = images[name]
             deg = tpres.poly_degree(img)
             if deg is not None and deg != spres.degrees[spres.gen_index(name)]:
                 raise ValueError(f"image of {name!r} has the wrong degree")
@@ -527,11 +581,13 @@ class Morphism:
         return True
 
 
-@dataclass
 class FiberReport:
-    dims: list[int]
-    relations_ok: bool
-    generates: bool
+    """Fiber product dims per degree and the verdicts on the given pairs."""
+
+    def __init__(self, dims: list[int], relations_ok: bool, generates: bool):
+        self.dims = dims
+        self.relations_ok = relations_ok
+        self.generates = generates
 
 
 def fiber_product(f_a: Morphism, f_b: Morphism, d: int,

@@ -383,6 +383,20 @@ def test_figures_empty_presentation_placeholder(tmp_path, capsys):
         assert "empty presentation" in open(path, encoding="utf-8").read()
 
 
+def test_figures_draw_each_weight_once(tmp_path, capsys):
+    # the figure grows with the number of weights, not with their multiplicity
+    presentation = {"rank": 1, "roots": [], "weyl": [],
+                    "weights": [{"vec": [1], "mult": 20000}, {"vec": [-1], "mult": 20000}]}
+    src = tmp_path / "heavy.json"
+    src.write_text(json.dumps(presentation), encoding="utf-8")
+    out_dir = tmp_path / "figs"
+    code, _, _ = run_json(capsys, "figures", "--out-dir", str(out_dir), "--input", str(src))
+    assert code == 0
+    polytope = (out_dir / "polytope.svg").read_text(encoding="utf-8")
+    dots = re.findall(r'<circle cx="([^"]+)" cy="[^"]+" r="[^"]+" fill="#c0392b"/>', polytope)
+    assert sorted(map(float, dots)) == [140.0, 300.0]
+
+
 def test_figures_unwritable_directory(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory", encoding="utf-8")

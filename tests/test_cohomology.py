@@ -248,6 +248,29 @@ def test_vstar_section_counts_match_reference():
     assert any(any(m) for m in counts)
 
 
+def test_vstar_section_counts_match_per_monomial_reference():
+    # one H0 character per monomial of Sym^k, against the per-Q-power memo
+    caller_twists = [(0, 0, 1), (0, 0, 0), (-1, -1, 2), (-1, -1, 1)]
+    layers = sym_pieces_expansion(INTERSECTION_BUNDLE_PIECES, 8)
+    for max_degree in range(9):
+        expected = []
+        for t1, t2, tq in caller_twists:
+            per_degree = []
+            for layer in layers[: max_degree + 1]:
+                total = 0
+                for (e1, e2, q), cnt in layer.items():
+                    h0 = pv_line_cohomology(0, q + tq)[0]
+                    a, b = -e1 - t1, -1 - e2 - t2
+                    total += cnt * (h0.get((a, b), 0) - h0.get((a + 1, b - 1), 0))
+                per_degree.append(total)
+            expected.append(per_degree)
+        assert vstar_section_counts(caller_twists, max_degree) == expected
+    assert expected[2] == ext1_degree3_multiplicities(8)
+    assert expected[3] == ext1_FG_dims(8)
+    assert expected[:2] == list(semiorthogonality_multiplicities(8).values())
+    assert any(expected[3])
+
+
 def test_semiorthogonality():
     report = semiorthogonality_multiplicities(12)
     assert report["Q_twist"] == [0] * 13

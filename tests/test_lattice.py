@@ -52,9 +52,9 @@ def test_primitive_vectors():
 
 def test_fixture_validation_round_trip(flop, conifold):
     assert flop.rank == 2
-    assert len(flop.weight_multiset()) == 10
+    assert sum(m for _, m in flop.weights) == 10
     assert conifold.rank == 1
-    assert conifold.weight_multiset() == [(1,), (1,), (-1,), (-1,)]
+    assert conifold.weights == (((1,), 2), ((-1,), 2))
 
 
 def test_weyl_closure_is_checked():

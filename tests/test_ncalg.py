@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from flopwin.exact import echelon
 from flopwin.ncalg import (
     Morphism,
     NCPresentation,
@@ -220,6 +221,102 @@ def test_periodic_resolutions():
     assert ok, why
     bad, why = resolution_check(rs, [t, t], 10)
     assert not bad and "composite" in why
+
+
+def test_kernel_matrices_built_once_per_system(monkeypatch):
+    import flopwin.ncalg as ncalg
+
+    calls = []
+
+    def counting_echelon(rows, width=None):
+        calls.append(len(rows))
+        return echelon(rows, width)
+
+    monkeypatch.setattr(ncalg, "echelon", counting_echelon)
+    pres = catalog("acon")
+    rs = complete(pres, 10)
+    t, com = pres.gen("t"), bracket(pres)
+    graded_kernel(rs, t, "right", 10)
+    graded_kernel(rs, com, "right", 10)
+    built = len(calls)
+    assert built > 0
+    assert resolution_check(rs, [t, com, t, com], 10) == (True, None)
+    assert resolution_check(rs, [com, t, com, t], 10) == (True, None)
+    assert len(calls) == built
+
+
+def _report(rep):
+    return rep.dims, rep.witnesses
+
+
+def test_kernel_memo_matches_fresh_systems():
+    pres = catalog("acon")
+    t, com = pres.gen("t"), bracket(pres)
+    tb = parse_expr(pres, "t*beta")
+    # x*y = 0: y kills x on the right only, so the two sides differ
+    monomial = NCPresentation.build([("x", 1), ("y", 1)], relations=[{(0, 1): Fraction(1)}])
+    y = monomial.gen("y")
+    for p, asks in ((pres, [(t, "right", 10), (com, "left", 8), (t, "right", 7),
+                            (tb, "left", 10), (com, "right", 10), (t, "left", 10),
+                            (com, "left", 8), (t, "right", 10)]),
+                    (monomial, [(y, "right", 10), (y, "left", 10), (y, "right", 10)])):
+        shared = complete(p, 10)
+        for mult, side, d in asks:
+            memo = graded_kernel(shared, mult, side, d)
+            fresh = graded_kernel(complete(p, 10), mult, side, d)
+            assert _report(memo) == _report(fresh), (side, d)
+
+
+def test_kernel_report_mutation_does_not_leak():
+    pres = catalog("acon")
+    rs = complete(pres, 8)
+    t = pres.gen("t")
+    first = graded_kernel(rs, t, "right", 8)
+    expected = (list(first.dims), [(k, dict(v)) for k, v in first.witnesses])
+    first.dims[0] = 99
+    first.dims.append(5)
+    first.witnesses[0][1].clear()
+    first.witnesses.append((0, {(): Fraction(1)}))
+    assert _report(graded_kernel(rs, t, "right", 8)) == expected
+    assert resolution_check(rs, [t, bracket(pres), t], 8) == (True, None)
+
+
+def test_add_rule_rejects_inhomogeneous_rule():
+    pres = catalog("Cbc")
+    rs = RewriteSystem(pres, 3, [])
+    with pytest.raises(ValueError, match="homogeneous"):
+        rs.add_rule((1, 0), {(0,): Fraction(1)})
+    assert rs.rules == []
+    with pytest.raises(ValueError, match="homogeneous"):
+        RewriteSystem(pres, 3, [((1, 0), {(0, 1): Fraction(1), (0, 0, 1): Fraction(2)})])
+
+
+def test_add_rule_drops_cached_basis_and_kernels():
+    pres = catalog("Cbc")
+    rs = RewriteSystem(pres, 3, [])
+    com = commutator(pres.gen("b"), pres.gen("c"))
+    assert rs.graded_dims(3) == [1, 2, 4, 8]
+    assert graded_kernel(rs, com, "right", 3).dims == [0, 0]
+    rs.add_rule((1, 0), {(0, 1): Fraction(1)})
+    assert rs.graded_dims(3) == complete(pres, 3).graded_dims(3) == [1, 2, 3, 4]
+    assert graded_kernel(rs, com, "right", 3).dims == [1, 2]
+
+
+def test_presentation_equality_hashing_and_immutability():
+    acon = catalog("acon")
+    twin = NCPresentation(acon.generators, acon.degrees, acon.central, acon.relations)
+    assert twin == acon and hash(twin) == hash(acon)
+    assert len({acon, twin}) == 1
+    assert completed(twin, 6) is completed(acon, 6)
+    assert acon != catalog("endG")
+    assert acon != NCPresentation(acon.generators, acon.degrees, frozenset(), acon.relations)
+    assert acon != acon.generators
+    for name in ("generators", "degrees", "central", "relations", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(acon, name, ())
+        with pytest.raises(AttributeError):
+            delattr(acon, name)
+    assert catalog("acon").generators == ("t", "beta", "gamma")
 
 
 def linear_find_reduction(rs, word):
