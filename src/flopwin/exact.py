@@ -1,10 +1,13 @@
-"""The exact-arithmetic kernel: one row reduction and one rational codec.
+"""The exact kernel: one row reduction, one rational codec, one value base.
 
 Every kernel, rank, span and invariant subspace in the package comes out of
-`echelon`, a sparse fraction-free integer elimination (Bareiss 1968) that
-returns exactly the Fraction rows plain Gaussian elimination would; every
-rational read from JSON or an expression goes through `rational`, and every
-rational written to JSON through `rational_json`.
+one sparse fraction-free integer elimination (Bareiss 1968):
+`_integer_echelon` yields primitive integer rows, for callers that need only
+a span or a rank, and `echelon` views them as exactly the Fraction rows plain
+Gaussian elimination would return.  Every rational read from JSON or an
+expression goes through `rational`, and every rational written to JSON
+through `rational_json`.  Every immutable value class of the package
+(presentations, polytopes, windows and their parts) derives from `_Record`.
 """
 from __future__ import annotations
 
@@ -17,6 +20,50 @@ _ZERO = Fraction(0)
 _MAX_EXPONENT = 4300
 
 
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__``; it is built from them by
+    position or by keyword, every field required.  Two records are equal
+    when they are of the same class with equal fields, a record hashes by
+    its fields, and assigning or deleting any attribute raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args))
+        if (len(args) > len(names) or values.keys() & kwargs.keys()
+                or values.keys() | kwargs.keys() != set(names)):
+            raise TypeError(f"{type(self).__name__} takes each of the fields {names} once")
+        values.update(kwargs)
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__qualname__, ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())))
+
+
 def echelon(rows, width: int | None = None):
     """Forward elimination of rational rows, taken in the given order.
 
@@ -26,29 +73,57 @@ def echelon(rows, width: int | None = None):
     contributes its remaining columns to the null tails.  Augmenting each row
     with a unit vector therefore makes the null tails a kernel basis.
 
-    The arithmetic is sparse fraction-free integer elimination: each row has
-    its denominators cleared into a {column: int} dict and is reduced against
-    primitive integer pivot rows by row <- a*row - b*prow with a/b = lead/entry
-    in lowest terms, then divided by the gcd of its entries.  The factor
-    scale_num / scale_den by which the integer row differs from the rational
-    one is tracked, so the returned Fraction rows are those of plain Fraction
-    elimination in the same order, value for value.
+    This is the Fraction view of `_integer_echelon`, which does the
+    elimination on integers: each pivot row it yields is a primitive integer
+    multiple of the row returned here, and each null row carries the factor
+    by which it differs from its rational tail.  The returned Fraction rows
+    are those of plain Fraction elimination in the same order, value for
+    value.
 
     Returns (pivot_rows, pivots, null_tails); the rank is len(pivots).
     """
+    rows = list(rows)
     pivot_rows: list[list[Fraction]] = []
     pivots: list[int] = []
     null_tails: list[list[Fraction]] = []
-    int_rows: list[dict[int, int]] = []  # primitive integer pivot rows
-    for row in rows:
+    sparse = ({j: x for j, x in enumerate(row) if x} for row in rows)
+    for row, (vec, lead_col, scale) in zip(rows, _integer_echelon(sparse, width)):
         n = len(row)
-        w = n if width is None else width
+        if lead_col is None:
+            w = n if width is None else width
+            scale = Fraction(*scale)
+            null_tails.append([vec[j] / scale if j in vec else _ZERO for j in range(w, n)])
+            continue
+        lead = vec[lead_col]
+        pivot_rows.append([Fraction(vec[j], lead) if j in vec else _ZERO for j in range(n)])
+        pivots.append(lead_col)
+    return pivot_rows, pivots, null_tails
+
+
+def _integer_echelon(rows, width: int | None = None):
+    """The integer core of `echelon`: sparse fraction-free elimination.
+
+    rows are sparse {column: int or Fraction} dicts without zero entries.
+    Each row has its denominators cleared and is reduced against the
+    primitive integer pivot rows found so far by row <- a*row - b*prow, with
+    a/b = lead/entry in lowest terms, then divided by the gcd of its entries
+    (Bareiss 1968).  Yields (vec, lead_col, scale) for each row, in order:
+    a row with a pivot among the first ``width`` columns yields its
+    primitive integer row, its pivot column and None; any other row yields
+    its reduced integer row, None and the integers (num, den) for which that
+    row is num/den times the rational one.  Yielded pivot rows are used for
+    later reductions, so callers must not change them.  The rank is the
+    number of rows that yield a pivot.
+    """
+    int_rows: list[dict[int, int]] = []  # primitive integer pivot rows
+    pivots: list[int] = []
+    for row in rows:
         den = 1
-        for x in row:
-            if x and x.denominator != 1:
+        for x in row.values():
+            if x.denominator != 1:
                 den = lcm(den, x.denominator)
-        vec = {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
-        scale_num, scale_den = den, 1  # vec == scale_num / scale_den * Fraction row
+        vec = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+        scale_num, scale_den = den, 1  # vec == scale_num / scale_den * rational row
         for prow, pcol in zip(int_rows, pivots):
             c = vec.get(pcol)
             if c is None:
@@ -74,19 +149,16 @@ def echelon(rows, width: int | None = None):
                     for j in vec:
                         vec[j] //= g
                     scale_den *= g
-        lead_col = min((j for j in vec if j < w), default=None)
+        lead_col = min((j for j in vec if width is None or j < width), default=None)
         if lead_col is None:
-            scale = Fraction(scale_num, scale_den)
-            null_tails.append([vec[j] / scale if j in vec else _ZERO for j in range(w, n)])
+            yield vec, None, (scale_num, scale_den)
             continue
         g = gcd(*vec.values())
         if g != 1:
             vec = {j: v // g for j, v in vec.items()}
-        lead = vec[lead_col]
         int_rows.append(vec)
-        pivot_rows.append([Fraction(vec[j], lead) if j in vec else _ZERO for j in range(n)])
         pivots.append(lead_col)
-    return pivot_rows, pivots, null_tails
+        yield vec, lead_col, None
 
 
 def _decimal_exponent(text: str) -> int:

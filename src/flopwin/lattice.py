@@ -9,12 +9,11 @@ lattice vectors are integer tuples and derived quantities are Fractions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
-from .exact import echelon
+from .exact import _Record, echelon
 
 Vector = tuple  # integer or Fraction coordinates
 Matrix = tuple  # rows, each a tuple of ints
@@ -107,8 +106,7 @@ def mat_inverse_transpose(m: Matrix) -> Matrix:
     return tuple(tuple(det * x for x in row) for row in cofactors)
 
 
-@dataclass(frozen=True)
-class GitPresentation:
+class GitPresentation(_Record):
     """A rank <= 2 linearized torus/reductive-group presentation.
 
     weights is a tuple of (vector, multiplicity) pairs; roots is a tuple of
@@ -116,10 +114,7 @@ class GitPresentation:
     on the weight lattice.
     """
 
-    rank: int
-    roots: tuple
-    weights: tuple
-    weyl: tuple
+    __slots__ = ("rank", "roots", "weights", "weyl")
 
     @classmethod
     def from_dict(cls, data: dict) -> "GitPresentation":

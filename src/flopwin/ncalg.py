@@ -3,19 +3,30 @@
 Algebras are presented by generators with positive integer degrees, an
 optional set of generators declared central, and homogeneous relations.
 Words are tuples of generator indices and polynomials are dicts mapping
-words to Fraction coefficients.  A presentation is completed into a
-rewrite system whose rules are confluent on all words up to a degree
-cutoff (truncated Buchberger completion with an exhaustive overlap
-check), after which normal forms, graded dimensions, centrality tests,
-kernels of multiplication maps, resolution exactness, fiber products and
-substitution identities all reduce to exact linear algebra on bases of
+words to rational coefficients, int or Fraction.  A presentation is
+completed into a rewrite system whose rules are confluent on all words up
+to a degree cutoff (truncated Buchberger completion with an exhaustive
+overlap check), after which normal forms, graded dimensions, centrality
+tests, kernels of multiplication maps, resolution exactness, fiber products
+and substitution identities all reduce to exact linear algebra on bases of
 irreducible words.
+
+Integral data stays integral.  `RewriteSystem.add_rule` stores each
+integral rule coefficient as an int, so the normal form of a polynomial with
+int coefficients has int coefficients, while Fraction input comes back as
+Fraction values.  Completion and the kernel, ideal and fiber-product paths
+turn their integral inputs and unit words into ints and take the span of a
+set of vectors as primitive integer rows, so with integral rules (every
+catalog algebra has them) their normal forms and eliminations run on ints;
+`graded_kernel` still reports its witnesses as Fractions.
 
 A rewrite system memoises its graded kernels: `graded_kernel` builds the
 multiplication matrices for each (multiplier, side, degree) once per system,
 so `resolution_check` reuses the kernels a caller has already asked for, and
-every caller receives its own copy of the report.  `RewriteSystem.add_rule`
-invalidates the memo, together with the cached basis of irreducible words.
+every caller receives its own copy of the report.  Once the basis of
+irreducible words has been grown, `normal_form` answers a basis word without
+scanning it for a rule.  `RewriteSystem.add_rule` invalidates the memo, the
+basis and that set of known irreducible words together.
 
 The catalog at the bottom holds the handful of named algebras the rest
 of the package verifies statements about.  Every fixed polynomial here,
@@ -28,11 +39,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .exact import echelon, rational
+from .exact import _integer_echelon, _Record, echelon, rational
 
 Word = tuple[int, ...]
-Poly = dict[Word, Fraction]
-PolyKey = tuple[tuple[Word, Fraction], ...]
+Poly = dict[Word, int | Fraction]
+PolyKey = tuple[tuple[Word, int | Fraction], ...]
 
 
 def poly_key(poly: Poly) -> PolyKey:
@@ -43,10 +54,15 @@ def poly_from_key(key: PolyKey) -> Poly:
     return {w: c for w, c in key}
 
 
+def _integral(poly: Poly) -> Poly:
+    """poly with each integral coefficient as an int."""
+    return {w: c.numerator if c.denominator == 1 else c for w, c in poly.items()}
+
+
 def p_add(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for w, c in b.items():
-        s = out.get(w, Fraction(0)) + c
+        s = out.get(w, 0) + c
         if s == 0:
             out.pop(w, None)
         else:
@@ -61,7 +77,7 @@ def p_scale(a: Poly, c: Fraction) -> Poly:
 
 
 def p_sub(a: Poly, b: Poly) -> Poly:
-    return p_add(a, p_scale(b, Fraction(-1)))
+    return p_add(a, p_scale(b, -1))
 
 
 def p_mul(a: Poly, b: Poly) -> Poly:
@@ -83,7 +99,7 @@ def commutator(a: Poly, b: Poly) -> Poly:
     return p_sub(p_mul(a, b), p_mul(b, a))
 
 
-class NCPresentation:
+class NCPresentation(_Record):
     """Generators with degrees, central generators, homogeneous relations.
 
     Immutable, and equal and hashed by its four fields, so that it can key
@@ -91,32 +107,6 @@ class NCPresentation:
     """
 
     __slots__ = ("generators", "degrees", "central", "relations")
-
-    def __init__(self, generators: tuple[str, ...], degrees: tuple[int, ...],
-                 central: frozenset[str], relations: tuple[PolyKey, ...]):
-        for name, value in zip(self.__slots__, (generators, degrees, central, relations)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"NCPresentation is immutable; cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"NCPresentation is immutable; cannot delete {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.generators, self.degrees, self.central, self.relations)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "NCPresentation({})".format(", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())))
 
     @classmethod
     def build(cls, gens: Sequence[tuple[str, int]], central: Iterable[str] = (),
@@ -206,6 +196,8 @@ class RewriteSystem:
         # a lhs holds (index of the first rule with that lhs, lhs, rhs) under None
         self._trie: dict = {}
         self._basis: dict[int, list[Word]] = {}
+        # every word of the basis: normal_form never rescans one for a rule
+        self._irreducible: set[Word] = set()
         # graded_kernel reports keyed by (poly_key(multiplier), side, d)
         self._kernels: dict[tuple[PolyKey, str, int], KernelReport] = {}
         for lhs, rhs in rules:
@@ -215,13 +207,16 @@ class RewriteSystem:
         """Append lhs -> rhs to the rules and to the lhs trie.
 
         Every rhs word must have the degree of lhs, so that a rewrite keeps
-        the degree of the word it rewrites.  The basis and the kernels
+        the degree of the word it rewrites.  Integral coefficients are stored
+        as ints.  The basis, the known irreducible words and the kernels
         computed so far are dropped.
         """
         degree = self.presentation.word_degree(lhs)
         if any(self.presentation.word_degree(w) != degree for w in rhs):
             raise ValueError("rewrite rule is not homogeneous")
+        rhs = _integral(rhs)
         self._basis = {}
+        self._irreducible = set()
         self._kernels = {}
         node = self._trie
         for g in lhs:
@@ -231,6 +226,8 @@ class RewriteSystem:
 
     def _find_reduction(self, word: Word) -> tuple[int, Word, Poly] | None:
         """Leftmost reducible position, then the earliest rule applying there."""
+        if word in self._irreducible:
+            return None
         n = len(word)
         for pos in range(n):
             node, best = self._trie, None
@@ -283,9 +280,6 @@ class RewriteSystem:
                     work[new] = s
         return result
 
-    def is_irreducible(self, word: Word) -> bool:
-        return self._find_reduction(word) is None
-
     def basis(self, degree: int) -> list[Word]:
         """Irreducible words of exactly the given degree, sorted."""
         if degree > self.cutoff:
@@ -295,22 +289,43 @@ class RewriteSystem:
         return self._basis.get(degree, [])
 
     def _grow_basis(self) -> None:
-        pres = self.presentation
+        """Irreducible words by degree, each grown from an irreducible word.
+
+        word + (g,) with word irreducible is reducible iff some lhs is a
+        suffix of it, which a trie of the reversed left-hand sides answers.
+        """
+        suffixes: dict = {}
+        for lhs, _ in self.rules:
+            node = suffixes
+            for g in reversed(lhs):
+                node = node.setdefault(g, {})
+            node[None] = True
+
+        def ends_with_lhs(word: Word) -> bool:
+            node = suffixes
+            for g in reversed(word):
+                node = node.get(g)
+                if node is None:
+                    return False
+                if None in node:
+                    return True
+            return False
+
+        degrees = self.presentation.degrees
         per_degree: dict[int, list[Word]] = {0: [()]}
-        frontier: list[Word] = [()]
+        frontier: list[tuple[Word, int]] = [((), 0)]
         while frontier:
-            nxt: list[Word] = []
-            for word in frontier:
-                for g in range(len(pres.generators)):
+            nxt: list[tuple[Word, int]] = []
+            for word, degree in frontier:
+                for g, e in enumerate(degrees):
                     new = word + (g,)
-                    if pres.word_degree(new) > self.cutoff:
+                    if degree + e > self.cutoff or ends_with_lhs(new):
                         continue
-                    if not self.is_irreducible(new):
-                        continue
-                    per_degree.setdefault(pres.word_degree(new), []).append(new)
-                    nxt.append(new)
+                    per_degree.setdefault(degree + e, []).append(new)
+                    nxt.append((new, degree + e))
             frontier = nxt
         self._basis = {d: sorted(ws) for d, ws in per_degree.items()}
+        self._irreducible = set(chain.from_iterable(per_degree.values()))
 
     def graded_dims(self, max_degree: int) -> list[int]:
         return [len(self.basis(k)) for k in range(max_degree + 1)]
@@ -357,14 +372,14 @@ def complete(p: NCPresentation, d: int) -> RewriteSystem:
     of degree > d cannot rewrite a word of degree <= d, so it is left out.
     """
     rs = RewriteSystem(p, d, [])
-    queue = [rel for rel in p.all_relations() if rel and p.poly_degree(rel) <= d]
+    queue = [_integral(rel) for rel in p.all_relations() if rel and p.poly_degree(rel) <= d]
     while queue:
         poly = rs.normal_form(queue.pop(0))
         if not poly:
             continue
         lead = max(poly, key=p.order_key)
         coeff = poly[lead]
-        rhs = {w: -c / coeff for w, c in poly.items() if w != lead}
+        rhs = {w: Fraction(-c, coeff) for w, c in poly.items() if w != lead}
         rs.add_rule(lead, rhs)
         for other in list(rs.rules):
             for rule1, rule2 in (((lead, rhs), other), (other, (lead, rhs))):
@@ -402,7 +417,7 @@ def is_central(rs: RewriteSystem, expr: Poly) -> bool:
     for i, _ in enumerate(pres.generators):
         if deg + pres.degrees[i] > rs.cutoff:
             raise ValueError("centrality check exceeds the rewrite cutoff")
-        g: Poly = {(i,): Fraction(1)}
+        g: Poly = {(i,): 1}
         if rs.normal_form(commutator(expr, g)):
             return False
     return True
@@ -410,29 +425,25 @@ def is_central(rs: RewriteSystem, expr: Poly) -> bool:
 
 # -- exact linear algebra on irreducible-word bases ------------------------
 
-def _coords(poly: Poly, index: Mapping[Word, int]) -> list:
-    # plain int zeros: echelon skips them without Fraction arithmetic
-    vec: list = [0] * len(index)
-    for w, c in poly.items():
-        vec[index[w]] = c
-    return vec
-
-
 def _span(vectors: Iterable[Sequence[Poly]], bases: Sequence[list[Word]]) -> list[list[Poly]]:
-    """Echelon basis of the span of vectors, read back as polynomials.
+    """A basis of the span of vectors: primitive integer rows, as polynomials.
 
     The i-th polynomial of a vector lies in the span of the words bases[i];
     the coordinates of a vector are those of its polynomials, concatenated.
     The rank is the length of the result.
     """
-    indexes = [{w: i for i, w in enumerate(words)} for words in bases]
-    rows = [list(chain.from_iterable(map(_coords, vec, indexes))) for vec in vectors]
+    columns = [(i, w) for i, words in enumerate(bases) for w in words]
+    index = {col: j for j, col in enumerate(columns)}
+    rows = ({index[i, w]: c for i, poly in enumerate(vec) for w, c in poly.items()}
+            for vec in vectors)
     out = []
-    for row in echelon(rows)[0]:
-        parts, start = [], 0
-        for words in bases:
-            parts.append({w: c for w, c in zip(words, row[start:start + len(words)]) if c != 0})
-            start += len(words)
+    for vec, lead, _ in _integer_echelon(rows):
+        if lead is None:
+            continue
+        parts: list[Poly] = [{} for _ in bases]
+        for j in sorted(vec):
+            i, w = columns[j]
+            parts[i][w] = vec[j]
         out.append(parts)
     return out
 
@@ -467,42 +478,49 @@ def _graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> Ke
     deg = pres.poly_degree(multiplier)
     if deg is None:
         raise ValueError("multiplier must be nonzero")
+    multiplier = _integral(multiplier)
     dims: list[int] = []
     witnesses: list[tuple[int, Poly]] = []
     for k in range(0, d - deg + 1):
         source, target = rs.basis(k), rs.basis(k + deg)
-        index = {w: i for i, w in enumerate(target)}
-        rows = []
+        images = []
         for w in source:
-            unit: Poly = {w: Fraction(1)}
+            unit: Poly = {w: 1}
             image = p_mul(unit, multiplier) if side == "right" else p_mul(multiplier, unit)
-            rows.append(_coords(rs.normal_form(image), index))
-        dims.append(len(source) - len(echelon(rows)[1]))
+            images.append(rs.normal_form(image))
+        dims.append(len(source) - len(_span([(v,) for v in images], [target])))
         if dims[-1] and not witnesses:
             # augment with unit vectors: the null tails then span the kernel
-            aug = [row + [int(j == i) for j in range(len(source))] for i, row in enumerate(rows)]
+            aug = [[v.get(w, 0) for w in target] + [int(j == i) for j in range(len(source))]
+                   for i, v in enumerate(images)]
             for combo in echelon(aug, width=len(target))[2]:
                 witnesses.append((k, {w: c for w, c in zip(source, combo) if c != 0}))
     return KernelReport(dims, witnesses)
 
 
 def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
-    """Graded dimensions of the two-sided ideal generated by gens."""
+    """Graded dimensions of the two-sided ideal generated by gens.
+
+    Layer k is spanned by x * I_{k - deg x} over the generators x and by
+    g * A_{k - deg g} over the gens g: a product u * g * v with u = x * u'
+    nonempty is x * (u' * g * v), so right products of layers are never
+    needed.
+    """
     pres = rs.presentation
-    seeds: dict[int, list[Poly]] = {}
+    seeds: list[tuple[int, Poly]] = []
     for g in gens:
-        nf = rs.normal_form(g)
+        nf = rs.normal_form(_integral(g))
         deg = pres.poly_degree(nf)
         if deg is not None and deg <= d:
-            seeds.setdefault(deg, []).append(nf)
+            seeds.append((deg, nf))
     layers: dict[int, list[Poly]] = {}
     for k in range(d + 1):
-        candidates = list(seeds.get(k, []))
-        for i, _ in enumerate(pres.generators):
-            unit: Poly = {(i,): Fraction(1)}
-            for v in layers.get(k - pres.degrees[i], []):
+        candidates = [rs.normal_form(p_mul(g, {w: 1}))
+                      for e, g in seeds if e <= k for w in rs.basis(k - e)]
+        for i, e in enumerate(pres.degrees):
+            unit: Poly = {(i,): 1}
+            for v in layers.get(k - e, []):
                 candidates.append(rs.normal_form(p_mul(unit, v)))
-                candidates.append(rs.normal_form(p_mul(v, unit)))
         layers[k] = [v for v, in _span([(c,) for c in candidates], [rs.basis(k)])]
     return [len(layers[k]) for k in range(d + 1)]
 
@@ -575,7 +593,7 @@ class Morphism:
             target = self.target.basis(k)
             if not target:
                 continue
-            images = [(self.apply({w: Fraction(1)}),) for w in self.source.basis(k)]
+            images = [(self.apply({w: 1}),) for w in self.source.basis(k)]
             if len(_span(images, [target])) < len(target):
                 return False
         return True
@@ -625,12 +643,13 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
     )
 
     # grow the subalgebra generated by the pairs, degree by degree
-    layers: dict[int, list[list[Poly]]] = {0: [[{(): Fraction(1)}, {(): Fraction(1)}]]}
+    layers: dict[int, list[list[Poly]]] = {0: [[{(): 1}, {(): 1}]]}
     generates = dims[0] == 1 and all(f_a.apply(a) == f_b.apply(b) for a, b in pairs)
+    int_pairs = [(_integral(a), _integral(b)) for a, b in pairs]
     for k in range(1, d + 1):
         products = [
             (rs_a.normal_form(p_mul(va, ga)), rs_b.normal_form(p_mul(vb, gb)))
-            for gi, (ga, gb) in enumerate(pairs)
+            for gi, (ga, gb) in enumerate(int_pairs)
             for va, vb in layers.get(k - acon.degrees[gi], [])
         ]
         layers[k] = _span(products, [rs_a.basis(k), rs_b.basis(k)])

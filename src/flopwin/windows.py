@@ -11,11 +11,11 @@ the weakly-decreasing cocharacter chamber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import product
 from math import ceil, floor
-from typing import Sequence
 
+from .exact import _Record
 from .lattice import (
     GitPresentation,
     dominant_representative,
@@ -28,10 +28,10 @@ from .lattice import (
 from .zonotope import SKMSDescriptor, Zonotope, skms
 
 
-@dataclass(frozen=True)
-class FaceRef:
-    kind: str  # "C" (chamber) or "D" (wall)
-    j: int
+class FaceRef(_Record):
+    """A chamber C_j (kind "C") or a wall D_j (kind "D") on the invariant line."""
+
+    __slots__ = ("kind", "j")
 
     @classmethod
     def parse(cls, text: str) -> "FaceRef":
@@ -78,15 +78,13 @@ def lattice_points(z: Zonotope) -> tuple:
     return tuple(pt for pt in product(*axes) if z.contains(pt))
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Generator classes of a window, with the lattice points behind them."""
+class WindowSpec(_Record):
+    """Generator classes of a window, with the lattice points behind them.
 
-    face: str
-    classes: tuple  # dominant weights, display order
-    names: tuple
-    lattice: tuple
-    boundary: tuple
+    classes are dominant weights in display order.
+    """
+
+    __slots__ = ("face", "classes", "names", "lattice", "boundary")
 
     def render(self) -> str:
         return "⟨" + ", ".join(self.names) + "⟩"
@@ -191,16 +189,11 @@ def nu_filter(epsilon: Sequence, lam: Sequence) -> bool:
     return is_weakly_decreasing(lam) and pair(lam, epsilon) > 0
 
 
-@dataclass(frozen=True)
-class KappaGenerator:
+class KappaGenerator(_Record):
     """One wall subcategory generator: a dominant character class paired with
     a normalized destabilizing cocharacter, plus display names."""
 
-    chi_class: tuple
-    cocharacter: tuple
-    b_weight: tuple
-    chi_name: str
-    object_name: str
+    __slots__ = ("chi_class", "cocharacter", "b_weight", "chi_name", "object_name")
 
     def key(self) -> tuple:
         return (self.chi_class, self.cocharacter)

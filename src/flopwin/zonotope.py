@@ -11,10 +11,10 @@ chambers) is exact rational arithmetic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
+from .exact import _Record
 from .lattice import (
     GitPresentation,
     is_quasi_symmetric,
@@ -63,17 +63,14 @@ def _candidate_normals(p: GitPresentation) -> list:
     return sorted(rays)
 
 
-@dataclass(frozen=True)
-class Zonotope:
+class Zonotope(_Record):
     """Closed polytope with exact H- and V-representations.
 
     halfspaces: tuple of (normal, bound) meaning <normal, chi> <= bound.
     vertices: tuple of Fraction tuples.
     """
 
-    rank: int
-    halfspaces: tuple
-    vertices: tuple
+    __slots__ = ("rank", "halfspaces", "vertices")
 
     def contains(self, point: Sequence) -> bool:
         if not self.vertices:
@@ -183,13 +180,14 @@ def nabla(p: GitPresentation) -> Zonotope:
     return polytope_from_constraints(p.rank, constraints)
 
 
-@dataclass(frozen=True)
-class HyperplaneFamily:
+class HyperplaneFamily(_Record):
     """All lattice translates of a supporting hyperplane: <normal, chi> = c
-    with c running over each offset plus any integer."""
+    with c running over each offset plus any integer.
 
-    normal: tuple
-    offsets: tuple  # Fractions in [0, 1), sorted
+    offsets: sorted tuple of Fractions in [0, 1).
+    """
+
+    __slots__ = ("normal", "offsets")
 
     def punctures_on_line(self, direction: Sequence) -> tuple:
         """Residues mod 1 of the intersections with the line {tau * direction}."""
@@ -203,21 +201,19 @@ class HyperplaneFamily:
         return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class SKMSDescriptor:
+class SKMSDescriptor(_Record):
     """Punctured-line data: the polytope, its arrangement, the invariant line,
     and the puncture residues modulo the unit translation.
 
     The walls D_j are the punctures r + k (r a residue, k an integer) in
     increasing order, numbered so that D_{-1} is the largest one <= 0; the
     chamber C_j is the open interval (D_{j-1}, D_j).
+
+    line is None when the arrangement has no walls; punctures is a sorted
+    tuple of Fractions in [0, 1) and N its length.
     """
 
-    zonotope: Zonotope
-    families: tuple
-    line: tuple | None
-    punctures: tuple  # Fractions in [0, 1), sorted
-    N: int
+    __slots__ = ("zonotope", "families", "line", "punctures", "N")
 
     def wall(self, j: int) -> Fraction:
         """Line parameter of D_j, in O(1) however far j is from the origin.

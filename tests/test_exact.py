@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from flopwin.exact import echelon, rational, rational_json
+from flopwin.exact import _integer_echelon, echelon, rational, rational_json
 
 
 def random_matrix(rng, n_rows, n_cols):
@@ -109,6 +110,29 @@ def test_echelon_equals_dense_fraction_elimination(batch):
                        for row in part for x in row)
 
 
+@pytest.mark.parametrize("batch", range(4))
+def test_integer_core_rows_are_primitive_multiples_of_echelon_rows(batch):
+    for seed in range(60 * batch, 60 * (batch + 1)):
+        rng = random.Random(f"integer-echelon/{seed}")
+        n_rows, n_cols = rng.randint(0, 9), rng.randint(1, 9)
+        rows = wide_random_matrix(rng, n_rows, n_cols)
+        width = rng.choice((None, rng.randint(0, n_cols)))
+        pivot_rows, pivots, null_tails = dense_fraction_echelon(rows, width)
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        out = list(_integer_echelon(sparse, width))
+        assert len(out) == n_rows
+        kept = [(vec, lead) for vec, lead, scale in out if lead is not None]
+        assert [lead for _, lead in kept] == pivots
+        for (vec, lead), frow in zip(kept, pivot_rows):
+            assert all(type(v) is int and v for v in vec.values())
+            assert math.gcd(*vec.values()) == 1
+            assert [Fraction(vec.get(j, 0), vec[lead]) for j in range(n_cols)] == frow
+        w = n_cols if width is None else width
+        nulls = [(vec, scale) for vec, lead, scale in out if lead is None]
+        assert [[Fraction(vec.get(j, 0) * scale[1], scale[0]) for j in range(w, n_cols)]
+                for vec, scale in nulls] == null_tails
+
+
 def test_echelon_takes_int_zeros_and_returns_fractions():
     rows = [[0, Fraction(2, 3), 1], [0, 0, 0], [Fraction(1, 2), 0, Fraction(-3)]]
     got = echelon(rows, width=2)
@@ -178,3 +202,13 @@ def test_rational_reads_decimal_exponents_up_to_the_limit_exactly():
     assert rational("-2.5E-3") == Fraction(-1, 400)
     assert rational("1e4300") == 10**4300
     assert rational("3e-4300") == Fraction(3, 10**4300)
+
+
+def test_record_fields_are_all_required_once():
+    from flopwin.windows import FaceRef
+
+    assert FaceRef(j=2, kind="D") == FaceRef("D", 2)
+    for args, kwargs in (((), {}), (("C",), {}), (("C", 1, 2), {}), (("C",), {"kind": "D"}),
+                         (("C", 1), {"extra": 0})):
+        with pytest.raises(TypeError):
+            FaceRef(*args, **kwargs)

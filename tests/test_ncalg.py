@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb
 
 import pytest
 
+import flopwin.ncalg as ncalg
 from flopwin.exact import echelon
 from flopwin.ncalg import (
     Morphism,
@@ -340,6 +342,10 @@ def test_indexed_reduction_matches_linear_scan(name):
         words.extend(frontier)
     for word in words:
         assert rs._find_reduction(word) == linear_find_reduction(rs, word)
+    # again once the basis is grown, when basis words skip the rule scan
+    rs.graded_dims(8)
+    for word in words:
+        assert rs._find_reduction(word) == linear_find_reduction(rs, word)
 
 
 def test_reduction_prefers_the_earliest_rule_at_the_leftmost_position():
@@ -529,3 +535,147 @@ def test_render():
     poly = parse_expr(pres, "beta*gamma - gamma*beta - 1/2")
     assert pres.render(poly) == "-gamma*beta + beta*gamma - 1/2"
     assert pres.render({}) == "0"
+
+
+# -- the two-sided ideal against a brute-force span ---------------------------
+
+def sparse_rank(vectors):
+    """Rank of sparse rational vectors: each is reduced at its largest key
+    against pivot rows led by that key, until it vanishes or leads a new one."""
+    pivots = {}
+    for vec in vectors:
+        vec = {w: Fraction(c) for w, c in vec.items() if c}
+        while vec:
+            top = max(vec)
+            if top not in pivots:
+                pivots[top] = {w: c / vec[top] for w, c in vec.items()}
+                break
+            f = vec[top]
+            for w, c in pivots[top].items():
+                s = vec.get(w, 0) - f * c
+                if s:
+                    vec[w] = s
+                else:
+                    vec.pop(w, None)
+    return len(pivots)
+
+
+def brute_ideal_dims(rs, gens, d):
+    """dim I_k as the rank of nf(u * g * v) over basis words u, v."""
+    pres = rs.presentation
+    dims = []
+    for k in range(d + 1):
+        products = []
+        for g in gens:
+            e = pres.poly_degree(g)
+            for a in range(k - e + 1):
+                for u in rs.basis(a):
+                    for v in rs.basis(k - e - a):
+                        products.append(rs.normal_form(p_mul(p_mul({u: 1}, g), {v: 1})))
+        dims.append(sparse_rank(products))
+    return dims
+
+
+def random_cubic(rng, n):
+    words = set()
+    while len(words) < 3:
+        words.add(tuple(rng.randrange(n) for _ in range(3)))
+    return {w: Fraction(rng.choice((-2, -1, 1, 2))) for w in sorted(words)}
+
+
+def ideal_cases():
+    acon = catalog("acon")
+    yield "acon t", complete(acon, 6), [acon.gen("t")]
+    yield "acon [beta, gamma]", complete(acon, 6), [bracket(acon)]
+    for name in ("endG", "Cbc"):
+        pres = catalog(name)
+        rs = complete(pres, 6)
+        for seed in range(4):
+            rng = random.Random(f"ideal/{name}/{seed}")
+            yield f"{name} cubic #{seed}", rs, [random_cubic(rng, len(pres.generators))]
+
+
+def assert_ideal_dims_match_brute_force():
+    for label, rs, gens in ideal_cases():
+        assert ncalg.ideal_dims(rs, gens, 6) == brute_ideal_dims(rs, gens, 6), label
+
+
+def test_ideal_dims_match_brute_force_span():
+    assert_ideal_dims_match_brute_force()
+    acon = complete(catalog("acon"), 6)
+    assert brute_ideal_dims(acon, [acon.presentation.gen("t")], 6) == [0, 1, 3, 6, 10, 15, 21]
+
+
+def left_ideal_dims(rs, gens, d):
+    """ideal_dims without its g * A_{k - deg g} term: the left ideal of gens."""
+    pres = rs.presentation
+    seeds = [rs.normal_form(g) for g in gens]
+    layers = {}
+    for k in range(d + 1):
+        candidates = [g for g in seeds if pres.poly_degree(g) == k]
+        for i, e in enumerate(pres.degrees):
+            candidates += [rs.normal_form(p_mul({(i,): 1}, v)) for v in layers.get(k - e, [])]
+        layers[k] = [v for v, in ncalg._span([(c,) for c in candidates], [rs.basis(k)])]
+    return [len(layers[k]) for k in range(d + 1)]
+
+
+def test_ideal_oracle_catches_a_one_sided_ideal(monkeypatch):
+    monkeypatch.setattr(ncalg, "ideal_dims", left_ideal_dims)
+    with pytest.raises(AssertionError, match="endG cubic"):
+        assert_ideal_dims_match_brute_force()
+
+
+# -- integer coefficients and the known-irreducible words ---------------------
+
+def test_add_rule_after_basis_reduces_newly_reducible_words():
+    pres = catalog("Cbc")
+    rs = RewriteSystem(pres, 3, [])
+    assert (1, 0) in rs.basis(2)
+    assert rs.normal_form({(1, 0): 1}) == {(1, 0): 1}
+    rs.add_rule((1, 0), {(0, 1): Fraction(1)})
+    assert rs.normal_form({(1, 0): 1}) == {(0, 1): 1}
+    assert rs.normal_form({(1, 0, 1): 2}) == {(0, 1, 1): 2}
+    assert (1, 0) not in rs.basis(2)
+
+
+@pytest.mark.parametrize("name, text, expected", [
+    ("acon", "gamma*beta*beta + 2*t*gamma*beta",
+     {(0, 1, 2): Fraction(2), (1, 1, 2): Fraction(1)}),
+    ("acon", "1/2*gamma*gamma*beta*t - 3/4*beta*gamma*gamma*t + gamma*beta*gamma*beta",
+     {(0, 1, 2, 2): Fraction(-1, 4), (2, 1, 2, 1): Fraction(1)}),
+    ("endG", "gamma*gamma*beta*beta - 1/3*beta*gamma*beta*gamma",
+     {(0, 0, 1, 1): Fraction(1), (0, 1, 0, 1): Fraction(-1, 3)}),
+    ("Cbc", "c*b*c - 2/5*b*c*c", {(0, 1, 1): Fraction(3, 5)}),
+])
+def test_normal_form_of_fraction_input_is_fraction(name, text, expected):
+    pres = catalog(name)
+    rs = complete(pres, 8)
+    rs.graded_dims(8)
+    nf = rs.normal_form(parse_expr(pres, text))
+    assert nf == expected
+    assert all(type(c) is Fraction for c in nf.values())
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_integer_input_stays_integer(name):
+    pres = catalog(name)
+    rs = complete(pres, 8)
+    rng = random.Random(f"int-nf/{name}")
+    words = [w for k in range(9) for w in product(range(len(pres.generators)), repeat=k)
+             if pres.word_degree(w) == 6]
+    for _ in range(10):
+        poly = {w: rng.choice((-3, -1, 1, 2)) for w in rng.sample(words, min(4, len(words)))}
+        nf = rs.normal_form(poly)
+        assert all(type(c) is int for c in nf.values()), nf
+        assert nf == rs.normal_form({w: Fraction(c) for w, c in poly.items()})
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_rules_compare_equal_to_fraction_rules(name):
+    pres = catalog(name)
+    rules = complete(pres, 8).rules
+    as_fractions = [(lhs, {w: Fraction(c) for w, c in rhs.items()}) for lhs, rhs in rules]
+    assert RewriteSystem(pres, 8, as_fractions).rules == as_fractions == rules
+    assert all(type(c) is int for _, rhs in rules for c in rhs.values())
+    half = [((1, 0), {(0, 1): Fraction(1, 2)})]
+    assert RewriteSystem(NCPresentation.build([("x", 1), ("y", 1)]), 4, half).rules == half

@@ -260,3 +260,37 @@ def test_kappa_generator_is_hashable_record(flop):
     gens = kappa_generators(flop, FaceRef.parse("D:-1"), FaceRef.parse("C:0"))
     assert len({g.key() for g in gens}) == 3
     assert all(isinstance(g, KappaGenerator) for g in gens)
+
+
+def _records(p):
+    """One value of each record class of lattice, zonotope and windows."""
+    d = skms(p)
+    return [p, d, d.zonotope, d.families[0], FaceRef("D", -1), window(p, FaceRef("C", 0)),
+            kappa_generators(p, FaceRef("D", -1), FaceRef("C", 0))[0]]
+
+
+def test_records_compare_and_hash_by_their_fields(flop, conifold):
+    for value in _records(flop):
+        cls, names = type(value), value.__slots__
+        fields = {name: getattr(value, name) for name in names}
+        by_keyword = cls(**fields)
+        by_position = cls(*fields.values())
+        assert by_keyword == value == by_position, cls.__name__
+        assert hash(by_keyword) == hash(value) == hash(tuple(fields.values()))
+        assert len({value, by_keyword, by_position}) == 1
+        assert value != tuple(fields.values())
+        assert repr(value).startswith(f"{cls.__name__}({names[0]}=")
+        for name in names:
+            assert cls(**{**fields, name: object()}) != value, (cls.__name__, name)
+    assert _records(flop)[0] != _records(conifold)[0]
+
+
+def test_records_are_immutable(flop):
+    for value in _records(flop):
+        for name in value.__slots__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert not hasattr(value, "__dict__")
+    assert FaceRef("C", 0).j == 0
