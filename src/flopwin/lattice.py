@@ -106,6 +106,14 @@ def mat_inverse_transpose(m: Matrix) -> Matrix:
     return tuple(tuple(det * x for x in row) for row in cofactors)
 
 
+def _integer(value) -> int:
+    # JSON integers only: int() would truncate a float, take a boolean as 0
+    # or 1, and read a digit string (or, in a vector, each of its digits)
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 class GitPresentation(_Record):
     """A rank <= 2 linearized torus/reductive-group presentation.
 
@@ -119,14 +127,14 @@ class GitPresentation(_Record):
     @classmethod
     def from_dict(cls, data: dict) -> "GitPresentation":
         try:
-            rank = int(data["rank"])
-            roots = tuple(tuple(int(x) for x in r) for r in data.get("roots", []))
+            rank = _integer(data["rank"])
+            roots = tuple(tuple(_integer(x) for x in r) for r in data.get("roots", []))
             weights = tuple(
-                (tuple(int(x) for x in w["vec"]), int(w.get("mult", 1)))
+                (tuple(_integer(x) for x in w["vec"]), _integer(w.get("mult", 1)))
                 for w in data["weights"]
             )
             weyl = tuple(
-                tuple(tuple(int(x) for x in row) for row in m)
+                tuple(tuple(_integer(x) for x in row) for row in m)
                 for m in data.get("weyl", [])
             )
         except (KeyError, TypeError, ValueError) as exc:

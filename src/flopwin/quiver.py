@@ -8,13 +8,17 @@ alpha.alpha_star.  This module checks the relations, decides stability for the
 two GIT chambers, classifies unstable strata, and evaluates the invariant map
 onto a hypersurface in A^7 together with its singular-locus membership tests.
 
-All arithmetic is exact over Fraction.
+All arithmetic is exact.  Representations hold Fraction entries; the
+relations are evaluated on integers, after clearing one common denominator
+per representation, and `relations_hold` is the Fraction view of those
+integer defects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .exact import rational, rational_json
@@ -25,18 +29,20 @@ Mat2 = tuple[Vec2, Vec2]
 PARAM_KEYS = ("t", "Tbeta", "Tgamma", "Tdelta")
 
 
+def _pair(values, what: str) -> tuple:
+    # a JSON array (or, from Python, a tuple) of two items: a string would
+    # otherwise be read character by character
+    if not isinstance(values, (list, tuple)) or len(values) != 2:
+        raise ValueError(f"expected a {what}")
+    return values
+
+
 def _vec2(values) -> Vec2:
-    vals = tuple(rational(v) for v in values)
-    if len(vals) != 2:
-        raise ValueError("expected a length-2 vector")
-    return vals  # type: ignore[return-value]
+    return tuple(rational(v) for v in _pair(values, "length-2 vector"))  # type: ignore[return-value]
 
 
 def _mat2(rows) -> Mat2:
-    out = tuple(_vec2(row) for row in rows)
-    if len(out) != 2:
-        raise ValueError("expected a 2x2 matrix")
-    return out  # type: ignore[return-value]
+    return tuple(_vec2(row) for row in _pair(rows, "2x2 matrix"))  # type: ignore[return-value]
 
 
 def mat2_identity(scale: Fraction) -> Mat2:
@@ -78,10 +84,6 @@ def outer(col: Vec2, row: Vec2) -> Mat2:
     return ((col[0] * row[0], col[0] * row[1]), (col[1] * row[0], col[1] * row[1]))
 
 
-def _is_zero_mat(m: Mat2) -> bool:
-    return all(x == 0 for row in m for x in row)
-
-
 @dataclass(frozen=True)
 class QuiverRep:
     """One representation with dimension vector (1, 2)."""
@@ -113,10 +115,10 @@ class QuiverRep:
         given = {} if data.get("params") is None else data["params"]
         if not isinstance(given, Mapping):
             raise ValueError("params must be a mapping of parameter names to values")
-        params = {k: rational(v) for k, v in given.items()}
-        unknown = set(params) - set(PARAM_KEYS)
+        unknown = set(given) - set(PARAM_KEYS)
         if unknown:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
+        params = {k: rational(v) for k, v in given.items()}
         params.setdefault("t", t)
         for key, loop in (("Tbeta", beta), ("Tgamma", gamma), ("Tdelta", delta)):
             # entry (0, 0) of loop^2
@@ -138,9 +140,15 @@ class QuiverRep:
         return self.params["t"]
 
     @cached_property
+    def _defects(self) -> tuple[int, tuple]:
+        """The integer relation defects, evaluated once per representation."""
+        return _relation_defects(self)
+
+    @cached_property
     def relations_ok(self) -> bool:
-        """The verdict of relations_hold, evaluated once per representation."""
-        return relations_hold(self)[0]
+        """The verdict of relations_hold, read from the integer defects."""
+        pairing, *mats = self._defects[1]
+        return pairing == 0 and not any(x for m in mats for row in m for x in row)
 
 
 def from_chart(alpha, alpha_star, beta, gamma) -> QuiverRep:
@@ -155,30 +163,61 @@ def from_chart(alpha, alpha_star, beta, gamma) -> QuiverRep:
     return rep
 
 
+def _relation_defects(rep: QuiverRep) -> tuple[int, tuple]:
+    """The integer core of relations_hold.
+
+    Clears one common denominator D of the entries and the four parameters,
+    then evaluates the relations on the scaled integers.  Returns D and the
+    defects in the order of relations_hold's residuals: D^2 times
+    alpha_star.alpha - t, D^2 times loop^2 - T.I for each loop, and 2 D^2
+    times the vertex-1 sum.
+    """
+    p = rep.params
+    (a0, a1), (s0, s1) = rep.alpha, rep.alpha_star
+    (b00, b01), (b10, b11) = rep.beta
+    (c00, c01), (c10, c11) = rep.gamma
+    (d00, d01), (d10, d11) = rep.delta
+    values = (a0, a1, s0, s1, b00, b01, b10, b11, c00, c01, c10, c11, d00, d01, d10, d11,
+              p["t"], p["Tbeta"], p["Tgamma"], p["Tdelta"])
+    den = 1
+    for x in values:
+        if x.denominator != 1:
+            den = lcm(den, x.denominator)
+    (a0, a1, s0, s1, b00, b01, b10, b11, c00, c01, c10, c11, d00, d01, d10, d11,
+     t, tb, tc, td) = (x.numerator * (den // x.denominator) for x in values)
+    dt = den * t  # D^2 t
+
+    def square_defect(m00, m01, m10, m11, param):
+        diag = den * param  # D^2 T
+        return ((m00 * m00 + m01 * m10 - diag, m01 * (m00 + m11)),
+                (m10 * (m00 + m11), m10 * m01 + m11 * m11 - diag))
+
+    return den, (
+        s0 * a0 + s1 * a1 - dt,
+        square_defect(b00, b01, b10, b11, tb),
+        square_defect(c00, c01, c10, c11, tc),
+        square_defect(d00, d01, d10, d11, td),
+        ((2 * (a0 * s0 + den * (b00 + c00 + d00)) - dt, 2 * (a0 * s1 + den * (b01 + c01 + d01))),
+         (2 * (a1 * s0 + den * (b10 + c10 + d10)), 2 * (a1 * s1 + den * (b11 + c11 + d11)) - dt)),
+    )
+
+
 def relations_hold(rep: QuiverRep) -> tuple[bool, dict]:
     """Evaluate all five defining relations exactly.
 
     Returns (ok, residuals) where residuals maps a relation name to its exact
     defect: a rational for the vertex-0 relation and a 2x2 matrix for each of
-    the loop-square and vertex-1 relations.
+    the loop-square and vertex-1 relations.  The values are the integer
+    defects of the representation divided by their scales D^2 and 2 D^2.
     """
-    t = rep.params["t"]
-    pairing = rep.alpha_star[0] * rep.alpha[0] + rep.alpha_star[1] * rep.alpha[1]
-    residuals: dict = {"alpha_star_alpha": pairing - t}
-    for name, loop, key in (
-        ("beta_square", rep.beta, "Tbeta"),
-        ("gamma_square", rep.gamma, "Tgamma"),
-        ("delta_square", rep.delta, "Tdelta"),
-    ):
-        residuals[name] = mat2_sub(mat2_mul(loop, loop), mat2_identity(rep.params[key]))
-    lhs = mat2_add(
-        outer(rep.alpha, rep.alpha_star), mat2_add(mat2_add(rep.beta, rep.gamma), rep.delta)
-    )
-    residuals["vertex1_sum"] = mat2_sub(lhs, mat2_identity(t / 2))
-    ok = residuals["alpha_star_alpha"] == 0 and all(
-        _is_zero_mat(residuals[k]) for k in ("beta_square", "gamma_square", "delta_square", "vertex1_sum")
-    )
-    return ok, residuals
+    den, (pairing, *mats) = rep._defects
+    scale = den * den
+    view = lambda m, q: tuple(tuple(Fraction(n, q) for n in row) for row in m)
+    residuals: dict = {"alpha_star_alpha": Fraction(pairing, scale)}
+    for name, m in zip(("beta_square", "gamma_square", "delta_square"), mats):
+        residuals[name] = view(m, scale)
+    residuals["vertex1_sum"] = view(mats[3], 2 * scale)
+    return rep.relations_ok, residuals
 
 
 def _require_relations(rep: QuiverRep) -> None:

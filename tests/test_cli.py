@@ -141,6 +141,29 @@ def test_malformed_json_reports_line_and_column(tmp_path, capsys):
     assert "broken.json" in err and "nested too deeply" in err
 
 
+def test_presentation_values_must_be_json_integers(tmp_path, capsys):
+    path = tmp_path / "pres.json"
+    conifold = {"rank": 1, "weights": [{"vec": [1], "mult": 2}, {"vec": [-1], "mult": 2}]}
+    path.write_text(json.dumps(conifold), encoding="utf-8")
+    assert run_cli(capsys, "skms", "--input", str(path))[0] == 0
+    weights = conifold["weights"]
+    for bad in (
+        dict(conifold, weights=[{"vec": [-1.9], "mult": 2}, weights[0]]),
+        dict(conifold, weights=[{"vec": [-1], "mult": 2.0}, weights[0]]),
+        dict(conifold, rank=True),
+        dict(conifold, rank="1"),
+        dict(conifold, weights=[{"vec": "1", "mult": 2}, {"vec": [-1], "mult": 2}]),
+        dict(conifold, weights=[{"vec": [1], "mult": True}, {"vec": [-1], "mult": True}]),
+        dict(conifold, roots=["1"]),
+        dict(conifold, weyl=[["1"]]),
+    ):
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        code, out, err = run_cli(capsys, "skms", "--input", str(path))
+        assert code == 2, bad
+        assert out == ""
+        assert err.startswith("error: malformed presentation: expected an integer"), err
+
+
 def test_quiver_check_semistable_rep(tmp_path, capsys):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(SEMISTABLE_REP), encoding="utf-8")
@@ -189,6 +212,9 @@ def test_quiver_check_rejects_incomplete_rep(tmp_path, capsys):
         dict(complete, delat=[[0, 0], [0, 0]]), [complete],
         dict(complete, params={"t": "1e99999999"}),
         dict(complete, params={"t": "-1e4300"}),
+        # a digit string is not a vector, nor a matrix row
+        dict(complete, alpha="12"), dict(complete, beta=["01", "00"]),
+        dict(complete, gamma="0010"), dict(complete, delta=["00", [0, 0]]),
     )] + ["[" * 100000, deep_alpha]
     path = tmp_path / "rep.json"
     for text in texts:

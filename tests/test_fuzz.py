@@ -3,8 +3,10 @@
 Every generated input must keep the CLI contract: exit 0, 1 or 2, no
 exception escaping ``main``, nothing like a traceback on stderr, and a
 stdout that is empty or the command's one payload (JSON, or a single line
-for the text renderings).  Magnitudes, multiplicities and degrees stay small
-so that the whole run takes well under two seconds.
+for the text renderings).  A representation file with a string where a
+vector, a matrix or a matrix row belongs must exit 2.  Magnitudes,
+multiplicities and degrees stay small so that the whole run takes well
+under two seconds.
 """
 
 import json
@@ -30,6 +32,8 @@ ALGEBRAS = {
     "Cbc": ["b", "c"], "afib": ["Tbeta", "Tgamma", "Tdelta"],
     "laufer_target": ["beta", "gamma"], "bogus": ["x"],
 }
+DIGIT_VECTORS = ["12", "00"]
+DIGIT_MATRICES = [["01", "00"], [[1, 0], "10"], "0010"]
 NC_NOISE = ["x_1", "3/0", "(", ")", "^", ".", "*", "+", "-", "1/2"]
 IRREP_NAMES = ["O", "V", "Vstar", "D", "S2V", "S2Vm1", "W", "", " V "]
 
@@ -65,10 +69,18 @@ def _quiver_text(rng):
             rep[key] = _matrix(rng)
         else:
             rep[key] = rng.choice(SCALARS + [[1], [1, 2, 3], [[1, 2], [3]]])
+    if rng.random() < 0.15:
+        # digits where numbers belong: a vector, or a matrix row, written as a string
+        key = rng.choice(QUIVER_KEYS[:4])
+        rep[key] = rng.choice(DIGIT_VECTORS if key.startswith("alpha") else DIGIT_MATRICES)
     text = json.dumps(rep)
     if rng.random() < 0.1:
         text = text[: rng.randint(0, len(text))]
-    return text
+    # a string where a vector, a matrix or a matrix row belongs is an input error
+    vectors = [rep.get("alpha"), rep.get("alpha_star")]
+    for key in ("beta", "gamma", "delta"):
+        vectors += rep[key] if isinstance(rep.get(key), list) else [rep.get(key)]
+    return text, any(isinstance(v, str) for v in vectors)
 
 
 def _presentation_text(rng):
@@ -153,15 +165,23 @@ def _check(capsys, argv, json_payload):
             json.loads(captured.out)
         else:
             assert captured.out.count("\n") == 1 and captured.out.endswith("\n"), argv
+    return code
 
 
 def test_quiver_check_files(tmp_path, capsys):
     rng = random.Random(SEED)
     path = tmp_path / "rep.json"
+    rejected = 0
     for _ in range(CASES):
-        path.write_text(_quiver_text(rng), encoding="utf-8")
+        text, malformed = _quiver_text(rng)
+        path.write_text(text, encoding="utf-8")
         stability = rng.choice(["theta1", "theta2"])
-        _check(capsys, ["quiver", "check", "--rep", str(path), "--stability", stability], True)
+        code = _check(capsys, ["quiver", "check", "--rep", str(path), "--stability", stability],
+                      True)
+        if malformed:
+            assert code == 2, text
+            rejected += 1
+    assert rejected
 
 
 def test_input_presentations(tmp_path, capsys):

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from flopwin import quiver
+from flopwin.exact import rational, rational_json
 from flopwin.quiver import (
+    PARAM_KEYS,
     BasePoint,
     QuiverRep,
     base_equation,
@@ -88,9 +90,10 @@ def test_operations_require_relations():
 
 def test_relations_are_evaluated_once_per_rep(monkeypatch):
     calls = []
-    real = quiver.relations_hold
-    monkeypatch.setattr(quiver, "relations_hold", lambda rep: calls.append(rep) or real(rep))
+    real = quiver._relation_defects
+    monkeypatch.setattr(quiver, "_relation_defects", lambda rep: calls.append(rep) or real(rep))
     rep = chart(alpha=(1, 2), alpha_star=(3, -1), beta=((1, 2), (0, -1)), gamma=((0, 1), (4, 0)))
+    relations_hold(rep)
     base_map(rep)
     stratum(rep)
     is_semistable(rep, "theta1")
@@ -102,6 +105,7 @@ def test_relations_are_evaluated_once_per_rep(monkeypatch):
     for _ in range(3):
         with pytest.raises(ValueError):
             stratum(broken)
+    assert not relations_hold(broken)[0]
     assert calls == [rep, broken]
 
 
@@ -161,16 +165,102 @@ def test_assembly_matches_the_explicit_formulas():
         assert ours.getstate() == theirs.getstate()
 
 
+def reference_relations(rep):
+    """relations_hold by the explicit Fraction formulas: the pairing minus t,
+    each loop squared minus its parameter times I, and the vertex-1 sum
+    alpha.alpha_star + beta + gamma + delta minus t/2 times I."""
+    a, s, p = rep.alpha, rep.alpha_star, rep.params
+    scalar = lambda i, j, x: x if i == j else F(0)
+    residuals = {"alpha_star_alpha": s[0] * a[0] + s[1] * a[1] - p["t"]}
+    for name, m, key in (("beta_square", rep.beta, "Tbeta"), ("gamma_square", rep.gamma, "Tgamma"),
+                         ("delta_square", rep.delta, "Tdelta")):
+        residuals[name] = tuple(
+            tuple(m[i][0] * m[0][j] + m[i][1] * m[1][j] - scalar(i, j, p[key]) for j in range(2))
+            for i in range(2)
+        )
+    residuals["vertex1_sum"] = tuple(
+        tuple(a[i] * s[j] + rep.beta[i][j] + rep.gamma[i][j] + rep.delta[i][j]
+              - scalar(i, j, p["t"] / 2) for j in range(2))
+        for i in range(2)
+    )
+    ok = residuals["alpha_star_alpha"] == 0 and all(
+        x == 0 for name in list(residuals)[1:] for row in residuals[name] for x in row
+    )
+    return ok, residuals
+
+
+def typed_relations(ok, residuals):
+    """A relations_hold result with the type of every residual and entry."""
+    out = [ok, list(residuals)]
+    for name, value in residuals.items():
+        if isinstance(value, tuple):
+            out.append((name, [(type(row), [(type(x), x) for x in row]) for row in value]))
+        else:
+            out.append((name, type(value), value))
+    return out
+
+
+def random_rep_file(rng):
+    """A representation file with "p/q" entries of assorted denominators; delta
+    and each parameter are written out or left to be derived at random."""
+    value = lambda: rational_json(F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 7))))
+    vector = lambda: [value(), value()]
+    data = {"alpha": vector(), "alpha_star": vector(), "beta": [vector(), vector()],
+            "gamma": [vector(), vector()]}
+    if rng.random() < 0.5:
+        data["delta"] = [vector(), vector()]
+    if rng.random() < 0.5:
+        data["params"] = {k: value() for k in PARAM_KEYS if rng.random() < 0.5}
+    return data
+
+
+def perturbed_rep_file(rng):
+    """A chart representation written out in full, with one entry or one
+    parameter moved by 1/q, so that only that value carries the denominator q."""
+    data = random_chart_rep(rng).to_dict()
+    key = rng.choice(["alpha", "alpha_star", "beta", "gamma", "delta", "params"])
+    step = F(1, rng.choice((1, 2, 3, 7, 11)))
+    if key == "params":
+        name = rng.choice(PARAM_KEYS)
+        data["params"][name] = rational_json(rational(data["params"][name]) + step)
+    else:
+        row = data[key] if key.startswith("alpha") else data[key][rng.randrange(2)]
+        j = rng.randrange(2)
+        row[j] = rational_json(rational(row[j]) + step)
+    return data
+
+
+def test_relations_match_the_explicit_formulas():
+    rng = random.Random(59)
+    reps = [random_chart_rep(rng) for _ in range(200)]
+    reps += [scalar_pair_rep(rng) for _ in range(100)]
+    reps += [QuiverRep.from_dict(random_rep_file(rng)) for _ in range(300)]
+    reps += [QuiverRep.from_dict(perturbed_rep_file(rng)) for _ in range(300)]
+    reps.append(QuiverRep.from_dict(
+        {"alpha": ["1/2", 0], "alpha_star": [1, "2/3"], "beta": [["1/5", 1], [0, 0]],
+         "gamma": [[0, 0], ["3/7", 1]]}
+    ))
+    verdicts = set()
+    for rep in reps:
+        result = relations_hold(rep)
+        assert typed_relations(*result) == typed_relations(*reference_relations(rep))
+        assert rep.relations_ok is result[0]
+        verdicts.add(result[0])
+    assert verdicts == {True, False}
+
+
 def test_json_round_trip():
     rng = random.Random(7)
     rep = random_chart_rep(rng)
     again = QuiverRep.from_dict(rep.to_dict())
     assert again == rep
-    with pytest.raises(ValueError):
-        QuiverRep.from_dict(
-            {"alpha": [0, 0], "alpha_star": [0, 0], "beta": [[0, 0], [0, 0]],
-             "gamma": [[0, 0], [0, 0]], "params": {"bogus": 1}}
-        )
+    for value in (1, "zz"):
+        # the key is checked before its value is read
+        with pytest.raises(ValueError, match=r"unknown parameter keys: \['bogus'\]"):
+            QuiverRep.from_dict(
+                {"alpha": [0, 0], "alpha_star": [0, 0], "beta": [[0, 0], [0, 0]],
+                 "gamma": [[0, 0], [0, 0]], "params": {"bogus": value}}
+            )
 
 
 def test_theta1_examples():
