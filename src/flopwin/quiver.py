@@ -8,10 +8,12 @@ alpha.alpha_star.  This module checks the relations, decides stability for the
 two GIT chambers, classifies unstable strata, and evaluates the invariant map
 onto a hypersurface in A^7 together with its singular-locus membership tests.
 
-All arithmetic is exact.  Representations hold Fraction entries; the
-relations are evaluated on integers, after clearing one common denominator
-per representation, and `relations_hold` is the Fraction view of those
-integer defects.
+All arithmetic is exact.  Representations hold Fraction entries, and each
+one clears a common denominator D of its entries and parameters once.  The
+relations, the stability and stratum tests and the invariant map all run on
+those D-scaled integers; `relations_hold` and `base_map` divide by the power
+of D each formula carries.  Base points stay Fraction, since they are also
+read from outside input.
 """
 from __future__ import annotations
 
@@ -45,45 +47,6 @@ def _mat2(rows) -> Mat2:
     return tuple(_vec2(row) for row in _pair(rows, "2x2 matrix"))  # type: ignore[return-value]
 
 
-def mat2_identity(scale: Fraction) -> Mat2:
-    return ((scale, Fraction(0)), (Fraction(0), scale))
-
-
-def mat2_add(a: Mat2, b: Mat2) -> Mat2:
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )  # type: ignore[return-value]
-
-
-def mat2_sub(a: Mat2, b: Mat2) -> Mat2:
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )  # type: ignore[return-value]
-
-
-def mat2_mul(a: Mat2, b: Mat2) -> Mat2:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )  # type: ignore[return-value]
-
-
-def mat2_vec(m: Mat2, v: Vec2) -> Vec2:
-    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-
-
-def mat2_det(m: Mat2) -> Fraction:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def mat2_trace(m: Mat2) -> Fraction:
-    return m[0][0] + m[1][1]
-
-
-def outer(col: Vec2, row: Vec2) -> Mat2:
-    return ((col[0] * row[0], col[0] * row[1]), (col[1] * row[0], col[1] * row[1]))
-
-
 @dataclass(frozen=True)
 class QuiverRep:
     """One representation with dimension vector (1, 2)."""
@@ -106,12 +69,17 @@ class QuiverRep:
         alpha_star = _vec2(data["alpha_star"])
         beta = _mat2(data["beta"])
         gamma = _mat2(data["gamma"])
-        t = alpha_star[0] * alpha[0] + alpha_star[1] * alpha[1]
+        (a0, a1), (s0, s1) = alpha, alpha_star
+        t = s0 * a0 + s1 * a1
         if data.get("delta") is not None:
             delta = _mat2(data["delta"])
         else:
-            loops = mat2_add(mat2_add(beta, gamma), outer(alpha, alpha_star))
-            delta = mat2_sub(mat2_identity(t / 2), loops)
+            # t/2 I - (beta + gamma + alpha alpha_star)
+            (b00, b01), (b10, b11) = beta
+            (c00, c01), (c10, c11) = gamma
+            half = t / 2
+            delta = ((half - b00 - c00 - a0 * s0, -b01 - c01 - a0 * s1),
+                     (-b10 - c10 - a1 * s0, half - b11 - c11 - a1 * s1))
         given = {} if data.get("params") is None else data["params"]
         if not isinstance(given, Mapping):
             raise ValueError("params must be a mapping of parameter names to values")
@@ -140,6 +108,11 @@ class QuiverRep:
         return self.params["t"]
 
     @cached_property
+    def _scaled(self) -> tuple:
+        """The integer view, computed once per representation."""
+        return _clear_denominators(self)
+
+    @cached_property
     def _defects(self) -> tuple[int, tuple]:
         """The integer relation defects, evaluated once per representation."""
         return _relation_defects(self)
@@ -158,19 +131,20 @@ def from_chart(alpha, alpha_star, beta, gamma) -> QuiverRep:
     recovered from the relations, so relations_hold is true on the output.
     """
     rep = QuiverRep.from_dict(dict(alpha=alpha, alpha_star=alpha_star, beta=beta, gamma=gamma))
-    if mat2_trace(rep.beta) != 0 or mat2_trace(rep.gamma) != 0:
+    (b00, _), (_, b11) = rep.beta
+    (c00, _), (_, c11) = rep.gamma
+    if b00 + b11 != 0 or c00 + c11 != 0:
         raise ValueError("chart loops must be trace-free")
     return rep
 
 
-def _relation_defects(rep: QuiverRep) -> tuple[int, tuple]:
-    """The integer core of relations_hold.
+def _clear_denominators(rep: QuiverRep) -> tuple:
+    """The integer view of a representation.
 
-    Clears one common denominator D of the entries and the four parameters,
-    then evaluates the relations on the scaled integers.  Returns D and the
-    defects in the order of relations_hold's residuals: D^2 times
-    alpha_star.alpha - t, D^2 times loop^2 - T.I for each loop, and 2 D^2
-    times the vertex-1 sum.
+    Returns (D, alpha, alpha_star, beta, gamma, delta, params): D is the least
+    common denominator of the 16 entries and the four parameters, and every
+    other item is the matching entry, vector, matrix or (t, Tbeta, Tgamma,
+    Tdelta) tuple multiplied by D, as ints.
     """
     p = rep.params
     (a0, a1), (s0, s1) = rep.alpha, rep.alpha_star
@@ -185,6 +159,21 @@ def _relation_defects(rep: QuiverRep) -> tuple[int, tuple]:
             den = lcm(den, x.denominator)
     (a0, a1, s0, s1, b00, b01, b10, b11, c00, c01, c10, c11, d00, d01, d10, d11,
      t, tb, tc, td) = (x.numerator * (den // x.denominator) for x in values)
+    return (den, (a0, a1), (s0, s1), ((b00, b01), (b10, b11)), ((c00, c01), (c10, c11)),
+            ((d00, d01), (d10, d11)), (t, tb, tc, td))
+
+
+def _relation_defects(rep: QuiverRep) -> tuple[int, tuple]:
+    """The integer core of relations_hold.
+
+    Evaluates the relations on the integer view.  Returns D and the defects
+    in the order of relations_hold's residuals: D^2 times alpha_star.alpha -
+    t, D^2 times loop^2 - T.I for each loop, and 2 D^2 times the vertex-1 sum.
+    """
+    den, (a0, a1), (s0, s1), beta, gamma, delta, (t, tb, tc, td) = rep._scaled
+    (b00, b01), (b10, b11) = beta
+    (c00, c01), (c10, c11) = gamma
+    (d00, d01), (d10, d11) = delta
     dt = den * t  # D^2 t
 
     def square_defect(m00, m01, m10, m11, param):
@@ -225,9 +214,10 @@ def _require_relations(rep: QuiverRep) -> None:
         raise ValueError("representation does not satisfy the quiver relations")
 
 
-def _moves_line(vector: Vec2, loop: Mat2) -> bool:
-    image = mat2_vec(loop, vector)
-    return vector[0] * image[1] - vector[1] * image[0] != 0
+def _moves_line(vector, loop) -> bool:
+    (m00, m01), (m10, m11) = loop
+    v0, v1 = vector
+    return v0 * (m10 * v0 + m11 * v1) - v1 * (m00 * v0 + m01 * v1) != 0
 
 
 def is_semistable(rep: QuiverRep, stability: str) -> bool:
@@ -235,17 +225,18 @@ def is_semistable(rep: QuiverRep, stability: str) -> bool:
 
     theta1 asks for alpha nonzero with its line moved by some loop; theta2
     asks for alpha_star nonzero with ker(alpha_star) moved by some loop.
+    Lines are tested on the integer view: scaling by D moves none.
     """
     _require_relations(rep)
-    loops = (rep.beta, rep.gamma, rep.delta)
+    _, alpha, alpha_star, *loops, _ = rep._scaled
     if stability == "theta1":
-        if rep.alpha == (0, 0):
+        if alpha == (0, 0):
             return False
-        return any(_moves_line(rep.alpha, m) for m in loops)
+        return any(_moves_line(alpha, m) for m in loops)
     if stability == "theta2":
-        if rep.alpha_star == (0, 0):
+        if alpha_star == (0, 0):
             return False
-        kernel: Vec2 = (-rep.alpha_star[1], rep.alpha_star[0])
+        kernel = (-alpha_star[1], alpha_star[0])
         return any(_moves_line(kernel, m) for m in loops)
     raise ValueError("stability must be 'theta1' or 'theta2'")
 
@@ -257,9 +248,10 @@ def stratum(rep: QuiverRep) -> str:
     gamma do, so only those two determinant tests are needed for S1.
     """
     _require_relations(rep)
-    if rep.alpha == (0, 0):
+    _, alpha, _, beta, gamma, _, _ = rep._scaled
+    if alpha == (0, 0):
         return "S0"
-    if not _moves_line(rep.alpha, rep.beta) and not _moves_line(rep.alpha, rep.gamma):
+    if not _moves_line(alpha, beta) and not _moves_line(alpha, gamma):
         return "S1"
     return "semistable"
 
@@ -296,24 +288,29 @@ def base_map(rep: QuiverRep) -> BasePoint:
     loops with alpha and alpha_star.  These expressions are invariant under
     the gauge action and satisfy base_equation identically on the relation
     scheme (checked symbolically and by randomized exact sweeps).
+
+    On the integer view each coordinate is one integer over a power of D:
+    x = alpha_star.[beta, gamma].alpha / (2 D^4), y and z over D^3, u and w
+    over D^2, v = tr(beta.gamma) / (2 D^2); t is the parameter itself.
     """
     _require_relations(rep)
-    a, s, b, c = rep.alpha, rep.alpha_star, rep.beta, rep.gamma
-    bc = mat2_mul(b, c)
-    comm = mat2_sub(bc, mat2_mul(c, b))
-
-    def contract(m: Mat2) -> Fraction:
-        mv = mat2_vec(m, a)
-        return s[0] * mv[0] + s[1] * mv[1]
-
+    den, (a0, a1), (s0, s1), beta, gamma, _, _ = rep._scaled
+    (b00, b01), (b10, b11) = beta
+    (c00, c01), (c10, c11) = gamma
+    contract = lambda m: s0 * (m[0][0] * a0 + m[0][1] * a1) + s1 * (m[1][0] * a0 + m[1][1] * a1)
+    # [beta, gamma] is trace-free: its entry (1, 1) is minus its entry (0, 0)
+    k = b01 * c10 - c01 * b10
+    comm = ((k, b00 * c01 + b01 * c11 - c00 * b01 - c01 * b11),
+            (b10 * c00 + b11 * c10 - c10 * b00 - c11 * b10, -k))
+    den2 = den * den
     return BasePoint(
-        x=contract(comm) / 2,
-        y=-contract(c),
-        z=-contract(b),
+        x=Fraction(contract(comm), 2 * den2 * den2),
+        y=Fraction(-contract(gamma), den2 * den),
+        z=Fraction(-contract(beta), den2 * den),
         t=rep.t,
-        u=mat2_det(b),
-        w=mat2_det(c),
-        v=mat2_trace(bc) / 2,
+        u=Fraction(b00 * b11 - b01 * b10, den2),
+        w=Fraction(c00 * c11 - c01 * c10, den2),
+        v=Fraction(b00 * c00 + b01 * c10 + b10 * c01 + b11 * c11, 2 * den2),
     )
 
 
@@ -414,5 +411,5 @@ def scalar_pair_rep(rng, bound: int = 5) -> QuiverRep:
     alpha = (0, 0)
     while alpha == (0, 0):
         alpha = (pick(), pick())
-    loops = {"beta": mat2_identity(b), "gamma": mat2_identity(-b)}
+    loops = {"beta": ((b, 0), (0, b)), "gamma": ((-b, 0), (0, -b))}
     return QuiverRep.from_dict(dict(loops, alpha=alpha, alpha_star=(pick(), pick())))

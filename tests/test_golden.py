@@ -30,6 +30,41 @@ README_REP = {
     "gamma": [[0, 0], [1, 0]],
 }
 
+# every representation file a case can name; each one is written into the
+# case's working directory
+REP_FILES = {
+    "rep.json": README_REP,
+    # beta squares to a non-scalar, so the relations fail and the residuals print
+    "broken.json": {
+        "alpha": [1, 2],
+        "alpha_star": [0, "1/3"],
+        "beta": [[0, 1], [1, 1]],
+        "gamma": [[0, 0], [0, 0]],
+        "params": {"Tdelta": "5/2"},
+    },
+    # alpha = 0: the stratum S0
+    "s0.json": {
+        "alpha": [0, 0],
+        "alpha_star": [1, 2],
+        "beta": [[0, 1], [1, 0]],
+        "gamma": [[3, -1], [2, -3]],
+    },
+    # upper-triangular loops fix the line of alpha: the stratum S1
+    "s1.json": {
+        "alpha": [1, 0],
+        "alpha_star": [3, 4],
+        "beta": [[2, 5], [0, -2]],
+        "gamma": [[-1, 7], [0, 1]],
+    },
+    # a trace-free chart with denominators 3, 5 and 7
+    "rational.json": {
+        "alpha": ["1/3", 2],
+        "alpha_star": [-1, "2/5"],
+        "beta": [["2/7", "1/3"], ["-3/5", "-2/7"]],
+        "gamma": [["1/5", 3], ["5/7", "-1/5"]],
+    },
+}
+
 
 def _cases() -> list[tuple[str, ...]]:
     cases: list[tuple[str, ...]] = [
@@ -43,6 +78,14 @@ def _cases() -> list[tuple[str, ...]]:
         ("coh", "multiplicity", "--irrep", "1,-1", "--sym", "V,S2Vm1,S2Vm1",
          "--max-degree", "15"),
         ("quiver", "check", "--rep", "rep.json", "--stability", "theta1"),
+        # quiver check on each stratum, on failing relations and on a
+        # chart whose entries need a common denominator
+        ("quiver", "check", "--rep", "rep.json", "--stability", "theta2"),
+        ("quiver", "check", "--rep", "broken.json", "--stability", "theta1"),
+        ("quiver", "check", "--rep", "s0.json", "--stability", "theta2"),
+        ("quiver", "check", "--rep", "s1.json", "--stability", "theta1"),
+        ("quiver", "check", "--rep", "rational.json", "--stability", "theta1"),
+        ("quiver", "check", "--rep", "rational.json", "--stability", "theta2"),
         ("figures", "--out-dir", "figs"),
         # normal forms from the CLI tests, and the zero polynomial
         ("ncalg", "normal-form", "--algebra", "acon", "--expr", "gamma*beta*beta - 1/2*t"),
@@ -70,7 +113,8 @@ CASES = _cases()
 
 def _run(argv: tuple[str, ...], workdir: Path) -> dict:
     """Exit code and stdout of one CLI call, run inside workdir."""
-    (workdir / "rep.json").write_text(json.dumps(README_REP), encoding="utf-8")
+    for name, data in REP_FILES.items():
+        (workdir / name).write_text(json.dumps(data), encoding="utf-8")
     out, cwd = io.StringIO(), os.getcwd()
     os.chdir(workdir)
     try:

@@ -5,6 +5,7 @@ import pytest
 
 from flopwin import quiver
 from flopwin.exact import rational, rational_json
+from flopwin.lattice import mat_apply, mat_mul
 from flopwin.quiver import (
     PARAM_KEYS,
     BasePoint,
@@ -13,9 +14,6 @@ from flopwin.quiver import (
     base_map,
     from_chart,
     is_semistable,
-    mat2_det,
-    mat2_mul,
-    mat2_vec,
     random_chart_rep,
     relations_hold,
     scalar_pair_rep,
@@ -24,6 +22,10 @@ from flopwin.quiver import (
 )
 
 F = Fraction
+
+
+def det(m):
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 def chart(alpha=(0, 0), alpha_star=(0, 0), beta=((0, 0), (0, 0)), gamma=((0, 0), (0, 0))):
@@ -89,16 +91,17 @@ def test_operations_require_relations():
 
 
 def test_relations_are_evaluated_once_per_rep(monkeypatch):
-    calls = []
-    real = quiver._relation_defects
-    monkeypatch.setattr(quiver, "_relation_defects", lambda rep: calls.append(rep) or real(rep))
+    calls, clears = [], []
+    real_defects, real_clear = quiver._relation_defects, quiver._clear_denominators
+    monkeypatch.setattr(quiver, "_relation_defects", lambda rep: calls.append(rep) or real_defects(rep))
+    monkeypatch.setattr(quiver, "_clear_denominators", lambda rep: clears.append(rep) or real_clear(rep))
     rep = chart(alpha=(1, 2), alpha_star=(3, -1), beta=((1, 2), (0, -1)), gamma=((0, 1), (4, 0)))
     relations_hold(rep)
     base_map(rep)
     stratum(rep)
     is_semistable(rep, "theta1")
     is_semistable(rep, "theta2")
-    assert calls == [rep]
+    assert calls == clears == [rep]
     broken = QuiverRep.from_dict(
         {"alpha": [1, 0], "alpha_star": [0, 0], "beta": [[0, 1], [1, 1]], "gamma": [[0, 0], [0, 0]]}
     )
@@ -106,7 +109,13 @@ def test_relations_are_evaluated_once_per_rep(monkeypatch):
         with pytest.raises(ValueError):
             stratum(broken)
     assert not relations_hold(broken)[0]
-    assert calls == [rep, broken]
+    assert calls == clears == [rep, broken]
+    # the stability and base-point reads come after the verdict, on the same view
+    fresh = random_chart_rep(random.Random(3))
+    is_semistable(fresh, "theta2")
+    base_map(fresh)
+    stratum(fresh)
+    assert calls == clears == [rep, broken, fresh]
 
 
 def typed(rep):
@@ -126,7 +135,7 @@ def reference_chart(alpha, alpha_star, beta, gamma):
         tuple((t / 2 if i == j else 0) - b[i][j] - c[i][j] - a[i] * s[j] for j in range(2))
         for i in range(2)
     )
-    params = {"t": t, "Tbeta": -mat2_det(b), "Tgamma": -mat2_det(c), "Tdelta": -mat2_det(d)}
+    params = {"t": t, "Tbeta": -det(b), "Tgamma": -det(c), "Tdelta": -det(d)}
     return QuiverRep(a, s, b, c, d, params)
 
 
@@ -249,6 +258,76 @@ def test_relations_match_the_explicit_formulas():
     assert verdicts == {True, False}
 
 
+def reference_base_map(rep):
+    """base_map by the explicit Fraction formulas: x = alpha_star.[beta,
+    gamma].alpha / 2, y and z minus the contractions of gamma and beta, u and w
+    their determinants and v half the trace of beta.gamma."""
+    a, s, b, c = rep.alpha, rep.alpha_star, rep.beta, rep.gamma
+    mul = lambda m, n: tuple(
+        tuple(m[i][0] * n[0][j] + m[i][1] * n[1][j] for j in range(2)) for i in range(2)
+    )
+    contract = lambda m: sum(s[i] * (m[i][0] * a[0] + m[i][1] * a[1]) for i in range(2))
+    bc, cb = mul(b, c), mul(c, b)
+    comm = tuple(tuple(bc[i][j] - cb[i][j] for j in range(2)) for i in range(2))
+    return BasePoint(x=contract(comm) / 2, y=-contract(c), z=-contract(b), t=rep.t,
+                     u=det(b), v=(bc[0][0] + bc[1][1]) / 2, w=det(c))
+
+
+def reference_moves_line(vector, loop):
+    image = (loop[0][0] * vector[0] + loop[0][1] * vector[1],
+             loop[1][0] * vector[0] + loop[1][1] * vector[1])
+    return vector[0] * image[1] - vector[1] * image[0] != 0
+
+
+def reference_stability(rep):
+    """(stratum, theta1, theta2) by the explicit Fraction line tests: theta1
+    on the line of alpha, theta2 on ker(alpha_star), S1 when neither beta nor
+    gamma moves the line of alpha."""
+    a, s = rep.alpha, rep.alpha_star
+    loops = (rep.beta, rep.gamma, rep.delta)
+    theta1 = a != (0, 0) and any(reference_moves_line(a, m) for m in loops)
+    theta2 = s != (0, 0) and any(reference_moves_line((-s[1], s[0]), m) for m in loops)
+    if a == (0, 0):
+        label = "S0"
+    elif not reference_moves_line(a, rep.beta) and not reference_moves_line(a, rep.gamma):
+        label = "S1"
+    else:
+        label = "semistable"
+    return label, theta1, theta2
+
+
+def rational_chart(rng, den):
+    """A trace-free chart whose entries have denominators dividing den."""
+    pick = lambda: F(rng.randint(-9, 9), rng.choice((1, den)))
+    b00, c00 = pick(), pick()
+    return from_chart((pick(), pick()), (pick(), pick()), ((b00, pick()), (pick(), -b00)),
+                      ((c00, pick()), (pick(), -c00)))
+
+
+def test_base_map_and_stability_match_the_explicit_formulas():
+    rng = random.Random(61)
+    reps = [random_chart_rep(rng) for _ in range(200)]
+    reps += [scalar_pair_rep(rng) for _ in range(100)]
+    for rep in reps[:100]:
+        g = ((0, 0), (0, 0))
+        while det(g) == 0:
+            g = tuple(tuple(rng.randint(-4, 4) for _ in range(2)) for _ in range(2))
+        reps.append(gauge_transform(rep, g, F(rng.choice((1, 2, -3)), rng.choice((1, 5)))))
+    reps += [rational_chart(rng, den) for den in range(1, 12) for _ in range(20)]
+    # alpha = 0, on integers and on halves and thirds
+    reps.append(chart(alpha_star=(1, 2), beta=((0, 1), (1, 0)), gamma=((3, -1), (2, -3))))
+    reps.append(chart(alpha_star=(F(1, 3), 2), beta=((F(1, 2), 1), (0, F(-1, 2)))))
+    labels = set()
+    for rep in reps:
+        point, want = base_map(rep), reference_base_map(rep)
+        assert [(type(x), x) for x in point.to_tuple()] == [(type(x), x) for x in want.to_tuple()]
+        got = (stratum(rep), is_semistable(rep, "theta1"), is_semistable(rep, "theta2"))
+        assert [(type(x), x) for x in got] == [(type(x), x) for x in reference_stability(rep)]
+        labels.add(got)
+    assert {label for label, _, _ in labels} == {"S0", "S1", "semistable"}
+    assert {theta2 for _, _, theta2 in labels} == {True, False}
+
+
 def test_json_round_trip():
     rng = random.Random(7)
     rep = random_chart_rep(rng)
@@ -340,20 +419,20 @@ def test_base_map_chart_dictionary():
 
 
 def mat2_inverse(m):
-    d = F(mat2_det(m))
+    d = F(det(m))
     return ((m[1][1] / d, -m[0][1] / d), (-m[1][0] / d, m[0][0] / d))
 
 
 def gauge_transform(rep, g, g0):
     """Act by (g0, g) in GL1 x GL2: conjugate the loops, rescale the arrows."""
     ginv = mat2_inverse(g)
-    alpha = tuple(v / g0 for v in mat2_vec(g, rep.alpha))
+    alpha = tuple(v / g0 for v in mat_apply(g, rep.alpha))
     star_row = (
         rep.alpha_star[0] * ginv[0][0] + rep.alpha_star[1] * ginv[1][0],
         rep.alpha_star[0] * ginv[0][1] + rep.alpha_star[1] * ginv[1][1],
     )
     alpha_star = (g0 * star_row[0], g0 * star_row[1])
-    conj = lambda m: mat2_mul(mat2_mul(g, m), ginv)
+    conj = lambda m: mat_mul(mat_mul(g, m), ginv)
     return QuiverRep(
         alpha, alpha_star, conj(rep.beta), conj(rep.gamma), conj(rep.delta), dict(rep.params)
     )
