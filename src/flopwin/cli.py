@@ -59,19 +59,15 @@ MAX_DEGREE_CAP = 100
 
 
 def _max_degree(args, fallback: int) -> int:
-    """The degree bound from --max-degree, else FLOPWIN_MAX_DEGREE, else fallback."""
-    if args.max_degree is not None:
-        name, raw = "--max-degree", args.max_degree
-    elif "FLOPWIN_MAX_DEGREE" in os.environ:
-        name, raw = "FLOPWIN_MAX_DEGREE", os.environ["FLOPWIN_MAX_DEGREE"]
-    else:
+    """The degree bound from --max-degree, else fallback."""
+    if args.max_degree is None:
         return fallback
     try:
-        value = int(raw)
+        value = int(args.max_degree)
     except ValueError:
-        raise InputError(f"{name} must be an integer, got {raw!r}") from None
+        raise InputError(f"--max-degree must be an integer, got {args.max_degree!r}") from None
     if not 0 <= value <= MAX_DEGREE_CAP:
-        raise InputError(f"{name} must be between 0 and {MAX_DEGREE_CAP}, got {value}")
+        raise InputError(f"--max-degree must be between 0 and {MAX_DEGREE_CAP}, got {value}")
     return value
 
 

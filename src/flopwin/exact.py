@@ -6,8 +6,10 @@ one sparse fraction-free integer elimination (Bareiss 1968):
 a span or a rank, and `echelon` views them as exactly the Fraction rows plain
 Gaussian elimination would return.  Every rational read from JSON or an
 expression goes through `rational`, and every rational written to JSON
-through `rational_json`.  Every immutable value class of the package
-(presentations, polytopes, windows and their parts) derives from `_Record`.
+through `rational_json`.  The immutable value classes of the package
+(presentations, polytopes, windows and their parts, verify results) derive
+from `_Record`; the one exception left is `quiver`, whose `QuiverRep`,
+`BasePoint` and `SingularReport` are still frozen dataclasses.
 """
 from __future__ import annotations
 

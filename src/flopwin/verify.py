@@ -1,20 +1,21 @@
 """Named verification checks aggregating every bundled computation.
 
 Each check reruns one slice of the library against its frozen expected
-values and returns (ok, details).  The suites group the checks the same way
-the command line exposes them; "all" runs everything.  The expected tables
-are public so that the tests compare against this one copy.
+values or an independent engine and returns (ok, details).  The suites group
+the checks the same way the command line exposes them; "all" runs everything.
+This module is the only copy of each acceptance check: the acceptance tests
+run `flopwin verify --suite all` once and read its verdicts.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
 from . import cohomology, ncalg, quiver
+from .exact import _Record
 from .lattice import load_fixture, pair
 from .zonotope import eta, nabla, skms
 from .windows import FaceRef, big_window, k_class, kappa_generators, window
@@ -267,12 +268,8 @@ def check_quiver_sweeps() -> tuple[bool, str]:
     return True, "1000 scalar-pair reps unstable; 10000 chart samples on the hypersurface"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    elapsed: float
-    details: str
+class CheckResult(_Record):
+    __slots__ = ("name", "ok", "elapsed", "details")
 
 
 _CHECKS = {

@@ -295,32 +295,6 @@ def test_coh_multiplicity_rejects_bad_labels(capsys):
     assert run_cli(capsys, "coh", "multiplicity", "--irrep", "V", "--sym", " , ")[0] == 2
 
 
-def test_max_degree_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("FLOPWIN_MAX_DEGREE", "6")
-    code, payload, _ = run_json(capsys, "ncalg", "hilbert", "--algebra", "Cbc")
-    assert code == 0
-    assert payload["max_degree"] == 6
-    assert payload["dims"] == [1, 2, 3, 4, 5, 6, 7]
-
-
-def test_max_degree_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("FLOPWIN_MAX_DEGREE", "6")
-    code, payload, _ = run_json(capsys, "ncalg", "hilbert", "--algebra", "Cbc",
-                                "--max-degree", "3")
-    assert code == 0
-    assert payload["max_degree"] == 3
-
-
-def test_max_degree_env_invalid(capsys, monkeypatch):
-    # 101 is one past the cap
-    for raw in ("oops", "101", "-1", "7.5"):
-        monkeypatch.setenv("FLOPWIN_MAX_DEGREE", raw)
-        code, out, err = run_cli(capsys, "ncalg", "hilbert", "--algebra", "Cbc")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: FLOPWIN_MAX_DEGREE") and err.count("\n") == 1
-
-
 def test_max_degree_cap_is_accepted(capsys):
     code, payload, _ = run_json(capsys, "coh", "multiplicity", "--irrep", "V", "--sym", "V",
                                 "--max-degree", "100")

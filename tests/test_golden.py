@@ -141,13 +141,11 @@ def test_golden_covers_every_case(golden):
 
 
 @pytest.mark.parametrize("argv", CASES, ids=_key)
-def test_golden_stdout(argv, golden, tmp_path, monkeypatch):
-    monkeypatch.delenv("FLOPWIN_MAX_DEGREE", raising=False)
+def test_golden_stdout(argv, golden, tmp_path):
     assert _run(argv, tmp_path) == golden[_key(argv)]
 
 
 def _write() -> None:
-    os.environ.pop("FLOPWIN_MAX_DEGREE", None)
     table = {}
     for argv in CASES:
         with tempfile.TemporaryDirectory() as tmp:

@@ -4,7 +4,10 @@ Every test breaks one input of one oracle with a monkeypatched mutant and
 expects the owning check to report ok=False with that oracle's message.
 """
 
-from flopwin import cohomology, ncalg, verify
+import dataclasses
+
+from flopwin import cohomology, ncalg, quiver, verify
+from flopwin.windows import FaceRef
 
 
 def test_wrong_resf_upstairs_term_fails_cohomology_suite(monkeypatch):
@@ -44,3 +47,74 @@ def test_resg_class_outside_wall_window_fails_kappa_generators(monkeypatch):
     ok, details = verify.check_kappa_generators()
     assert not ok
     assert details == "K-class of resG leaves the D:-1 window"
+
+
+def test_shifted_eta_fails_zonotope_hrep(monkeypatch):
+    original = verify.eta
+    monkeypatch.setattr(verify, "eta", lambda p, n: original(p, n) + 1)
+    ok, details = verify.check_zonotope_hrep()
+    assert not ok
+    assert details == "facet bound mismatch at (-1, -1)"
+
+
+def test_conifold_for_flop_fails_skms_residues(monkeypatch):
+    original = verify.load_fixture
+    monkeypatch.setattr(verify, "load_fixture", lambda name: original("conifold.json"))
+    ok, details = verify.check_skms_residues()
+    assert not ok
+    assert details == "flop residues ['0'] N=1; conifold N=1"
+
+
+def test_shifted_window_fails_window_tables(monkeypatch):
+    original = verify.window
+    monkeypatch.setattr(verify, "window", lambda p, ref: original(p, FaceRef(ref.kind, ref.j + 1)))
+    ok, details = verify.check_window_tables()
+    assert not ok
+    assert details == "window C:-2 gave ⟨O, V(-1)⟩, expected ⟨O(-1), V(-1)⟩"
+
+
+def test_off_by_one_invariants_fail_hilbert_series(monkeypatch):
+    # the cutoff one degree short, padded back to length: degree 12 reads 0
+    original = cohomology.s0_invariant_dims
+    monkeypatch.setattr(cohomology, "s0_invariant_dims", lambda d: original(d - 1) + [0])
+    ok, details = verify.check_hilbert_series()
+    assert not ok
+    assert details == "invariant dims [1, 0, 3, 0, 6, 0, 10, 0, 15, 0, 21, 0, 0]"
+
+
+def test_inflated_ideal_fails_graded_kernels(monkeypatch):
+    original = ncalg.ideal_dims
+    monkeypatch.setattr(ncalg, "ideal_dims",
+                        lambda rs, gens, d: [n + 1 for n in original(rs, gens, d)])
+    ok, details = verify.check_graded_kernels()
+    assert not ok
+    assert details == "kernel of right multiplication by t is not the commutator ideal"
+
+
+def test_swapped_pairs_fail_fiber_product(monkeypatch):
+    original = ncalg.fiber_product
+
+    def mutant(f_a, f_b, d):
+        # f_a(b) = b but f_b(gamma) = c: the pairs satisfy the relations only
+        a_pres, b_pres = f_a.source.presentation, f_b.source.presentation
+        swapped = [(a_pres.gen("t"), {}), (a_pres.gen("b"), b_pres.gen("gamma")),
+                   (a_pres.gen("c"), b_pres.gen("beta"))]
+        return original(f_a, f_b, d, swapped)
+
+    monkeypatch.setattr(ncalg, "fiber_product", mutant)
+    ok, details = verify.check_fiber_product()
+    assert not ok
+    assert details == "pairs do not generate the fiber product"
+
+
+def test_doubled_v_fails_quiver_sweeps(monkeypatch):
+    original = quiver.base_map
+
+    def mutant(rep):
+        point = original(rep)
+        return dataclasses.replace(point, v=2 * point.v)
+
+    monkeypatch.setattr(quiver, "base_map", mutant)
+    ok, details = verify.check_quiver_sweeps()
+    assert not ok
+    assert details == "base equation nonzero on sample 0"
