@@ -7,9 +7,10 @@ a span or a rank, and `echelon` views them as exactly the Fraction rows plain
 Gaussian elimination would return.  Every rational read from JSON or an
 expression goes through `rational`, and every rational written to JSON
 through `rational_json`.  The immutable value classes of the package
-(presentations, polytopes, windows and their parts, verify results) derive
-from `_Record`; the one exception left is `quiver`, whose `QuiverRep`,
-`BasePoint` and `SingularReport` are still frozen dataclasses.
+(presentations, polytopes, windows and their parts, verify results, quiver
+base points and singular-locus reports) derive from `_Record`.  The one
+exception is `quiver.QuiverRep`, which stores only its integer view and
+builds its Fraction fields from it on first read.
 """
 from __future__ import annotations
 
@@ -36,6 +37,10 @@ class _Record:
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
+        if not kwargs and len(args) == len(names):
+            for name, value in zip(names, args):
+                object.__setattr__(self, name, value)
+            return
         values = dict(zip(names, args))
         if (len(args) > len(names) or values.keys() & kwargs.keys()
                 or values.keys() | kwargs.keys() != set(names)):

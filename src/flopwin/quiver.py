@@ -8,27 +8,31 @@ alpha.alpha_star.  This module checks the relations, decides stability for the
 two GIT chambers, classifies unstable strata, and evaluates the invariant map
 onto a hypersurface in A^7 together with its singular-locus membership tests.
 
-All arithmetic is exact.  Representations hold Fraction entries, and each
-one clears a common denominator D of its entries and parameters once.  The
+All arithmetic is exact.  A representation stores one integer view: the
+least common denominator D of its 16 entries and four parameters, and every
+entry and parameter times D.  Assembly builds that view on integers: it
+scales the input by the lcm L of its denominators, derives delta and the
+default parameters over 4 L^4 and divides out the common factor once.  The
 relations, the stability and stratum tests and the invariant map all run on
-those D-scaled integers; `relations_hold` and `base_map` divide by the power
-of D each formula carries.  Base points stay Fraction, since they are also
-read from outside input.
+the integer view; `relations_hold` and `base_map` divide by the power of D
+each formula carries.  The Fraction fields (alpha, ..., params, and t) are
+views of the integer view, built on first read.  Base points stay Fraction,
+since they are also read from outside input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
-from typing import Mapping, Sequence
+from math import gcd, lcm
 
-from .exact import rational, rational_json
+from .exact import _Record, rational, rational_json
 
 Vec2 = tuple[Fraction, Fraction]
 Mat2 = tuple[Vec2, Vec2]
 
 PARAM_KEYS = ("t", "Tbeta", "Tgamma", "Tdelta")
+_REP_KEYS = frozenset({"alpha", "alpha_star", "beta", "gamma", "delta", "params"})
 
 
 def _pair(values, what: str) -> tuple:
@@ -39,59 +43,158 @@ def _pair(values, what: str) -> tuple:
     return values
 
 
-def _vec2(values) -> Vec2:
-    return tuple(rational(v) for v in _pair(values, "length-2 vector"))  # type: ignore[return-value]
+def _vec2(values) -> list:
+    # an int is read as it is; every other value goes through the codec
+    return [v if type(v) is int else rational(v) for v in _pair(values, "length-2 vector")]
 
 
-def _mat2(rows) -> Mat2:
-    return tuple(_vec2(row) for row in _pair(rows, "2x2 matrix"))  # type: ignore[return-value]
+def _mat2(rows) -> list:
+    """The four entries of a 2x2 matrix, row by row."""
+    return [x for row in _pair(rows, "2x2 matrix") for x in _vec2(row)]
 
 
-@dataclass(frozen=True)
+def _assemble(data: Mapping) -> tuple[tuple, tuple]:
+    """The integer view and the parameter key order of a representation.
+
+    data maps alpha, alpha_star, beta and gamma, and optionally delta and
+    some of the parameters, to values; an absent delta is t/2 I - (beta +
+    gamma + alpha alpha_star) with t = alpha_star.alpha, an absent t is that
+    pairing and an absent loop parameter is entry (0, 0) of the loop's
+    square.  Every value is taken times L, the lcm of the input
+    denominators; t and those loop squares are then integers over L^2, the
+    derived delta over 2 L^2 and its square over 4 L^4, so all twenty values
+    are integers over E = 4 L^4.  D = E // gcd(E, *values) is their least
+    common denominator.
+
+    Returns (D, alpha, alpha_star, beta, gamma, delta, (t, Tbeta, Tgamma,
+    Tdelta)), each item times D as ints, and the parameter keys in the order
+    given, followed by the derived ones in the order of PARAM_KEYS.
+    """
+    raw = (_vec2(data["alpha"]) + _vec2(data["alpha_star"])
+           + _mat2(data["beta"]) + _mat2(data["gamma"]))
+    has_delta = data.get("delta") is not None
+    if has_delta:
+        raw += _mat2(data["delta"])
+    given = {} if data.get("params") is None else data["params"]
+    if not isinstance(given, Mapping):
+        raise ValueError("params must be a mapping of parameter names to values")
+    unknown = set(given) - set(PARAM_KEYS)
+    if unknown:
+        raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
+    raw += [v if type(v) is int else rational(v) for v in given.values()]
+    den = 1
+    dens = [x.denominator for x in raw if type(x) is not int]
+    if dens:
+        den = lcm(*dens)
+        raw = [x.numerator * (den // x.denominator) for x in raw]
+    a0, a1, s0, s1, b00, b01, b10, b11, c00, c01, c10, c11, *rest = raw
+    den2 = den * den
+    scale = 4 * den2 * den2
+    up1, up2 = scale // den, scale // den2  # from over L and over L^2 to over E
+    t = s0 * a0 + s1 * a1
+    if has_delta:
+        d00, d01, d10, d11, *rest = rest
+        tdelta = (d00 * d00 + d01 * d10) * up2
+        delta = (d00 * up1, d01 * up1, d10 * up1, d11 * up1)
+    else:
+        # 2 L^2 delta = L^2 t I - 2 (L^2 beta + L^2 gamma + L alpha L alpha_star)
+        d00 = t - 2 * (den * (b00 + c00) + a0 * s0)
+        d01 = -2 * (den * (b01 + c01) + a0 * s1)
+        d10 = -2 * (den * (b10 + c10) + a1 * s0)
+        d11 = t - 2 * (den * (b11 + c11) + a1 * s1)
+        tdelta = d00 * d00 + d01 * d10
+        up = 2 * den2
+        delta = (d00 * up, d01 * up, d10 * up, d11 * up)
+    params = {"t": t * up2, "Tbeta": (b00 * b00 + b01 * b10) * up2,
+              "Tgamma": (c00 * c00 + c01 * c10) * up2, "Tdelta": tdelta}
+    params.update((k, v * up1) for k, v in zip(given, rest))
+    values = [x * up1 for x in raw[:12]]
+    values += delta
+    values += [params[k] for k in PARAM_KEYS]
+    g = gcd(scale, *values)
+    (a0, a1, s0, s1, b00, b01, b10, b11, c00, c01, c10, c11, d00, d01, d10, d11,
+     t, tb, tc, td) = [x // g for x in values]
+    keys = tuple(given) + tuple(k for k in PARAM_KEYS if k not in given)
+    return (scale // g, (a0, a1), (s0, s1), ((b00, b01), (b10, b11)), ((c00, c01), (c10, c11)),
+            ((d00, d01), (d10, d11)), (t, tb, tc, td)), keys
+
+
 class QuiverRep:
-    """One representation with dimension vector (1, 2)."""
+    """One representation with dimension vector (1, 2).
 
-    alpha: Vec2
-    alpha_star: Vec2
-    beta: Mat2
-    gamma: Mat2
-    delta: Mat2
-    params: Mapping[str, Fraction]
+    Built by `from_dict` or positionally, QuiverRep(alpha, alpha_star, beta,
+    gamma, delta, params), where delta and params may be None or params
+    partial: the missing values are derived as in `from_dict`.  Its one
+    state is the integer view `_scaled`; the fields alpha, alpha_star,
+    beta, gamma, delta and params and the parameter t are Fraction views of
+    it, built on first read.  Equality and the hash are those of the integer
+    view, and assigning any attribute raises AttributeError.
+    """
+
+    __slots__ = ("_scaled", "_keys", "__dict__")
+
+    def __init__(self, alpha, alpha_star, beta, gamma, delta, params):
+        self._build({"alpha": alpha, "alpha_star": alpha_star, "beta": beta, "gamma": gamma,
+                     "delta": delta, "params": params})
+
+    def _build(self, data: Mapping) -> None:
+        scaled, keys = _assemble(data)
+        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_keys", keys)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "QuiverRep":
         if not isinstance(data, Mapping):
             raise ValueError("a representation must be a JSON object")
-        unknown = set(data) - {f.name for f in fields(cls)}
+        unknown = set(data) - _REP_KEYS
         if unknown:
             raise ValueError(f"unknown representation keys: {sorted(unknown)}")
-        alpha = _vec2(data["alpha"])
-        alpha_star = _vec2(data["alpha_star"])
-        beta = _mat2(data["beta"])
-        gamma = _mat2(data["gamma"])
-        (a0, a1), (s0, s1) = alpha, alpha_star
-        t = s0 * a0 + s1 * a1
-        if data.get("delta") is not None:
-            delta = _mat2(data["delta"])
-        else:
-            # t/2 I - (beta + gamma + alpha alpha_star)
-            (b00, b01), (b10, b11) = beta
-            (c00, c01), (c10, c11) = gamma
-            half = t / 2
-            delta = ((half - b00 - c00 - a0 * s0, -b01 - c01 - a0 * s1),
-                     (-b10 - c10 - a1 * s0, half - b11 - c11 - a1 * s1))
-        given = {} if data.get("params") is None else data["params"]
-        if not isinstance(given, Mapping):
-            raise ValueError("params must be a mapping of parameter names to values")
-        unknown = set(given) - set(PARAM_KEYS)
-        if unknown:
-            raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        params = {k: rational(v) for k, v in given.items()}
-        params.setdefault("t", t)
-        for key, loop in (("Tbeta", beta), ("Tgamma", gamma), ("Tdelta", delta)):
-            # entry (0, 0) of loop^2
-            params.setdefault(key, loop[0][0] * loop[0][0] + loop[0][1] * loop[1][0])
-        return cls(alpha, alpha_star, beta, gamma, delta, params)
+        rep = cls.__new__(cls)
+        rep._build(data)
+        return rep
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._scaled == other._scaled
+
+    def __hash__(self) -> int:
+        return hash(self._scaled)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(alpha={self.alpha!r}, alpha_star={self.alpha_star!r}, "
+                f"beta={self.beta!r}, gamma={self.gamma!r}, delta={self.delta!r}, "
+                f"params={self.params!r})")
+
+    def _vector(self, i: int) -> Vec2:
+        den, vector = self._scaled[0], self._scaled[i]
+        return Fraction(vector[0], den), Fraction(vector[1], den)
+
+    def _matrix(self, i: int) -> Mat2:
+        den, (row0, row1) = self._scaled[0], self._scaled[i]
+        return ((Fraction(row0[0], den), Fraction(row0[1], den)),
+                (Fraction(row1[0], den), Fraction(row1[1], den)))
+
+    alpha = cached_property(lambda self: self._vector(1))
+    alpha_star = cached_property(lambda self: self._vector(2))
+    beta = cached_property(lambda self: self._matrix(3))
+    gamma = cached_property(lambda self: self._matrix(4))
+    delta = cached_property(lambda self: self._matrix(5))
+
+    @cached_property
+    def params(self) -> dict[str, Fraction]:
+        den, values = self._scaled[0], dict(zip(PARAM_KEYS, self._scaled[6]))
+        return {k: Fraction(values[k], den) for k in self._keys}
+
+    @cached_property
+    def t(self) -> Fraction:
+        return Fraction(self._scaled[6][0], self._scaled[0])
 
     def to_dict(self) -> dict:
         return {
@@ -102,15 +205,6 @@ class QuiverRep:
             "delta": rational_json(self.delta),
             "params": {k: rational_json(self.params[k]) for k in PARAM_KEYS},
         }
-
-    @property
-    def t(self) -> Fraction:
-        return self.params["t"]
-
-    @cached_property
-    def _scaled(self) -> tuple:
-        """The integer view, computed once per representation."""
-        return _clear_denominators(self)
 
     @cached_property
     def _defects(self) -> tuple[int, tuple]:
@@ -131,36 +225,10 @@ def from_chart(alpha, alpha_star, beta, gamma) -> QuiverRep:
     recovered from the relations, so relations_hold is true on the output.
     """
     rep = QuiverRep.from_dict(dict(alpha=alpha, alpha_star=alpha_star, beta=beta, gamma=gamma))
-    (b00, _), (_, b11) = rep.beta
-    (c00, _), (_, c11) = rep.gamma
+    _, _, _, ((b00, _), (_, b11)), ((c00, _), (_, c11)), _, _ = rep._scaled
     if b00 + b11 != 0 or c00 + c11 != 0:
         raise ValueError("chart loops must be trace-free")
     return rep
-
-
-def _clear_denominators(rep: QuiverRep) -> tuple:
-    """The integer view of a representation.
-
-    Returns (D, alpha, alpha_star, beta, gamma, delta, params): D is the least
-    common denominator of the 16 entries and the four parameters, and every
-    other item is the matching entry, vector, matrix or (t, Tbeta, Tgamma,
-    Tdelta) tuple multiplied by D, as ints.
-    """
-    p = rep.params
-    (a0, a1), (s0, s1) = rep.alpha, rep.alpha_star
-    (b00, b01), (b10, b11) = rep.beta
-    (c00, c01), (c10, c11) = rep.gamma
-    (d00, d01), (d10, d11) = rep.delta
-    values = (a0, a1, s0, s1, b00, b01, b10, b11, c00, c01, c10, c11, d00, d01, d10, d11,
-              p["t"], p["Tbeta"], p["Tgamma"], p["Tdelta"])
-    den = 1
-    for x in values:
-        if x.denominator != 1:
-            den = lcm(den, x.denominator)
-    (a0, a1, s0, s1, b00, b01, b10, b11, c00, c01, c10, c11, d00, d01, d10, d11,
-     t, tb, tc, td) = (x.numerator * (den // x.denominator) for x in values)
-    return (den, (a0, a1), (s0, s1), ((b00, b01), (b10, b11)), ((c00, c01), (c10, c11)),
-            ((d00, d01), (d10, d11)), (t, tb, tc, td))
 
 
 def _relation_defects(rep: QuiverRep) -> tuple[int, tuple]:
@@ -256,15 +324,10 @@ def stratum(rep: QuiverRep) -> str:
     return "semistable"
 
 
-@dataclass(frozen=True)
-class BasePoint:
-    x: Fraction
-    y: Fraction
-    z: Fraction
-    t: Fraction
-    u: Fraction
-    v: Fraction
-    w: Fraction
+class BasePoint(_Record):
+    """A point (x, y, z, t, u, v, w) of A^7 with Fraction coordinates."""
+
+    __slots__ = ("x", "y", "z", "t", "u", "v", "w")
 
     def to_tuple(self) -> tuple[Fraction, ...]:
         return (self.x, self.y, self.z, self.t, self.u, self.v, self.w)
@@ -287,7 +350,8 @@ def base_map(rep: QuiverRep) -> BasePoint:
     beta.gamma + gamma.beta = 2v on trace-free loops; x, y, z contract the
     loops with alpha and alpha_star.  These expressions are invariant under
     the gauge action and satisfy base_equation identically on the relation
-    scheme (checked symbolically and by randomized exact sweeps).
+    scheme; verify's quiver-sweeps check tests that on 10000 random integer
+    charts.
 
     On the integer view each coordinate is one integer over a power of D:
     x = alpha_star.[beta, gamma].alpha / (2 D^4), y and z over D^3, u and w
@@ -303,14 +367,14 @@ def base_map(rep: QuiverRep) -> BasePoint:
     comm = ((k, b00 * c01 + b01 * c11 - c00 * b01 - c01 * b11),
             (b10 * c00 + b11 * c10 - c10 * b00 - c11 * b10, -k))
     den2 = den * den
-    return BasePoint(
-        x=Fraction(contract(comm), 2 * den2 * den2),
-        y=Fraction(-contract(gamma), den2 * den),
-        z=Fraction(-contract(beta), den2 * den),
-        t=rep.t,
-        u=Fraction(b00 * b11 - b01 * b10, den2),
-        w=Fraction(c00 * c11 - c01 * c10, den2),
-        v=Fraction(b00 * c00 + b01 * c10 + b10 * c01 + b11 * c11, 2 * den2),
+    return BasePoint(  # x, y, z, t, u, v, w
+        Fraction(contract(comm), 2 * den2 * den2),
+        Fraction(-contract(gamma), den2 * den),
+        Fraction(-contract(beta), den2 * den),
+        rep.t,
+        Fraction(b00 * b11 - b01 * b10, den2),
+        Fraction(b00 * c00 + b01 * c10 + b10 * c01 + b11 * c11, 2 * den2),
+        Fraction(c00 * c11 - c01 * c10, den2),
     )
 
 
@@ -337,13 +401,10 @@ def singular_locus_generators(p: BasePoint) -> dict[str, Fraction]:
     }
 
 
-@dataclass(frozen=True)
-class SingularReport:
-    generators: Mapping[str, Fraction]
-    in_singular_locus: bool
-    in_z1: bool
-    in_z2: bool
-    component: str
+class SingularReport(_Record):
+    """The singular-locus generators of a base point and its components."""
+
+    __slots__ = ("generators", "in_singular_locus", "in_z1", "in_z2", "component")
 
     def to_dict(self) -> dict:
         return {

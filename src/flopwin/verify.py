@@ -147,16 +147,13 @@ def even_series(max_degree: int) -> list[int]:
 
 def check_hilbert_series() -> tuple[bool, str]:
     d = 12
+    series = even_series(d)
     invariants = cohomology.s0_invariant_dims(d)
-    if invariants != even_series(d):
+    if invariants != series:
         return False, f"invariant dims {invariants}"
     endg = ncalg.hilbert(ncalg.catalog("endG"), d)
-    ore = [
-        (even_series(d) + [0, 0])[k]
-        + 2 * (even_series(d) + [0, 0])[k - 1]
-        + (even_series(d) + [0, 0])[k - 2]
-        for k in range(d + 1)
-    ]
+    padded = series + [0, 0]  # k - 1 and k - 2 wrap to the zeros at k < 2
+    ore = [padded[k] + 2 * padded[k - 1] + padded[k - 2] for k in range(d + 1)]
     if endg != ore:
         return False, f"endomorphism dims {endg} vs Ore basis {ore}"
     acon = ncalg.hilbert(ncalg.catalog("acon"), d)

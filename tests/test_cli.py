@@ -492,6 +492,15 @@ def test_subcommand_loads_only_its_layers(tmp_path, name):
     assert set(loaded) == SUBCOMMANDS[name][1]
 
 
+def test_imports_leave_out_dataclasses():
+    # dataclasses pulls in inspect, ast and dis: a cost every query would pay
+    probe = "import sys, flopwin.cli, flopwin.quiver, flopwin.verify; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
 def test_subcommand_timing_lines(tmp_path, capsys, name):
     # the '<name>: <seconds>s' lines on stderr are read by the benchmark

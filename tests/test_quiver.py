@@ -1,5 +1,8 @@
+import json
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -90,18 +93,22 @@ def test_operations_require_relations():
             call()
 
 
+FIELDS = ("alpha", "alpha_star", "beta", "gamma", "delta", "params")
+
+
 def test_relations_are_evaluated_once_per_rep(monkeypatch):
-    calls, clears = [], []
-    real_defects, real_clear = quiver._relation_defects, quiver._clear_denominators
+    calls, builds = [], []
+    real_defects, real_assemble = quiver._relation_defects, quiver._assemble
     monkeypatch.setattr(quiver, "_relation_defects", lambda rep: calls.append(rep) or real_defects(rep))
-    monkeypatch.setattr(quiver, "_clear_denominators", lambda rep: clears.append(rep) or real_clear(rep))
+    monkeypatch.setattr(quiver, "_assemble", lambda data: builds.append(data) or real_assemble(data))
     rep = chart(alpha=(1, 2), alpha_star=(3, -1), beta=((1, 2), (0, -1)), gamma=((0, 1), (4, 0)))
     relations_hold(rep)
     base_map(rep)
     stratum(rep)
     is_semistable(rep, "theta1")
     is_semistable(rep, "theta2")
-    assert calls == clears == [rep]
+    rep.to_dict()
+    assert calls == [rep] and len(builds) == 1
     broken = QuiverRep.from_dict(
         {"alpha": [1, 0], "alpha_star": [0, 0], "beta": [[0, 1], [1, 1]], "gamma": [[0, 0], [0, 0]]}
     )
@@ -109,13 +116,43 @@ def test_relations_are_evaluated_once_per_rep(monkeypatch):
         with pytest.raises(ValueError):
             stratum(broken)
     assert not relations_hold(broken)[0]
-    assert calls == clears == [rep, broken]
+    assert calls == [rep, broken] and len(builds) == 2
     # the stability and base-point reads come after the verdict, on the same view
     fresh = random_chart_rep(random.Random(3))
     is_semistable(fresh, "theta2")
     base_map(fresh)
     stratum(fresh)
-    assert calls == clears == [rep, broken, fresh]
+    assert calls == [rep, broken, fresh] and len(builds) == 3
+    # every constructor assembles the integer view exactly once
+    pair = scalar_pair_rep(random.Random(3))
+    assert len(builds) == 4
+    again = QuiverRep(*(getattr(fresh, name) for name in FIELDS))
+    assert len(builds) == 5 and again == fresh
+    is_semistable(pair, "theta1")
+    assert calls == [rep, broken, fresh, pair] and len(builds) == 5
+
+
+def test_reads_on_the_integer_view_build_no_fraction_fields(monkeypatch):
+    built = []
+    monkeypatch.setattr(quiver, "Fraction", lambda *args: built.append(args) or F(*args))
+    monkeypatch.setattr(quiver, "rational", lambda value: built.append(value) or rational(value))
+    rng = random.Random(29)
+    for rep in [random_chart_rep(rng) for _ in range(20)] + [scalar_pair_rep(rng)]:
+        assert rep.relations_ok
+        stratum(rep)
+        is_semistable(rep, "theta1")
+        is_semistable(rep, "theta2")
+        assert built == []
+        base_map(rep)
+        assert len(built) == 7  # the six computed coordinates and t
+        assert not vars(rep).keys() & set(FIELDS)
+        rep.beta
+        assert vars(rep).keys() & set(FIELDS) == {"beta"}
+        built.clear()
+    with pytest.raises(AttributeError):
+        rep.alpha = (0, 0)
+    with pytest.raises(AttributeError):
+        del rep.beta
 
 
 def typed(rep):
@@ -158,7 +195,80 @@ def reference_scalar_pair(rng, bound=5):
     return QuiverRep(a, s, scalar(b), scalar(-b), delta, params)
 
 
+def reference_assembly(data):
+    """from_dict by the explicit Fraction formulas: every value read by
+    rational, delta = t/2 I - (beta + gamma + alpha alpha_star) with t the
+    pairing unless given, and each missing parameter t or entry (0, 0) of its
+    loop's square, after the given ones."""
+    vec = lambda values: tuple(map(rational, values))
+    a, s = vec(data["alpha"]), vec(data["alpha_star"])
+    b, c = tuple(map(vec, data["beta"])), tuple(map(vec, data["gamma"]))
+    t = s[0] * a[0] + s[1] * a[1]
+    if data.get("delta") is not None:
+        d = tuple(map(vec, data["delta"]))
+    else:
+        d = tuple(
+            tuple((t / 2 if i == j else 0) - b[i][j] - c[i][j] - a[i] * s[j] for j in range(2))
+            for i in range(2)
+        )
+    params = {k: rational(v) for k, v in (data.get("params") or {}).items()}
+    params.setdefault("t", t)
+    for key, m in (("Tbeta", b), ("Tgamma", c), ("Tdelta", d)):
+        params.setdefault(key, m[0][0] * m[0][0] + m[0][1] * m[1][0])
+    return a, s, b, c, d, params
+
+
+def reference_scaled(a, s, b, c, d, params):
+    """The integer view by its definition: D is the least common denominator
+    of the 16 entries and the four parameters, every item is taken times D."""
+    ps = tuple(params[k] for k in PARAM_KEYS)
+    values = [*a, *s, *(x for m in (b, c, d) for row in m for x in row), *ps]
+    den = math.lcm(*(x.denominator for x in values))
+    up = lambda xs: tuple(int(x * den) for x in xs)
+    return (den, up(a), up(s), *(tuple(map(up, m)) for m in (b, c, d)), up(ps))
+
+
+def json_rep_file(rng):
+    """A representation file as JSON reads it: ints, floats, "p/q" strings with
+    denominators up to 6 and decimal strings; delta and each parameter are
+    written out or left to be derived at random."""
+    def value():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(-9, 9)
+        if kind == 1:
+            return rational_json(F(rng.randint(-9, 9), rng.randint(1, 6)))
+        return rng.choice((0.5, -1.25, 2.0, 0.2, "0.5", "-1.25", "2.0", "1e-1", "3E2"))
+    vector = lambda: [value(), value()]
+    data = {"alpha": vector(), "alpha_star": vector(), "beta": [vector(), vector()],
+            "gamma": [vector(), vector()]}
+    if rng.random() < 0.5:
+        data["delta"] = [vector(), vector()]
+    if rng.random() < 0.7:
+        keys = [k for k in PARAM_KEYS if rng.random() < 0.5]
+        rng.shuffle(keys)
+        data["params"] = {k: value() for k in keys}
+    return json.loads(json.dumps(data))
+
+
 def test_assembly_matches_the_explicit_formulas():
+    rng = random.Random(67)
+    for _ in range(400):
+        data = json_rep_file(rng)
+        rep, fields = QuiverRep.from_dict(data), reference_assembly(data)
+        want = SimpleNamespace(**dict(zip(FIELDS, fields)))
+        assert typed(rep) == typed(want)
+        assert list(rep.params) == list(want.params)
+        assert rep.t == want.params["t"] and type(rep.t) is F
+        assert rep.to_dict() == {
+            **{name: rational_json(getattr(want, name)) for name in FIELDS[:5]},
+            "params": {k: rational_json(want.params[k]) for k in PARAM_KEYS},
+        }
+        assert rep._scaled == reference_scaled(*fields)
+        same = QuiverRep(*fields)
+        assert rep == same and hash(rep) == hash(same)
+        moved = dict(data, alpha=[rational_json(want.alpha[0] + F(1, 6)), data["alpha"][1]])
+        assert rep != QuiverRep.from_dict(moved)
     rng = random.Random(53)
     for _ in range(300):
         pick = lambda: rng.randint(-5, 5)
@@ -172,6 +282,29 @@ def test_assembly_matches_the_explicit_formulas():
             reference_scalar_pair(theirs, 1 + seed % 5)
         )
         assert ours.getstate() == theirs.getstate()
+
+
+GOOD_FILE = {"alpha": [1, 0], "alpha_star": [2, 1], "beta": [[0, 1], [0, 0]],
+             "gamma": [[0, 0], [1, 0]]}
+
+
+@pytest.mark.parametrize("change, error, message", [
+    ({"alpha": [True, 0]}, TypeError, "boolean is not a rational value"),
+    ({"params": {"Tbeta": False}}, TypeError, "boolean is not a rational value"),
+    ({"gamma": [[0, None], [0, 0]]}, TypeError, "cannot interpret None as a rational"),
+    ({"beta": [["1/0", 1], [0, 0]]}, ValueError, "zero denominator in '1/0'"),
+    ({"alpha_star": [1, "1e99999"]}, ValueError, "decimal exponent beyond 4300 in '1e99999'"),
+    ({"alpha": "12"}, ValueError, "expected a length-2 vector"),
+    ({"beta": ["01", "00"]}, ValueError, "expected a length-2 vector"),
+    ({"delta": "0000"}, ValueError, "expected a 2x2 matrix"),
+    ({"delat": [[0, 0], [0, 0]]}, ValueError, "unknown representation keys: ['delat']"),
+    ({"params": {"t": 1, "bogus": 2}}, ValueError, "unknown parameter keys: ['bogus']"),
+    ({"params": [1]}, ValueError, "params must be a mapping of parameter names to values"),
+])
+def test_assembly_errors_name_the_bad_value(change, error, message):
+    with pytest.raises(error) as info:
+        QuiverRep.from_dict(dict(GOOD_FILE, **change))
+    assert type(info.value) is error and str(info.value) == message
 
 
 def reference_relations(rep):

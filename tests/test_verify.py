@@ -4,8 +4,6 @@ Every test breaks one input of one oracle with a monkeypatched mutant and
 expects the owning check to report ok=False with that oracle's message.
 """
 
-import dataclasses
-
 from flopwin import cohomology, ncalg, quiver, verify
 from flopwin.windows import FaceRef
 
@@ -112,7 +110,7 @@ def test_doubled_v_fails_quiver_sweeps(monkeypatch):
 
     def mutant(rep):
         point = original(rep)
-        return dataclasses.replace(point, v=2 * point.v)
+        return quiver.BasePoint(point.x, point.y, point.z, point.t, point.u, 2 * point.v, point.w)
 
     monkeypatch.setattr(quiver, "base_map", mutant)
     ok, details = verify.check_quiver_sweeps()
