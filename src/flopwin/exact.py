@@ -1,23 +1,21 @@
 """The exact kernel: one row reduction, one rational codec, one value base.
 
 Every kernel, rank, span and invariant subspace in the package comes out of
-one sparse fraction-free integer elimination (Bareiss 1968):
-`_integer_echelon` yields primitive integer rows, for callers that need only
-a span or a rank, and `echelon` views them as exactly the Fraction rows plain
-Gaussian elimination would return.  Every rational read from JSON or an
+one sparse fraction-free integer elimination (Bareiss 1968), `echelon`,
+which yields primitive integer rows.  Every rational read from JSON or an
 expression goes through `rational`, and every rational written to JSON
 through `rational_json`.  The immutable value classes of the package
-(presentations, polytopes, windows and their parts, verify results, quiver
-base points and singular-locus reports) derive from `_Record`.  The one
-exception is `quiver.QuiverRep`, which stores only its integer view and
-builds its Fraction fields from it on first read.
+(presentations, polytopes, windows and their parts, verify results, kernel
+and fiber-product reports, quiver base points and singular-locus reports)
+derive from `_Record`.  The one exception is `quiver.QuiverRep`, which
+stores only its integer view and builds its Fraction fields from it on
+first read.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 
-_ZERO = Fraction(0)
 # Largest decimal exponent `rational` reads: CPython's default int-to-str digit
 # limit, so rational_json could not print a larger power of ten anyway.
 _MAX_EXPONENT = 4300
@@ -72,55 +70,21 @@ class _Record:
 
 
 def echelon(rows, width: int | None = None):
-    """Forward elimination of rational rows, taken in the given order.
-
-    Each row is reduced against the pivot rows found so far.  Pivots are
-    sought only in the first ``width`` columns (default: all of them); a row
-    with a pivot is normalised to lead with 1 and kept, a row without one
-    contributes its remaining columns to the null tails.  Augmenting each row
-    with a unit vector therefore makes the null tails a kernel basis.
-
-    This is the Fraction view of `_integer_echelon`, which does the
-    elimination on integers: each pivot row it yields is a primitive integer
-    multiple of the row returned here, and each null row carries the factor
-    by which it differs from its rational tail.  The returned Fraction rows
-    are those of plain Fraction elimination in the same order, value for
-    value.
-
-    Returns (pivot_rows, pivots, null_tails); the rank is len(pivots).
-    """
-    rows = list(rows)
-    pivot_rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-    null_tails: list[list[Fraction]] = []
-    sparse = ({j: x for j, x in enumerate(row) if x} for row in rows)
-    for row, (vec, lead_col, scale) in zip(rows, _integer_echelon(sparse, width)):
-        n = len(row)
-        if lead_col is None:
-            w = n if width is None else width
-            scale = Fraction(*scale)
-            null_tails.append([vec[j] / scale if j in vec else _ZERO for j in range(w, n)])
-            continue
-        lead = vec[lead_col]
-        pivot_rows.append([Fraction(vec[j], lead) if j in vec else _ZERO for j in range(n)])
-        pivots.append(lead_col)
-    return pivot_rows, pivots, null_tails
-
-
-def _integer_echelon(rows, width: int | None = None):
-    """The integer core of `echelon`: sparse fraction-free elimination.
+    """Sparse fraction-free elimination of rows, taken in the given order.
 
     rows are sparse {column: int or Fraction} dicts without zero entries.
     Each row has its denominators cleared and is reduced against the
     primitive integer pivot rows found so far by row <- a*row - b*prow, with
     a/b = lead/entry in lowest terms, then divided by the gcd of its entries
-    (Bareiss 1968).  Yields (vec, lead_col, scale) for each row, in order:
-    a row with a pivot among the first ``width`` columns yields its
-    primitive integer row, its pivot column and None; any other row yields
-    its reduced integer row, None and the integers (num, den) for which that
-    row is num/den times the rational one.  Yielded pivot rows are used for
-    later reductions, so callers must not change them.  The rank is the
-    number of rows that yield a pivot.
+    (Bareiss 1968).  Pivots are sought only in the first ``width`` columns
+    (default: all of them).  Yields (vec, lead_col) for each row, in order:
+    a row with a pivot yields its primitive integer row and its pivot
+    column, any other row its reduced integer row and None.  Each yielded
+    row is a nonzero rational multiple of the row plain Fraction elimination
+    would leave, so augmenting each row with a unit vector makes the columns
+    from ``width`` on of the null rows a kernel basis.  Yielded pivot rows
+    are used for later reductions, so callers must not change them.  The
+    rank is the number of rows that yield a pivot.
     """
     int_rows: list[dict[int, int]] = []  # primitive integer pivot rows
     pivots: list[int] = []
@@ -130,7 +94,6 @@ def _integer_echelon(rows, width: int | None = None):
             if x.denominator != 1:
                 den = lcm(den, x.denominator)
         vec = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-        scale_num, scale_den = den, 1  # vec == scale_num / scale_den * rational row
         for prow, pcol in zip(int_rows, pivots):
             c = vec.get(pcol)
             if c is None:
@@ -143,7 +106,6 @@ def _integer_echelon(rows, width: int | None = None):
             if a != 1:
                 for j in vec:
                     vec[j] *= a
-                scale_num *= a
             for j, v in prow.items():
                 s = vec.get(j, 0) - b * v
                 if s:
@@ -155,17 +117,16 @@ def _integer_echelon(rows, width: int | None = None):
                 if g != 1:
                     for j in vec:
                         vec[j] //= g
-                    scale_den *= g
         lead_col = min((j for j in vec if width is None or j < width), default=None)
         if lead_col is None:
-            yield vec, None, (scale_num, scale_den)
+            yield vec, None
             continue
         g = gcd(*vec.values())
         if g != 1:
             vec = {j: v // g for j, v in vec.items()}
         int_rows.append(vec)
         pivots.append(lead_col)
-        yield vec, lead_col, None
+        yield vec, lead_col
 
 
 def _decimal_exponent(text: str) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from fractions import Fraction
 from math import gcd
 
 from .exact import _Record, echelon
@@ -47,19 +46,15 @@ def is_zero(a: Sequence) -> bool:
 
 
 def primitive(a: Sequence) -> Vector:
-    """Primitive integer vector on the ray of ``a`` (first nonzero coord > 0
-    is NOT imposed; only the gcd is stripped and an all-integer tuple kept)."""
-    fracs = [Fraction(x) for x in a]
-    if all(f == 0 for f in fracs):
+    """Primitive integer vector on the ray of the integer vector ``a``.
+
+    Only the gcd is stripped; the sign of the first nonzero coordinate is
+    kept (see `primitive_signed`).
+    """
+    g = gcd(*a)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in a)
 
 
 def primitive_signed(a: Sequence) -> Vector:
@@ -200,16 +195,20 @@ def is_quasi_symmetric(p: GitPresentation) -> bool:
 def weyl_invariant_basis(p: GitPresentation) -> tuple:
     """Primitive basis of the Weyl-fixed subspace of the weight lattice.
 
-    Computed as the exact kernel of the stacked (g - I) matrices: the rows of
-    their transpose, augmented with the identity, leave the kernel in the
-    null tails.  Each basis vector is primitive with first nonzero coordinate
-    positive, and the list is sorted lexicographically descending for
-    determinism.
+    Computed as the exact kernel of the stacked (g - I) matrices: the columns
+    of that stack, each augmented with a unit vector, are eliminated on
+    integers, and the unit-vector columns of the rows left without a pivot
+    span the kernel.  Each basis vector is primitive with first nonzero
+    coordinate positive, and the list is sorted lexicographically descending
+    for determinism.
     """
     n = p.rank
     rows = [[g[i][j] - int(i == j) for j in range(n)] for g in p.weyl for i in range(n)]
-    aug = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
-    _, _, kernel = echelon(aug, width=len(rows))
+    width = len(rows)
+    aug = ({**{i: row[j] for i, row in enumerate(rows) if row[j]}, width + j: 1}
+           for j in range(n))
+    kernel = (tuple(vec.get(width + i, 0) for i in range(n))
+              for vec, lead in echelon(aug, width) if lead is None)
     return tuple(sorted((primitive_signed(v) for v in kernel), reverse=True))
 
 

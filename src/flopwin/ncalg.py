@@ -16,14 +16,14 @@ integral rule coefficient as an int, so the normal form of a polynomial with
 int coefficients has int coefficients, while Fraction input comes back as
 Fraction values.  Completion and the kernel, ideal and fiber-product paths
 turn their integral inputs and unit words into ints and take the span of a
-set of vectors as primitive integer rows, so with integral rules (every
-catalog algebra has them) their normal forms and eliminations run on ints;
-`graded_kernel` still reports its witnesses as Fractions.
+set of vectors as primitive integer rows through `exact.echelon`, so with
+integral rules (every catalog algebra has them) their normal forms and
+eliminations run on ints.
 
 A rewrite system memoises its graded kernels: `graded_kernel` builds the
 multiplication matrices for each (multiplier, side, degree) once per system,
 so `resolution_check` reuses the kernels a caller has already asked for, and
-every caller receives its own copy of the report.  Once the basis of
+every caller receives its own copy of the dimensions.  Once the basis of
 irreducible words has been grown, `normal_form` answers a basis word without
 scanning it for a rule.  `RewriteSystem.add_rule` invalidates the memo, the
 basis and that set of known irreducible words together.
@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .exact import _integer_echelon, _Record, echelon, rational
+from .exact import _Record, echelon, rational
 
 Word = tuple[int, ...]
 Poly = dict[Word, int | Fraction]
@@ -198,8 +198,8 @@ class RewriteSystem:
         self._basis: dict[int, list[Word]] = {}
         # every word of the basis: normal_form never rescans one for a rule
         self._irreducible: set[Word] = set()
-        # graded_kernel reports keyed by (poly_key(multiplier), side, d)
-        self._kernels: dict[tuple[PolyKey, str, int], KernelReport] = {}
+        # graded_kernel dimensions keyed by (poly_key(multiplier), side, d)
+        self._kernels: dict[tuple[PolyKey, str, int], list[int]] = {}
         for lhs, rhs in rules:
             self.add_rule(lhs, rhs)
 
@@ -392,7 +392,8 @@ def complete(p: NCPresentation, d: int) -> RewriteSystem:
 
 
 @lru_cache(maxsize=None)
-def _completed(p: NCPresentation, d: int) -> RewriteSystem:
+def completed(p: NCPresentation, d: int) -> RewriteSystem:
+    """`complete`, cached per (presentation, cutoff) for the process."""
     return complete(p, d)
 
 
@@ -402,7 +403,7 @@ def normal_form(rs: RewriteSystem, expr: Poly) -> Poly:
 
 def hilbert(p: NCPresentation, d: int) -> list[int]:
     """Graded dimensions in degrees 0..d by counting irreducible words."""
-    return _completed(p, d).graded_dims(d)
+    return completed(p, d).graded_dims(d)
 
 
 def is_central(rs: RewriteSystem, expr: Poly) -> bool:
@@ -437,7 +438,7 @@ def _span(vectors: Iterable[Sequence[Poly]], bases: Sequence[list[Word]]) -> lis
     rows = ({index[i, w]: c for i, poly in enumerate(vec) for w, c in poly.items()}
             for vec in vectors)
     out = []
-    for vec, lead, _ in _integer_echelon(rows):
+    for vec, lead in echelon(rows):
         if lead is None:
             continue
         parts: list[Poly] = [{} for _ in bases]
@@ -448,39 +449,35 @@ def _span(vectors: Iterable[Sequence[Poly]], bases: Sequence[list[Word]]) -> lis
     return out
 
 
-class KernelReport:
-    """Kernel dimensions per source degree, and (degree, vector) witnesses."""
+class KernelReport(_Record):
+    """Kernel dimensions per source degree."""
 
-    def __init__(self, dims: list[int], witnesses: list[tuple[int, Poly]]):
-        self.dims = dims
-        self.witnesses = witnesses
+    __slots__ = ("dims",)
 
 
 def graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> KernelReport:
-    """Degreewise kernel of one-sided multiplication, with witnesses.
+    """Degreewise kernel of one-sided multiplication.
 
-    Kernel dimensions are reported for source degrees k with k + deg(m) <= d;
-    the witnesses are spanning kernel vectors of the lowest degree where the
-    kernel is nonzero.  The report is memoised on rs; each call returns a
-    copy the caller may change.
+    Kernel dimensions are reported for source degrees k with k + deg(m) <= d.
+    They are memoised on rs; each call returns a fresh list the caller may
+    change.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     key = (poly_key(multiplier), side, d)
-    report = rs._kernels.get(key)
-    if report is None:
-        report = rs._kernels[key] = _graded_kernel(rs, multiplier, side, d)
-    return KernelReport(list(report.dims), [(k, dict(v)) for k, v in report.witnesses])
+    dims = rs._kernels.get(key)
+    if dims is None:
+        dims = rs._kernels[key] = _kernel_dims(rs, multiplier, side, d)
+    return KernelReport(list(dims))
 
 
-def _graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> KernelReport:
+def _kernel_dims(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> list[int]:
     pres = rs.presentation
     deg = pres.poly_degree(multiplier)
     if deg is None:
         raise ValueError("multiplier must be nonzero")
     multiplier = _integral(multiplier)
     dims: list[int] = []
-    witnesses: list[tuple[int, Poly]] = []
     for k in range(0, d - deg + 1):
         source, target = rs.basis(k), rs.basis(k + deg)
         images = []
@@ -489,13 +486,7 @@ def _graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> Ke
             image = p_mul(unit, multiplier) if side == "right" else p_mul(multiplier, unit)
             images.append(rs.normal_form(image))
         dims.append(len(source) - len(_span([(v,) for v in images], [target])))
-        if dims[-1] and not witnesses:
-            # augment with unit vectors: the null tails then span the kernel
-            aug = [[v.get(w, 0) for w in target] + [int(j == i) for j in range(len(source))]
-                   for i, v in enumerate(images)]
-            for combo in echelon(aug, width=len(target))[2]:
-                witnesses.append((k, {w: c for w, c in zip(source, combo) if c != 0}))
-    return KernelReport(dims, witnesses)
+    return dims
 
 
 def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
@@ -599,13 +590,10 @@ class Morphism:
         return True
 
 
-class FiberReport:
+class FiberReport(_Record):
     """Fiber product dims per degree and the verdicts on the given pairs."""
 
-    def __init__(self, dims: list[int], relations_ok: bool, generates: bool):
-        self.dims = dims
-        self.relations_ok = relations_ok
-        self.generates = generates
+    __slots__ = ("dims", "relations_ok", "generates")
 
 
 def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
@@ -865,18 +853,12 @@ def catalog_names() -> list[str]:
 
 def standard_morphisms(d: int) -> tuple[Morphism, Morphism]:
     """The two surjections onto C[b,c] used by the fiber product."""
-    rs_ctbc = _completed(catalog("Ctbc"), d)
-    rs_endg = _completed(catalog("endG"), d)
-    rs_cbc = _completed(catalog("Cbc"), d)
+    rs_ctbc = completed(catalog("Ctbc"), d)
+    rs_endg = completed(catalog("endG"), d)
+    rs_cbc = completed(catalog("Cbc"), d)
     f_a = Morphism(rs_ctbc, rs_cbc, _parse_all(rs_cbc.presentation,
                                                {"t": "0", "b": "b", "c": "c"}))
     f_b = Morphism(rs_endg, rs_cbc, _parse_all(rs_cbc.presentation,
                                                {"beta": "b", "gamma": "c"}))
     return f_a, f_b
 
-
-def completed(name_or_pres, d: int) -> RewriteSystem:
-    """Catalog-aware completion helper with caching."""
-    if isinstance(name_or_pres, str):
-        return _completed(catalog(name_or_pres), d)
-    return _completed(name_or_pres, d)

@@ -206,7 +206,7 @@ def check_fiber_product() -> tuple[bool, str]:
 
 def check_substitution_laufer() -> tuple[bool, str]:
     base = ncalg.base_coordinates()
-    rs = ncalg.completed("acon", 10)
+    rs = ncalg.completed(ncalg.catalog("acon"), 10)
     mapping = ncalg.acon_dictionary(rs.presentation)
     for name, image in mapping.items():
         if not ncalg.is_central(rs, image):

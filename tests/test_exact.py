@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from flopwin.exact import _integer_echelon, echelon, rational, rational_json
+from flopwin.exact import echelon, rational, rational_json
 
 
 def random_matrix(rng, n_rows, n_cols):
@@ -15,23 +15,23 @@ def random_matrix(rng, n_rows, n_cols):
     for _ in range(n_rows):
         if rows and rng.random() < 0.34:
             a, b = rng.choice(rows), rng.choice(rows)
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            rows.append([x + c * y for x, y in zip(a, b)])
+            s, c = rng.randint(1, 3), rng.randint(-3, 3)
+            rows.append([s * x + c * y for x, y in zip(a, b)])
         else:
-            rows.append([Fraction(rng.randint(-3, 3)) for _ in range(n_cols)])
+            rows.append([rng.randint(-3, 3) for _ in range(n_cols)])
     return rows
+
+
+def sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def transpose(rows, n_cols):
     return [[row[j] for row in rows] for j in range(n_cols)]
 
 
-def kernel_of_rows(rows):
-    """Null tails of [rows | identity]: the left kernel of the row matrix."""
-    n = len(rows)
-    width = len(rows[0]) if rows else 0
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    return echelon(aug, width=width)
+def rank(rows):
+    return sum(lead is not None for _, lead in echelon(sparse(rows)))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -39,21 +39,26 @@ def test_echelon_kernel_rank_and_transpose(seed):
     rng = random.Random(seed)
     n_rows, n_cols = rng.randint(0, 6), rng.randint(0, 6)
     rows = random_matrix(rng, n_rows, n_cols)
-    pivot_rows, pivots, tails = kernel_of_rows(rows)
-    # every null tail annihilates the matrix from the left
+    aug = [row + [int(i == j) for j in range(n_rows)] for i, row in enumerate(rows)]
+    out = list(echelon(sparse(aug), n_cols))
+    assert len(out) == n_rows
+    pivots = [lead for _, lead in out if lead is not None]
+    tails = [[vec.get(n_cols + i, 0) for i in range(n_rows)] for vec, lead in out if lead is None]
+    # every null tail is a nonzero int vector annihilating the matrix from the left
     for combo in tails:
-        assert len(combo) == n_rows
+        assert all(type(c) is int for c in combo)
         assert any(c != 0 for c in combo)
         for j in range(n_cols):
             assert sum(c * row[j] for c, row in zip(combo, rows)) == 0
-    # pivots are distinct and each pivot row leads with 1 at its pivot
+    # pivots are distinct and each pivot row is zero before its pivot
     assert len(set(pivots)) == len(pivots)
-    for prow, pcol in zip(pivot_rows, pivots):
-        assert prow[pcol] == 1 and all(x == 0 for x in prow[:pcol])
+    for vec, lead in out:
+        if lead is not None:
+            assert vec[lead] != 0 and all(j >= lead for j in vec)
     # rank + nullity = number of rows; row rank = column rank
     assert len(pivots) + len(tails) == n_rows
-    assert len(echelon(rows)[1]) == len(pivots)
-    assert len(echelon(transpose(rows, n_cols))[1]) == len(pivots)
+    assert rank(rows) == len(pivots)
+    assert rank(transpose(rows, n_cols)) == len(pivots)
 
 
 def dense_fraction_echelon(rows, width=None):
@@ -94,59 +99,42 @@ def wide_random_matrix(rng, n_rows, n_cols):
     return rows
 
 
+def is_multiple(got, ref):
+    """True when the int row got is a nonzero rational multiple of the row ref."""
+    k = next((j for j, x in enumerate(ref) if x), None)
+    if k is None:
+        return not any(got)
+    c = Fraction(got[k]) / ref[k]
+    return c != 0 and all(g == c * r for g, r in zip(got, ref))
+
+
 @pytest.mark.parametrize("batch", range(10))
-def test_echelon_equals_dense_fraction_elimination(batch):
-    for seed in range(60 * batch, 60 * (batch + 1)):
-        rng = random.Random(f"echelon/{seed}")
-        n_rows, n_cols = rng.randint(0, 9), rng.randint(0, 9)
-        rows = wide_random_matrix(rng, n_rows, n_cols)
-        aug = [row + [Fraction(int(i == j)) for j in range(n_rows)]
-               for i, row in enumerate(rows)]
-        width = rng.randint(0, n_cols)
-        for args in ((rows, None), (rows, width), (aug, n_cols)):
-            got = echelon(*args)
-            assert got == dense_fraction_echelon(*args)
-            assert all(type(x) is Fraction for part in (got[0], got[2])
-                       for row in part for x in row)
-
-
-@pytest.mark.parametrize("batch", range(4))
 def test_integer_core_rows_are_primitive_multiples_of_echelon_rows(batch):
     for seed in range(60 * batch, 60 * (batch + 1)):
         rng = random.Random(f"integer-echelon/{seed}")
-        n_rows, n_cols = rng.randint(0, 9), rng.randint(1, 9)
+        n_rows, n_cols = rng.randint(0, 9), rng.randint(0, 9)
         rows = wide_random_matrix(rng, n_rows, n_cols)
-        width = rng.choice((None, rng.randint(0, n_cols)))
-        pivot_rows, pivots, null_tails = dense_fraction_echelon(rows, width)
-        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-        out = list(_integer_echelon(sparse, width))
-        assert len(out) == n_rows
-        kept = [(vec, lead) for vec, lead, scale in out if lead is not None]
-        assert [lead for _, lead in kept] == pivots
-        for (vec, lead), frow in zip(kept, pivot_rows):
-            assert all(type(v) is int and v for v in vec.values())
-            assert math.gcd(*vec.values()) == 1
-            assert [Fraction(vec.get(j, 0), vec[lead]) for j in range(n_cols)] == frow
-        w = n_cols if width is None else width
-        nulls = [(vec, scale) for vec, lead, scale in out if lead is None]
-        assert [[Fraction(vec.get(j, 0) * scale[1], scale[0]) for j in range(w, n_cols)]
-                for vec, scale in nulls] == null_tails
-
-
-def test_echelon_takes_int_zeros_and_returns_fractions():
-    rows = [[0, Fraction(2, 3), 1], [0, 0, 0], [Fraction(1, 2), 0, Fraction(-3)]]
-    got = echelon(rows, width=2)
-    assert got == dense_fraction_echelon([[Fraction(x) for x in row] for row in rows], 2)
-    assert all(type(x) is Fraction for part in (got[0], got[2]) for row in part for x in row)
-
-
-def test_echelon_defaults_to_full_width():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(3)]]
-    pivot_rows, pivots, tails = echelon(rows)
-    assert pivots == [0, 1]
-    assert pivot_rows == [[1, 2], [0, 1]]
-    assert tails == [[]]
-    assert echelon([]) == ([], [], [])
+        # Fraction rows augmented with int units: echelon takes both types
+        aug = [row + [int(i == j) for j in range(n_rows)] for i, row in enumerate(rows)]
+        for mat, width in ((rows, None), (rows, rng.randint(0, n_cols)), (aug, n_cols)):
+            n = len(mat[0]) if mat else 0
+            w = n if width is None else width
+            pivot_rows, pivots, null_tails = dense_fraction_echelon(mat, width)
+            out = list(echelon(sparse(mat), width))
+            assert len(out) == len(mat)
+            kept = [vec for vec, lead in out if lead is not None]
+            assert [lead for _, lead in out if lead is not None] == pivots
+            # pivot rows: primitive integer multiples of the reference rows
+            for vec, frow in zip(kept, pivot_rows):
+                assert all(type(v) is int and v for v in vec.values())
+                assert math.gcd(*vec.values()) == 1
+                assert is_multiple([vec.get(j, 0) for j in range(n)], frow)
+            # null rows: integer tails, nonzero multiples of the reference tails
+            nulls = [vec for vec, lead in out if lead is None]
+            assert len(nulls) == len(null_tails)
+            for vec, tail in zip(nulls, null_tails):
+                assert all(type(v) is int and v for v in vec.values())
+                assert is_multiple([vec.get(j, 0) for j in range(w, n)], tail)
 
 
 @pytest.mark.parametrize("value,expected", [

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -12,7 +14,9 @@ from flopwin.lattice import (
     is_quasi_symmetric,
     load_fixture,
     mat_apply,
+    mat_identity,
     mat_inverse_transpose,
+    mat_mul,
     pair,
     primitive,
     primitive_signed,
@@ -43,7 +47,7 @@ def test_pair_rejects_length_mismatch():
 
 def test_primitive_vectors():
     assert primitive((2, -4)) == (1, -2)
-    assert primitive((Fraction(1, 2), Fraction(3, 2))) == (1, 3)
+    assert primitive((0, -6, 9)) == (0, -2, 3)
     assert primitive_signed((-2, 4)) == (1, -2)
     assert primitive_signed((0, -3)) == (0, 1)
     with pytest.raises(ValueError):
@@ -135,6 +139,47 @@ def test_sign_flip_group_has_no_invariant_line():
         }
     )
     assert weyl_invariant_basis(p) == ()
+
+
+def _finite_order(g):
+    # an integer 2x2 matrix of finite order has order 1, 2, 3, 4 or 6
+    power = g
+    for _ in range(6):
+        if power == mat_identity(2):
+            return True
+        power = mat_mul(power, g)
+    return False
+
+
+# every 2x2 matrix with entries in {-1, 0, 1}, det +-1 and finite order
+SMALL_FINITE_GENERATORS = [
+    g for g in (((a, b), (c, d)) for a, b, c, d in product((-1, 0, 1), repeat=4))
+    if g[0][0] * g[1][1] - g[0][1] * g[1][0] in (1, -1) and _finite_order(g)
+]
+
+
+def _rank_of_rows(rows):
+    """Rank of integer rows of length 2: 0, 2 if some 2x2 minor is nonzero, else 1."""
+    if all(x == 0 for row in rows for x in row):
+        return 0
+    minors = (r[0] * s[1] - r[1] * s[0] for r, s in combinations(rows, 2))
+    return 2 if any(minors) else 1
+
+
+def test_invariant_basis_against_brute_force():
+    gens = SMALL_FINITE_GENERATORS
+    sets = [(g,) for g in gens] + list(combinations(gens, 2))
+    assert len(gens) > 10 and len(sets) > 100
+    for weyl in sets:
+        p = GitPresentation.from_dict({"rank": 2, "weights": [], "weyl": weyl})
+        basis = weyl_invariant_basis(p)
+        for v in basis:
+            assert all(mat_apply(g, v) == v for g in weyl), (weyl, v)
+            assert gcd(*v) == 1 and next(x for x in v if x) > 0, (weyl, v)
+        stacked = [tuple(g[i][j] - (i == j) for j in range(2)) for g in weyl for i in range(2)]
+        assert len(basis) == 2 - _rank_of_rows(stacked), weyl
+        assert list(basis) == sorted(basis, reverse=True)
+        assert _rank_of_rows(basis) == len(basis)
 
 
 def orbit(p, chi):
