@@ -3,34 +3,29 @@
 Algebras are presented by generators with positive integer degrees, an
 optional set of generators declared central, and homogeneous relations.
 Words are tuples of generator indices and polynomials are dicts mapping
-words to rational coefficients, int or Fraction.  A presentation is
-completed into a rewrite system whose rules are confluent on all words up
-to a degree cutoff (truncated Buchberger completion with an exhaustive
-overlap check), after which normal forms, graded dimensions, centrality
-tests, kernels of multiplication maps, resolution exactness, fiber products
-and substitution identities all reduce to exact linear algebra on bases of
-irreducible words.
+words to rational coefficients, int or Fraction.  `complete` turns a
+presentation into rewrite rules whose normal forms are unique on all words
+up to a degree cutoff (truncated Buchberger completion; its final overlap
+pass asserts confluence, Bergman's diamond lemma).  Graded dimensions,
+centrality, kernels of multiplication maps, ideals, resolutions, fiber
+products and substitution identities are then exact linear algebra on
+bases of irreducible words.
 
-Integral data stays integral.  `RewriteSystem.add_rule` stores each
-integral rule coefficient as an int, so the normal form of a polynomial with
-int coefficients has int coefficients, while Fraction input comes back as
-Fraction values.  Completion and the kernel, ideal and fiber-product paths
-turn their integral inputs and unit words into ints and take the span of a
-set of vectors as primitive integer rows through `exact.echelon`, so with
-integral rules (every catalog algebra has them) their normal forms and
-eliminations run on ints.
+Kernels, ideals, fiber products and algebra maps never reduce a product
+with a word from scratch.  `_Products` builds it from the product a letter
+shorter, w * m = x * (w' * m) or m * w = (m * w'') * y, in a table that
+lives for one call; that is exact because normal forms are unique up to
+the cutoff.
 
-A rewrite system memoises its graded kernels: `graded_kernel` builds the
-multiplication matrices for each (multiplier, side, degree) once per system,
-so `resolution_check` reuses the kernels a caller has already asked for, and
-every caller receives its own copy of the dimensions.  Once the basis of
-irreducible words has been grown, `normal_form` answers a basis word without
-scanning it for a rule.  `RewriteSystem.add_rule` invalidates the memo, the
-basis and that set of known irreducible words together.
+Integral data stays integral: rules store integral coefficients as ints, so
+int input has int normal forms (Fraction input stays Fraction), and spans
+are primitive integer rows from `exact.echelon`.  Graded kernels are memoised
+per (multiplier, side, degree), and a grown basis skips the rule scan for its
+words; `add_rule` drops the memo, the basis and those known words together.
 
-The catalog at the bottom holds the handful of named algebras the rest
-of the package verifies statements about.  Every fixed polynomial here,
-catalog relations included, is written as text and read by `parse_expr`.
+The catalog at the bottom holds the named algebras the rest of the package
+verifies statements about.  Every fixed polynomial here, catalog relations
+included, is written as text and read by `parse_expr`.
 """
 from __future__ import annotations
 
@@ -139,7 +134,7 @@ class NCPresentation(_Record):
         return {(self.gen_index(name),): Fraction(1)}
 
     def word_degree(self, word: Word) -> int:
-        return sum(self.degrees[i] for i in word)
+        return sum(map(self.degrees.__getitem__, word))
 
     def poly_degree(self, poly: Poly) -> int | None:
         """Degree of a homogeneous polynomial, None for zero."""
@@ -449,6 +444,39 @@ def _span(vectors: Iterable[Sequence[Poly]], bases: Sequence[list[Word]]) -> lis
     return out
 
 
+class _Products(dict):
+    """p -> NF(p * fixed) for side "right", NF(fixed * p) for side "left".
+
+    The dict is this map's table: T(w), the product with a word w, built on
+    first read from the entry a letter shorter.  T(()) = NF(fixed), and T(w)
+    is NF(w[0] * T(w[1:])) on the right, NF(T(w[:-1]) * w[-1]) on the left;
+    p's product is the sum of c * T(u) over its terms c * u.  letters[i]
+    stands in for generator i, so a left table of fixed = 1 is an algebra
+    map.  NF(u * NF(v)) = NF(u * v), so the table is exact, wherever normal
+    forms are unique on words up to the product's degree; every `complete`
+    result asserts that below its cutoff (Bergman's diamond lemma).
+    """
+
+    def __init__(self, rs: RewriteSystem, fixed: Poly, side: str,
+                 letters: Sequence[Poly] | None = None):
+        super().__init__({(): rs.normal_form(fixed)})
+        self.rs, self.right = rs, side == "right"
+        self.letters = letters or [{(i,): 1} for i, _ in enumerate(rs.presentation.degrees)]
+
+    def __missing__(self, word: Word) -> Poly:
+        nf = self[word] = self.rs.normal_form(
+            p_mul(self.letters[word[0]], self[word[1:]]) if self.right
+            else p_mul(self[word[:-1]], self.letters[word[-1]]))
+        return nf
+
+    def __call__(self, poly: Poly) -> Poly:
+        out: Poly = {}
+        for u, c in poly.items():
+            for w, x in self[u].items():
+                out[w] = out.get(w, 0) + c * x
+        return {w: x for w, x in out.items() if x}
+
+
 class KernelReport(_Record):
     """Kernel dimensions per source degree."""
 
@@ -456,37 +484,30 @@ class KernelReport(_Record):
 
 
 def graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> KernelReport:
-    """Degreewise kernel of one-sided multiplication.
+    """Degreewise kernel of w -> w * m (side "right") or w -> m * w ("left").
 
     Kernel dimensions are reported for source degrees k with k + deg(m) <= d.
-    They are memoised on rs; each call returns a fresh list the caller may
-    change.
+    The image of each basis word comes from one `_Products` table, built
+    from the image a letter shorter: w * m = x * (w' * m) on the right and
+    m * w = (m * w'') * y on the left.  That is exact when normal forms are
+    unique on words of degree <= d, as `complete` asserts below its cutoff.
+    The dims are memoised on rs; each call returns a fresh list the caller
+    may change.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     key = (poly_key(multiplier), side, d)
-    dims = rs._kernels.get(key)
-    if dims is None:
-        dims = rs._kernels[key] = _kernel_dims(rs, multiplier, side, d)
-    return KernelReport(list(dims))
-
-
-def _kernel_dims(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> list[int]:
-    pres = rs.presentation
-    deg = pres.poly_degree(multiplier)
-    if deg is None:
-        raise ValueError("multiplier must be nonzero")
-    multiplier = _integral(multiplier)
-    dims: list[int] = []
-    for k in range(0, d - deg + 1):
-        source, target = rs.basis(k), rs.basis(k + deg)
-        images = []
-        for w in source:
-            unit: Poly = {w: 1}
-            image = p_mul(unit, multiplier) if side == "right" else p_mul(multiplier, unit)
-            images.append(rs.normal_form(image))
-        dims.append(len(source) - len(_span([(v,) for v in images], [target])))
-    return dims
+    if key not in rs._kernels:
+        deg = rs.presentation.poly_degree(multiplier)
+        if deg is None:
+            raise ValueError("multiplier must be nonzero")
+        times = _Products(rs, _integral(multiplier), side)
+        dims: list[int] = []
+        for k in range(0, d - deg + 1):
+            source, target = rs.basis(k), rs.basis(k + deg)
+            dims.append(len(source) - len(_span([(times[w],) for w in source], [target])))
+        rs._kernels[key] = dims
+    return KernelReport(list(rs._kernels[key]))
 
 
 def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
@@ -495,23 +516,20 @@ def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
     Layer k is spanned by x * I_{k - deg x} over the generators x and by
     g * A_{k - deg g} over the gens g: a product u * g * v with u = x * u'
     nonempty is x * (u' * g * v), so right products of layers are never
-    needed.
+    needed.  Both come from left `_Products` tables, one per gen g and one
+    per generator x, each built from the product a letter shorter,
+    g * w = (g * w'') * y and x * u = (x * u'') * y: exact when normal
+    forms are unique on words of degree <= d, as `complete` asserts.
     """
     pres = rs.presentation
-    seeds: list[tuple[int, Poly]] = []
-    for g in gens:
-        nf = rs.normal_form(_integral(g))
-        deg = pres.poly_degree(nf)
-        if deg is not None and deg <= d:
-            seeds.append((deg, nf))
+    tables = [_Products(rs, _integral(g), "left") for g in gens]
+    seeds = [(e, times) for times in tables if (e := pres.poly_degree(times[()])) is not None]
+    lefts = [(e, _Products(rs, {(i,): 1}, "left")) for i, e in enumerate(pres.degrees)]
     layers: dict[int, list[Poly]] = {}
     for k in range(d + 1):
-        candidates = [rs.normal_form(p_mul(g, {w: 1}))
-                      for e, g in seeds if e <= k for w in rs.basis(k - e)]
-        for i, e in enumerate(pres.degrees):
-            unit: Poly = {(i,): 1}
-            for v in layers.get(k - e, []):
-                candidates.append(rs.normal_form(p_mul(unit, v)))
+        candidates = [times[w] for e, times in seeds if e <= k for w in rs.basis(k - e)]
+        for e, times in lefts:
+            candidates += [times(v) for v in layers.get(k - e, [])]
         layers[k] = [v for v, in _span([(c,) for c in candidates], [rs.basis(k)])]
     return [len(layers[k]) for k in range(d + 1)]
 
@@ -544,19 +562,6 @@ def resolution_check(rs: RewriteSystem, multipliers: Sequence[Poly],
 
 # -- morphisms and the fiber product ---------------------------------------
 
-def _evaluate(poly: Poly, images: Sequence[Poly]) -> Poly:
-    """Image of poly under the algebra map sending generator i to images[i]."""
-    out: Poly = {}
-    for word, coeff in poly.items():
-        term: Poly = {(): coeff}
-        for idx in word:
-            term = p_mul(term, images[idx])
-            if not term:
-                break
-        out = p_add(out, term)
-    return out
-
-
 class Morphism:
     """Graded algebra map given on generators of the source."""
 
@@ -575,16 +580,27 @@ class Morphism:
             if deg is not None and deg != spres.degrees[spres.gen_index(name)]:
                 raise ValueError(f"image of {name!r} has the wrong degree")
 
+    def _table(self) -> _Products:
+        """The map as a left `_Products` table: a word's image is its prefix's
+        times its last letter's, exact when the target's normal forms are
+        unique on words up to the image's degree."""
+        letters = [_integral(self.images[name]) for name in self.source.presentation.generators]
+        return _Products(self.target, {(): 1}, "left", letters)
+
     def apply(self, poly: Poly) -> Poly:
-        images = [self.images[name] for name in self.source.presentation.generators]
-        return self.target.normal_form(_evaluate(poly, images))
+        return self._table()(poly)
 
     def surjective_upto(self, d: int) -> bool:
+        """Whether the source basis maps onto the target's in each degree <= d.
+
+        Each word's image is an entry of one `_table`, read in degree order.
+        """
+        image = self._table()
         for k in range(d + 1):
             target = self.target.basis(k)
             if not target:
                 continue
-            images = [(self.apply({w: 1}),) for w in self.source.basis(k)]
+            images = [(image[w],) for w in self.source.basis(k)]
             if len(_span(images, [target])) < len(target):
                 return False
         return True
@@ -605,7 +621,9 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
     element pairs (defaults: (t,0), (b,beta), (c,gamma)) are checked against
     every relation of the A_con presentation; they generate the fiber
     product when each pair has matching images and their products span it
-    degree by degree.
+    degree by degree.  A layer vector times a pair's entry g combines the
+    entries u * g = x * (u' * g) of one right `_Products` table per pair and
+    side: exact when both sources' normal forms are unique up to degree d.
     """
     if f_a.target.presentation != f_b.target.presentation:
         raise ValueError("fiber product requires a common target")
@@ -624,20 +642,19 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
     if len(pairs) != len(acon.generators):
         raise ValueError("one element pair is needed per A_con generator")
 
-    a_images, b_images = [a for a, _ in pairs], [b for _, b in pairs]
-    relations_ok = not any(
-        rs_a.normal_form(_evaluate(rel, a_images)) or rs_b.normal_form(_evaluate(rel, b_images))
-        for rel in map(poly_from_key, acon.relations)
-    )
+    on_a = _Products(rs_a, {(): 1}, "left", [a for a, _ in pairs])
+    on_b = _Products(rs_b, {(): 1}, "left", [b for _, b in pairs])
+    relations_ok = not any(on_a(rel) or on_b(rel) for rel in map(poly_from_key, acon.relations))
 
     # grow the subalgebra generated by the pairs, degree by degree
     layers: dict[int, list[list[Poly]]] = {0: [[{(): 1}, {(): 1}]]}
     generates = dims[0] == 1 and all(f_a.apply(a) == f_b.apply(b) for a, b in pairs)
-    int_pairs = [(_integral(a), _integral(b)) for a, b in pairs]
+    times = [(_Products(rs_a, _integral(a), "right"), _Products(rs_b, _integral(b), "right"))
+             for a, b in pairs]
     for k in range(1, d + 1):
         products = [
-            (rs_a.normal_form(p_mul(va, ga)), rs_b.normal_form(p_mul(vb, gb)))
-            for gi, (ga, gb) in enumerate(int_pairs)
+            (times_a(va), times_b(vb))
+            for gi, (times_a, times_b) in enumerate(times)
             for va, vb in layers.get(k - acon.degrees[gi], [])
         ]
         layers[k] = _span(products, [rs_a.basis(k), rs_b.basis(k)])
@@ -670,7 +687,9 @@ def substitute_and_reduce(rs: RewriteSystem, dictionary: Mapping[str, Poly],
 
     expr lives over the base coordinate presentation; nonzero images must be
     homogeneous of the coordinate's degree, which keeps the substituted
-    expression homogeneous whenever expr is.
+    expression homogeneous whenever expr is.  A word's image is built from
+    its prefix's by a left `_Products` table, exact when rs has unique
+    normal forms on words up to expr's degree.
     """
     tpres = rs.presentation
     for name in base.generators:
@@ -680,7 +699,8 @@ def substitute_and_reduce(rs: RewriteSystem, dictionary: Mapping[str, Poly],
         deg = tpres.poly_degree(img)
         if deg is not None and deg != base.degrees[base.gen_index(name)]:
             raise ValueError(f"image of {name!r} is not degree-matching")
-    return rs.normal_form(_evaluate(expr, [dictionary[name] for name in base.generators]))
+    images = [_integral(dictionary[name]) for name in base.generators]
+    return _Products(rs, {(): 1}, "left", images)(expr)
 
 
 def hypersurface_polynomial(base: NCPresentation) -> Poly:

@@ -673,3 +673,172 @@ def test_rules_compare_equal_to_fraction_rules(name):
     assert all(type(c) is int for _, rhs in rules for c in rhs.values())
     half = [((1, 0), {(0, 1): Fraction(1, 2)})]
     assert RewriteSystem(NCPresentation.build([("x", 1), ("y", 1)]), 4, half).rules == half
+
+
+# -- product tables against one normal form per word ---------------------------
+
+def direct_kernel_dims(rs, multiplier, side, d):
+    """graded_kernel's dims with one rs.normal_form(p_mul(...)) per basis word."""
+    deg = rs.presentation.poly_degree(multiplier)
+    dims = []
+    for k in range(d - deg + 1):
+        images = [rs.normal_form(p_mul({w: 1}, multiplier) if side == "right"
+                                 else p_mul(multiplier, {w: 1})) for w in rs.basis(k)]
+        dims.append(len(images) - sparse_rank(images))
+    return dims
+
+
+def direct_ideal_dims(rs, gens, d):
+    """ideal_dims with one normal form per product g * w and x * v."""
+    pres = rs.presentation
+    seeds = [nf for nf in map(rs.normal_form, gens) if nf]
+    layers = {}
+    for k in range(d + 1):
+        candidates = [rs.normal_form(p_mul(g, {w: 1}))
+                      for g in seeds for w in rs.basis(k - pres.poly_degree(g))]
+        for i, e in enumerate(pres.degrees):
+            candidates += [rs.normal_form(p_mul({(i,): 1}, v)) for v in layers.get(k - e, [])]
+        layers[k] = [v for v, in ncalg._span([(c,) for c in candidates], [rs.basis(k)])]
+    return [len(layers[k]) for k in range(d + 1)]
+
+
+def evaluate(poly, images):
+    """The image of poly in the free algebra, generator i going to images[i]."""
+    out = {}
+    for word, coeff in poly.items():
+        term = {(): coeff}
+        for i in word:
+            term = p_mul(term, images[i])
+        out = p_add(out, term)
+    return out
+
+
+def direct_apply(f, poly):
+    """Morphism.apply as one normal form of the whole image."""
+    return f.target.normal_form(evaluate(poly, [f.images[n] for n in f.source.presentation.generators]))
+
+
+def direct_surjective(f, d):
+    """Morphism.surjective_upto with one normal form per word's image."""
+    return all(sparse_rank([direct_apply(f, {w: 1}) for w in f.source.basis(k)])
+               == len(f.target.basis(k)) for k in range(d + 1))
+
+
+def direct_fiber(f_a, f_b, d, pairs):
+    """fiber_product's (dims, relations_ok, generates), one normal form per product."""
+    rs_a, rs_b, rs_c = f_a.source, f_b.source, f_a.target
+    dims = [len(rs_a.basis(k)) + len(rs_b.basis(k)) - len(rs_c.basis(k)) for k in range(d + 1)]
+    relations_ok = not any(
+        rs_a.normal_form(evaluate(rel, [a for a, _ in pairs]))
+        or rs_b.normal_form(evaluate(rel, [b for _, b in pairs]))
+        for rel in map(ncalg.poly_from_key, catalog("acon").relations))
+    generates = dims[0] == 1 and all(direct_apply(f_a, a) == direct_apply(f_b, b) for a, b in pairs)
+    layers = {0: [[{(): 1}, {(): 1}]]}
+    for k in range(1, d + 1):
+        products = [(rs_a.normal_form(p_mul(va, a)), rs_b.normal_form(p_mul(vb, b)))
+                    for a, b in pairs for va, vb in layers[k - 1]]
+        layers[k] = ncalg._span(products, [rs_a.basis(k), rs_b.basis(k)])
+        generates = generates and len(layers[k]) == dims[k]
+    return dims, relations_ok, generates
+
+
+def degree_two_monomials(pres):
+    n = len(pres.generators)
+    words = [w for length in (1, 2) for w in product(range(n), repeat=length)]
+    return [{w: 1} for w in words if pres.word_degree(w) == 2]
+
+
+def table_cases():
+    """(label, completed system, multipliers, degree): every catalog algebra at
+    8 and x*y = 0, whose left and right kernels differ, at 10."""
+    for name in catalog_names():
+        pres = catalog(name)
+        yield name, complete(pres, 8), degree_two_monomials(pres), 8
+    xy = NCPresentation.build([("x", 1), ("y", 1)], relations=[{(0, 1): Fraction(1)}])
+    yield "x*y = 0", complete(xy, 10), [xy.gen("x"), xy.gen("y")] + degree_two_monomials(xy), 10
+
+
+def morphism_cases(rs):
+    """The identity of rs and the map sending each generator to the first one of its degree."""
+    pres = rs.presentation
+    first = {e: name for name, e in reversed(list(zip(pres.generators, pres.degrees)))}
+    yield Morphism(rs, rs, {name: pres.gen(name) for name in pres.generators})
+    yield Morphism(rs, rs, {name: pres.gen(first[e]) for name, e in zip(pres.generators, pres.degrees)})
+
+
+def fiber_pair_cases(f_a, f_b):
+    a, b = f_a.source.presentation, f_b.source.presentation
+    t, pb, pc = a.gen("t"), a.gen("b"), a.gen("c")
+    beta, gamma = b.gen("beta"), b.gen("gamma")
+    yield [(t, {}), (pb, beta), (pc, gamma)]
+    yield [(t, {}), (pb, gamma), (pc, beta)]
+    yield [(t, {}), (p_add(pb, pc), p_add(beta, gamma)), (pc, gamma)]
+    yield [(t, {}), (pb, beta), (pb, beta)]
+    yield [(p_add(t, pb), beta), (pb, beta), (pc, gamma)]
+
+
+def test_product_tables_match_direct_normal_forms():
+    verdicts = set()
+    for label, rs, multipliers, d in table_cases():
+        for m in multipliers:
+            for side in ("left", "right"):
+                got = graded_kernel(rs, m, side, d).dims
+                assert got == direct_kernel_dims(rs, m, side, d), (label, m, side)
+            assert ideal_dims(rs, [m], d) == direct_ideal_dims(rs, [m], d), (label, m)
+        for f in morphism_cases(rs):
+            surjective = f.surjective_upto(d)
+            assert surjective == direct_surjective(f, d), (label, f.images)
+            verdicts.add(("surjective", surjective))
+            for m in multipliers:
+                assert f.apply(m) == direct_apply(f, m), (label, f.images, m)
+    f_a, f_b = standard_morphisms(8)
+    for pairs in fiber_pair_cases(f_a, f_b):
+        report = fiber_product(f_a, f_b, 8, pairs)
+        got = (report.dims, report.relations_ok, report.generates)
+        assert got == direct_fiber(f_a, f_b, 8, pairs), pairs
+        verdicts.update((("relations_ok", report.relations_ok), ("generates", report.generates)))
+    # every verdict occurs both ways, so the comparison is not vacuous
+    assert len(verdicts) == 6
+
+
+def test_kernel_table_makes_one_normal_form_per_entry(monkeypatch):
+    pres = catalog("acon")
+    rs = complete(pres, 12)
+    rs.basis(0)
+    calls, rewrites = [], []
+    normal_form, find_reduction = rs.normal_form, rs._find_reduction
+
+    def counting_normal_form(poly):
+        calls.append(poly)
+        return normal_form(poly)
+
+    def counting_find_reduction(word):
+        hit = find_reduction(word)
+        if hit is not None:
+            rewrites.append(word)
+        return hit
+
+    monkeypatch.setattr(rs, "normal_form", counting_normal_form)
+    monkeypatch.setattr(rs, "_find_reduction", counting_find_reduction)
+    graded_kernel(rs, pres.gen("t"), "right", 12)
+    # the entries are t itself, for the empty word, and w * t for each
+    # irreducible word w of degree 1..11
+    assert len(calls) == 1 + sum(rs.graded_dims(11)[1:]) == 489
+    # each entry reduces x * (w' * t), not the whole word w * t, which takes
+    # 3380 rule applications over the same words
+    assert len(rewrites) == 272
+
+
+def test_substitution_matches_direct_normal_forms():
+    base = base_coordinates()
+    rs = complete(catalog("acon"), 10)
+    mapping = acon_dictionary(rs.presentation)
+    images = [mapping[name] for name in base.generators]
+    exprs = [hypersurface_polynomial(base), *singular_polynomials(base).values()]
+    exprs += [p_mul(base.gen(a), base.gen(b)) for a in base.generators for b in base.generators]
+    nonzero = 0
+    for expr in exprs:
+        got = substitute_and_reduce(rs, mapping, expr, base)
+        assert got == rs.normal_form(evaluate(expr, images)), base.render(expr)
+        nonzero += bool(got)
+    assert nonzero > len(exprs) // 2
