@@ -1,11 +1,11 @@
 """GL(2) character arithmetic and equivariant cohomology on the projective line.
 
-Characters are Laurent polynomials in two torus variables, stored as
-``{(e1, e2): coefficient}``.  Irreducibles are labelled by their highest
-weight ``(p, q)`` with ``p >= q``.  Line bundles on P(V) are written
-``L^a Q^b`` where ``L`` is the tautological subbundle, ``Q = V/L`` the
-quotient, and ``D = det V``; global sections and first cohomology carry the
-equivariant normalisation
+Characters are Laurent polynomials stored as ``{(e1, e2): coefficient}``,
+added by `exact.combine` and multiplied by `exact.laurent_mul`.
+Irreducibles are labelled by their highest weight ``(p, q)`` with
+``p >= q``.  Line bundles on P(V) are written ``L^a Q^b`` where ``L`` is the
+tautological subbundle, ``Q = V/L`` the quotient, and ``D = det V``; global
+sections and first cohomology carry the equivariant normalisation
 
     H0(L^a Q^b) = Sym^{b-a} V x D^a          (b - a >= 0)
     H1(L^a Q^b) = Sym^{a-b-2} V x D^{b+1}    (b - a <= -2)
@@ -18,7 +18,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping, Sequence
 
-Weight = tuple[int, int]
+from .exact import combine, laurent_mul
+
+Weight = tuple[int, ...]
 Char = dict[Weight, int]
 IrrepLabel = tuple[int, int]
 GradedRep = dict[int, Char]
@@ -43,36 +45,6 @@ def irrep_from_name(name: str) -> IrrepLabel:
     except KeyError:
         choices = ", ".join(sorted(IRREP_NAMES))
         raise ValueError(f"unknown representation name {name!r}; choose from {choices}") from None
-
-
-def char_add(a: Char, b: Char) -> Char:
-    out = dict(a)
-    for w, c in b.items():
-        n = out.get(w, 0) + c
-        if n:
-            out[w] = n
-        else:
-            out.pop(w, None)
-    return out
-
-
-def char_scale(a: Char, k: int) -> Char:
-    if k == 0:
-        return {}
-    return {w: c * k for w, c in a.items()}
-
-
-def char_mul(a: Char, b: Char) -> Char:
-    out: Char = {}
-    for (w1, w2), c in a.items():
-        for (v1, v2), e in b.items():
-            key = (w1 + v1, w2 + v2)
-            n = out.get(key, 0) + c * e
-            if n:
-                out[key] = n
-            else:
-                out.pop(key, None)
-    return out
 
 
 def is_symmetric(char: Char) -> bool:
@@ -116,7 +88,7 @@ def decompose(char: Char) -> dict[IrrepLabel, int]:
         mult = rest[(p, s - p)]
         if mult < 0:
             raise ValueError(f"not a character: multiplicity {mult} at weight {label}")
-        rest = char_add(rest, char_scale(irrep_character(label), -mult))
+        rest = combine([(1, rest), (-mult, irrep_character(label))])
         if any(e1 + e2 == s and e1 >= e2 and c < 0 for (e1, e2), c in rest.items()):
             raise ValueError("not a character: negative multiplicity after subtraction")
         out[label] = out.get(label, 0) + mult
@@ -207,7 +179,7 @@ def pv_cohomology(bundle: Mapping[PVTerm, int]) -> tuple[dict[IrrepLabel, int], 
         for target, line_char in ((h0, line_h0), (h1, line_h1)):
             if not line_char:
                 continue
-            for piece, m in decompose(char_mul(w_char, line_char)).items():
+            for piece, m in decompose(laurent_mul(w_char, line_char)).items():
                 target[piece] += m * mult
     return ({k: v for k, v in sorted(h0.items()) if v},
             {k: v for k, v in sorted(h1.items()) if v})
@@ -358,7 +330,7 @@ def koszul_matrices() -> list[list[list[Char]]]:
                 for row, (t_sub, t_sign) in enumerate(target):
                     if t_sub == new_sub:
                         total = s_sign * w_sign * t_sign
-                        rows[row][col] = char_add(rows[row][col], char_scale(coeff, total))
+                        rows[row][col] = combine([(1, rows[row][col]), (total, coeff)])
         mats.append(rows)
     return mats
 
@@ -366,15 +338,9 @@ def koszul_matrices() -> list[list[list[Char]]]:
 def koszul_is_complex(mats: Sequence[Sequence[Sequence[Char]]]) -> bool:
     """Whether consecutive differentials compose to zero."""
     for first, second in zip(mats, mats[1:]):
-        rows = len(second)
-        cols = len(first[0])
-        inner = len(first)
-        for r in range(rows):
-            for c in range(cols):
-                acc: Char = {}
-                for m in range(inner):
-                    acc = char_add(acc, char_mul(second[r][m], first[m][c]))
-                if acc:
+        for row in second:
+            for c in range(len(first[0])):
+                if combine((1, laurent_mul(entry, first[m][c])) for m, entry in enumerate(row)):
                     return False
     return True
 
@@ -404,11 +370,6 @@ def koszul_lines_consistent() -> bool:
                 if targets[r] != expected:
                     return False
     return True
-
-
-def ext1_degree3_multiplicities(max_degree: int) -> list[int]:
-    """V*-multiplicity in sections of Q^2 D^-1 x Sym(bundle); must vanish."""
-    return vstar_section_counts([(-1, -1, 2)], max_degree)[0]
 
 
 def ext1_FG_dims(max_degree: int) -> list[int]:

@@ -1,20 +1,24 @@
-"""The exact kernel: one row reduction, one rational codec, one value base.
+"""The exact kernel: one row reduction, one sparse-polynomial sum and Laurent
+product, one rational codec, one value base.
 
 Every kernel, rank, span and invariant subspace in the package comes out of
 one sparse fraction-free integer elimination (Bareiss 1968), `echelon`,
-which yields primitive integer rows.  Every rational read from JSON or an
-expression goes through `rational`, and every rational written to JSON
-through `rational_json`.  The immutable value classes of the package
-(presentations, polytopes, windows and their parts, verify results, kernel
-and fiber-product reports, quiver base points and singular-locus reports)
-derive from `_Record`.  The one exception is `quiver.QuiverRep`, which
-stores only its integer view and builds its Fraction fields from it on
-first read.
+which yields primitive integer rows.  Every sparse {key: coefficient} sum
+(characters, K-classes, noncommutative polynomials) is one `combine`, and
+every product of Laurent polynomials over exponent tuples is one
+`laurent_mul`.  Every rational read from JSON or an expression goes through
+`rational`, and every rational written to JSON through `rational_json`.
+The immutable value classes of the package (presentations, polytopes,
+windows and their parts, verify results, kernel and fiber-product reports,
+quiver base points and singular-locus reports) derive from `_Record`.  The
+one exception is `quiver.QuiverRep`, which stores only its integer view and
+builds its Fraction fields from it on first read.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 # Largest decimal exponent `rational` reads: CPython's default int-to-str digit
 # limit, so rational_json could not print a larger power of ten anyway.
@@ -127,6 +131,29 @@ def echelon(rows, width: int | None = None):
         int_rows.append(vec)
         pivots.append(lead_col)
         yield vec, lead_col
+
+
+def combine(terms) -> dict:
+    """The sum of c * p over (c, p) pairs of sparse {key: coefficient} dicts.
+
+    Keys that cancel are dropped.  Coefficients keep their type: ints stay
+    ints and Fractions stay Fractions.  No terms give {}.
+    """
+    out: dict = {}
+    for c, p in terms:
+        for key, x in p.items():
+            s = out.get(key, 0) + c * x
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
+def laurent_mul(a: dict, b: dict) -> dict:
+    """The product of two Laurent polynomials keyed by exponent tuples of one length."""
+    return combine((ca, {tuple(map(add, ka, kb)): cb for kb, cb in b.items()})
+                   for ka, ca in a.items())
 
 
 def _decimal_exponent(text: str) -> int:

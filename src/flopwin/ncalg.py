@@ -3,7 +3,8 @@
 Algebras are presented by generators with positive integer degrees, an
 optional set of generators declared central, and homogeneous relations.
 Words are tuples of generator indices and polynomials are dicts mapping
-words to rational coefficients, int or Fraction.  `complete` turns a
+words to rational coefficients, int or Fraction, summed by `exact.combine`
+and multiplied by concatenating words (`p_mul`).  `complete` turns a
 presentation into rewrite rules whose normal forms are unique on all words
 up to a degree cutoff (truncated Buchberger completion; its final overlap
 pass asserts confluence, Bergman's diamond lemma).  Graded dimensions,
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .exact import _Record, echelon, rational
+from .exact import _Record, combine, echelon, rational
 
 Word = tuple[int, ...]
 Poly = dict[Word, int | Fraction]
@@ -54,27 +55,6 @@ def _integral(poly: Poly) -> Poly:
     return {w: c.numerator if c.denominator == 1 else c for w, c in poly.items()}
 
 
-def p_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for w, c in b.items():
-        s = out.get(w, 0) + c
-        if s == 0:
-            out.pop(w, None)
-        else:
-            out[w] = s
-    return out
-
-
-def p_scale(a: Poly, c: Fraction) -> Poly:
-    if c == 0:
-        return {}
-    return {w: x * c for w, x in a.items()}
-
-
-def p_sub(a: Poly, b: Poly) -> Poly:
-    return p_add(a, p_scale(b, -1))
-
-
 def p_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for wa, ca in a.items():
@@ -91,7 +71,7 @@ def p_mul(a: Poly, b: Poly) -> Poly:
 
 
 def commutator(a: Poly, b: Poly) -> Poly:
-    return p_sub(p_mul(a, b), p_mul(b, a))
+    return combine([(1, p_mul(a, b)), (-1, p_mul(b, a))])
 
 
 class NCPresentation(_Record):
@@ -354,7 +334,8 @@ def _s_polys(p: NCPresentation, d: int, rule1: tuple[Word, Poly],
     (l1, r1), (l2, r2) = rule1, rule2
     for word, pos1, pos2 in _overlap_words(l1, l2):
         if p.word_degree(word) <= d:
-            yield p_sub(_one_step(word, pos1, l1, r1), _one_step(word, pos2, l2, r2))
+            yield combine([(1, _one_step(word, pos1, l1, r1)),
+                           (-1, _one_step(word, pos2, l2, r2))])
 
 
 def complete(p: NCPresentation, d: int) -> RewriteSystem:
@@ -470,11 +451,7 @@ class _Products(dict):
         return nf
 
     def __call__(self, poly: Poly) -> Poly:
-        out: Poly = {}
-        for u, c in poly.items():
-            for w, x in self[u].items():
-                out[w] = out.get(w, 0) + c * x
-        return {w: x for w, x in out.items() if x}
+        return combine((c, self[u]) for u, c in poly.items())
 
 
 class KernelReport(_Record):
@@ -799,7 +776,7 @@ def parse_expr(pres: NCPresentation, text: str) -> Poly:
         while peek() in ("+", "-"):
             if take() == "-":
                 negative = not negative
-        return p_scale(atom(), Fraction(-1)) if negative else atom()
+        return combine([(-1, atom())]) if negative else atom()
 
     def term() -> Poly:
         out = factor()
@@ -811,10 +788,8 @@ def parse_expr(pres: NCPresentation, text: str) -> Poly:
     def expr_rule() -> Poly:
         out = term()
         while peek() in ("+", "-"):
-            if take() == "+":
-                out = p_add(out, term())
-            else:
-                out = p_sub(out, term())
+            sign = 1 if take() == "+" else -1
+            out = combine([(1, out), (sign, term())])
         return out
 
     try:

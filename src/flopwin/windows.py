@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from itertools import product
 from math import ceil, floor
 
-from .exact import _Record
+from .exact import _Record, combine
 from .lattice import (
     GitPresentation,
     dominant_representative,
@@ -296,12 +296,5 @@ def kappa_generators(p: GitPresentation, dref: FaceRef, cref: FaceRef) -> tuple:
 def k_class(terms: Sequence) -> dict:
     """Alternating K-theory class of a resolution, + on the term nearest the
     sheaf (the last list in ``terms``)."""
-    out: dict = {}
-    for i, term in enumerate(reversed(list(terms))):
-        sign = 1 if i % 2 == 0 else -1
-        for w in term:
-            w = tuple(w)
-            out[w] = out.get(w, 0) + sign
-            if out[w] == 0:
-                del out[w]
-    return out
+    return combine(((-1) ** i, {tuple(w): 1})
+                   for i, term in enumerate(reversed(terms)) for w in term)

@@ -458,7 +458,7 @@ SUBCOMMANDS = {
     "ncalg-normal-form": (["ncalg", "normal-form", "--algebra", "acon", "--expr", "t*beta"],
                           {"cli", "exact", "ncalg"}),
     "coh-multiplicity": (["coh", "multiplicity", "--irrep", "Vstar", "--sym", "V,S2Vm1"],
-                         {"cli", "cohomology"}),
+                         {"cli", "cohomology", "exact"}),
     "verify": (["verify", "--suite", "polyhedral"],
                PRESENTATION | {"cohomology", "ncalg", "quiver", "verify", "windows"}),
 }

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from functools import reduce
 from math import comb
 
 import pytest
@@ -13,12 +12,9 @@ from flopwin.cohomology import (
     RES_G_TERMS,
     afib_vanishing,
     cech_line_cohomology,
-    char_add,
-    char_mul,
     decompose,
     e2_sections,
     ext1_FG_dims,
-    ext1_degree3_multiplicities,
     irrep_character,
     irrep_from_name,
     koszul_is_complex,
@@ -37,6 +33,7 @@ from flopwin.cohomology import (
     verify_semiorthogonality,
     vstar_section_counts,
 )
+from flopwin.exact import combine, laurent_mul
 from flopwin.ncalg import catalog, hilbert
 
 
@@ -52,9 +49,9 @@ def test_irrep_characters():
 
 def test_clebsch_gordan():
     v = irrep_character((1, 0))
-    assert decompose(char_mul(v, v)) == {(2, 0): 1, (1, 1): 1}
+    assert decompose(laurent_mul(v, v)) == {(2, 0): 1, (1, 1): 1}
     vstar = irrep_character((0, -1))
-    assert decompose(char_mul(v, vstar)) == {(1, -1): 1, (0, 0): 1}
+    assert decompose(laurent_mul(v, vstar)) == {(1, -1): 1, (0, 0): 1}
 
 
 def test_decompose_sym2_of_s2vm1():
@@ -100,14 +97,14 @@ def quadratic_sym_pieces_expansion(pieces, max_degree):
 
 
 def char_add_sym_graded(labels, max_degree):
-    """The same expansion on characters, built with char_add and char_mul."""
+    """The same expansion on characters, built with exact.combine and exact.laurent_mul."""
     weights = []
     for label in labels:
         weights.extend(irrep_character(irrep_from_name(label) if isinstance(label, str) else label))
     graded = [{(0, 0): 1}] + [{} for _ in range(max_degree)]
     for w1, w2 in weights:
         graded = [
-            reduce(char_add, (char_mul(graded[k - i], {(i * w1, i * w2): 1}) for i in range(k + 1)), {})
+            combine((1, laurent_mul(graded[k - i], {(i * w1, i * w2): 1})) for i in range(k + 1))
             for k in range(max_degree + 1)
         ]
     return dict(enumerate(graded))
@@ -206,7 +203,7 @@ def test_serre_duality_dimensions():
     # the equivariant refinement carries the extra determinant twist
     _, h1 = pv_line_cohomology(0, -3)
     ext = {(-2, -2): 1}
-    assert h1 == char_mul(irrep_character((1, 0)), ext)
+    assert h1 == laurent_mul(irrep_character((1, 0)), ext)
 
 
 def test_pv_cohomology_bundle():
@@ -265,7 +262,7 @@ def test_vstar_section_counts_match_per_monomial_reference():
                 per_degree.append(total)
             expected.append(per_degree)
         assert vstar_section_counts(caller_twists, max_degree) == expected
-    assert expected[2] == ext1_degree3_multiplicities(8)
+    assert expected[2] == vstar_section_counts([(-1, -1, 2)], 8)[0]
     assert expected[3] == ext1_FG_dims(8)
     assert expected[:2] == list(semiorthogonality_multiplicities(8).values())
     assert any(expected[3])
@@ -305,7 +302,7 @@ def test_koszul_complex():
 
 
 def test_ext1_pipeline():
-    assert ext1_degree3_multiplicities(10) == [0] * 11
+    assert vstar_section_counts([(-1, -1, 2)], 10)[0] == [0] * 11
     dims = ext1_FG_dims(10)
     assert dims == list(range(1, 12))
     assert dims == hilbert(catalog("Cbc"), 10)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from flopwin.exact import echelon, rational, rational_json
+from flopwin.exact import combine, echelon, laurent_mul, rational, rational_json
 
 
 def random_matrix(rng, n_rows, n_cols):
@@ -200,3 +200,42 @@ def test_record_fields_are_all_required_once():
                          (("C", 1), {"extra": 0})):
         with pytest.raises(TypeError):
             FaceRef(*args, **kwargs)
+
+
+def test_combine_drops_cancelled_keys():
+    a = {(1, 0): 2, (0, 1): 1}
+    b = {(1, 0): 1, (0, 0): 3}
+    assert combine([(1, a), (-2, b)]) == {(0, 1): 1, (0, 0): -6}
+    assert combine([(1, a), (-1, a)]) == {}
+    assert combine([(0, a)]) == {}
+
+
+def test_combine_keeps_coefficient_types():
+    ints = combine([(1, {"x": 2}), (-3, {"x": 1, "y": 4})])
+    assert ints == {"x": -1, "y": -12}
+    assert all(type(c) is int for c in ints.values())
+    fractions = combine([(1, {"x": Fraction(1, 2)}), (-1, {"y": Fraction(3)})])
+    assert fractions == {"x": Fraction(1, 2), "y": Fraction(-3)}
+    assert all(type(c) is Fraction for c in fractions.values())
+    assert combine([]) == {}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_laurent_mul_matches_double_loop_on_three_variables(seed):
+    rng = random.Random(seed)
+
+    def poly():
+        return {tuple(rng.randint(-2, 2) for _ in range(3)): rng.choice([-2, -1, 1, 3])
+                for _ in range(rng.randint(0, 8))}
+
+    a, b = poly(), poly()
+    expected = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
+            expected[key] = expected.get(key, 0) + ca * cb
+    assert laurent_mul(a, b) == {k: c for k, c in expected.items() if c}
+    assert laurent_mul(a, b) == laurent_mul(b, a)
+    # x1 - x2 times x1 + x2 cancels the mixed terms
+    assert laurent_mul({(1, 0, 0): 1, (0, 1, 0): -1}, {(1, 0, 0): 1, (0, 1, 0): 1}) == {
+        (2, 0, 0): 1, (0, 2, 0): -1}

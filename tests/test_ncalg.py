@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 import flopwin.ncalg as ncalg
-from flopwin.exact import echelon
+from flopwin.exact import combine, echelon
 from flopwin.ncalg import (
     Morphism,
     NCPresentation,
@@ -26,9 +26,7 @@ from flopwin.ncalg import (
     is_central,
     laufer_slice,
     normal_form,
-    p_add,
     p_mul,
-    p_scale,
     parse_expr,
     resolution_check,
     singular_polynomials,
@@ -184,7 +182,7 @@ def test_centrality():
     endg = catalog("endG")
     rs_g = completed(endg, 12)
     b, c = endg.gen("beta"), endg.gen("gamma")
-    for elem in (p_mul(b, b), p_mul(c, c), p_add(p_mul(b, c), p_mul(c, b))):
+    for elem in (p_mul(b, b), p_mul(c, c), combine([(1, p_mul(b, c)), (1, p_mul(c, b))])):
         assert is_central(rs_g, elem)
     assert not is_central(rs_g, b)
 
@@ -503,7 +501,7 @@ def test_parse_expr():
     }
     assert parse_expr(pres, "1/2*beta + -3") == {(1,): Fraction(1, 2), (): Fraction(-3)}
     assert parse_expr(pres, "-(t - t)") == {}
-    # no zero coefficients, as p_add would give
+    # no zero coefficients, as exact.combine would give
     assert parse_expr(pres, "0") == {}
     assert parse_expr(pres, "0/3*beta + 0 + t*0") == {}
     assert parse_expr(pres, "0 - beta") == {(1,): Fraction(-1)}
@@ -519,8 +517,8 @@ def test_normal_form_linear_idempotent():
     b = parse_expr(pres, "beta*gamma*gamma - t*t")
     nf_a, nf_b = rs.normal_form(a), rs.normal_form(b)
     assert rs.normal_form(nf_a) == nf_a
-    assert rs.normal_form(p_add(a, p_scale(b, Fraction(5)))) == p_add(
-        nf_a, p_scale(nf_b, Fraction(5))
+    assert rs.normal_form(combine([(1, a), (Fraction(5), b)])) == combine(
+        [(1, nf_a), (Fraction(5), nf_b)]
     )
 
 
@@ -704,13 +702,13 @@ def direct_ideal_dims(rs, gens, d):
 
 def evaluate(poly, images):
     """The image of poly in the free algebra, generator i going to images[i]."""
-    out = {}
+    terms = []
     for word, coeff in poly.items():
         term = {(): coeff}
         for i in word:
             term = p_mul(term, images[i])
-        out = p_add(out, term)
-    return out
+        terms.append((1, term))
+    return combine(terms)
 
 
 def direct_apply(f, poly):
@@ -772,9 +770,9 @@ def fiber_pair_cases(f_a, f_b):
     beta, gamma = b.gen("beta"), b.gen("gamma")
     yield [(t, {}), (pb, beta), (pc, gamma)]
     yield [(t, {}), (pb, gamma), (pc, beta)]
-    yield [(t, {}), (p_add(pb, pc), p_add(beta, gamma)), (pc, gamma)]
+    yield [(t, {}), (combine([(1, pb), (1, pc)]), combine([(1, beta), (1, gamma)])), (pc, gamma)]
     yield [(t, {}), (pb, beta), (pb, beta)]
-    yield [(p_add(t, pb), beta), (pb, beta), (pc, gamma)]
+    yield [(combine([(1, t), (1, pb)]), beta), (pb, beta), (pc, gamma)]
 
 
 def test_product_tables_match_direct_normal_forms():

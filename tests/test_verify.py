@@ -4,7 +4,7 @@ Every test breaks one input of one oracle with a monkeypatched mutant and
 expects the owning check to report ok=False with that oracle's message.
 """
 
-from flopwin import cohomology, ncalg, quiver, verify
+from flopwin import cli, cohomology, ncalg, quiver, verify
 from flopwin.windows import FaceRef
 
 
@@ -22,6 +22,42 @@ def test_off_by_one_cech_fails_cohomology_suite(monkeypatch):
     ok, details = verify.check_cohomology_suite()
     assert not ok
     assert "Cech" in details
+
+
+def break_koszul_section(monkeypatch):
+    # a third nonzero component shifts the line types away from KOSZUL_DUAL_LINES
+    section = (cohomology.S_BETA, cohomology.S_GAMMA, cohomology.S_BETA)
+    monkeypatch.setattr(cohomology, "_SECTION", section)
+
+
+def test_broken_koszul_section_fails_cohomology_suite(monkeypatch):
+    break_koszul_section(monkeypatch)
+    ok, details = verify.check_cohomology_suite()
+    assert not ok
+    assert details == "dual Koszul line bookkeeping is inconsistent"
+
+
+def test_nonzero_degree3_term_fails_cohomology_suite(monkeypatch):
+    original = cohomology.vstar_section_counts
+
+    def mutant(twists, max_degree):
+        counts = original(twists, max_degree)
+        if twists[0] == (-1, -1, 2):
+            counts[0][1] += 1
+        return counts
+
+    monkeypatch.setattr(cohomology, "vstar_section_counts", mutant)
+    ok, details = verify.check_cohomology_suite()
+    assert not ok
+    assert details == "degree-3 obstruction term does not vanish"
+
+
+def test_failing_cohomology_suite_exits_1(monkeypatch, capsys):
+    break_koszul_section(monkeypatch)
+    assert cli.main(["verify", "--suite", "cohomology"]) == 1
+    out, err = capsys.readouterr()
+    assert "dual Koszul line bookkeeping is inconsistent" in out
+    assert "error:" not in err
 
 
 def test_non_central_image_fails_substitution_laufer(monkeypatch):
