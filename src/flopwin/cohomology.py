@@ -200,22 +200,25 @@ INTERSECTION_BUNDLE_PIECES: tuple[Piece, ...] = (
 )
 
 
-def sym_pieces_expansion(pieces: Sequence[Piece], max_degree: int) -> list[Counter[Piece]]:
+def sym_pieces_expansion(pieces: Sequence[Piece], max_degree: int) -> list[dict[Piece, int]]:
     """Per-degree monomials of Sym of a sum of torus-line pieces.
 
-    Degree k of the result maps each combined piece (e1, e2, q) to the
-    number of degree-k monomials with that total weight and Q-power.
-    Adding a piece w to the sum multiplies the series by 1/(1 - w), which is
-    the recurrence new[k] = old[k] + w * new[k - 1]; each piece updates the
-    degrees in place from low to high.
+    Degree k of the result is a dict mapping each combined piece
+    (e1, e2, q) to the number of degree-k monomials with that total weight
+    and Q-power; every count is positive.  Adding a piece w to the sum
+    multiplies the series by 1/(1 - w), which is the recurrence
+    new[k] = old[k] + w * new[k - 1]; each piece updates the degrees in
+    place from low to high.
     """
-    layers: list[Counter[Piece]] = [Counter({(0, 0, 0): 1})][: max_degree + 1]  # none below 0
-    layers += [Counter() for _ in range(max_degree)]
+    layers: list[dict[Piece, int]] = [{(0, 0, 0): 1}][: max_degree + 1]  # none below 0
+    layers += [{} for _ in range(max_degree)]
     for w1, w2, wq in pieces:
         for k in range(1, max_degree + 1):
             layer = layers[k]
+            get = layer.get
             for (e1, e2, q), cnt in layers[k - 1].items():
-                layer[(e1 + w1, e2 + w2, q + wq)] += cnt
+                key = (e1 + w1, e2 + w2, q + wq)
+                layer[key] = get(key, 0) + cnt
     return layers
 
 
@@ -228,16 +231,26 @@ def vstar_section_counts(twists: Sequence[Piece], max_degree: int) -> list[list[
     line Q^(q + tq), and that character is built once per Q-power.  H1 is
     not computed: every bundle piece has Q-power >= 0, so H1 vanishes for
     every twist with tq >= -1, which covers all callers.
+
+    Only monomials of one total weight can contribute.  With n = q + tq,
+    `pv_line_cohomology(0, n)` gives H0 the weights (n - i, i), all of total
+    weight n, and the term reads H0 at (a, b) and (a + 1, b - 1) with
+    a + b = v1 + v2 - e1 - e2 - t1 - t2 for V* = (v1, v2).  Both lookups
+    are 0 unless a + b = n, that is e1 + e2 + q = v1 + v2 - t1 - t2 - tq,
+    so every other monomial is skipped.
     """
     layers = sym_pieces_expansion(INTERSECTION_BUNDLE_PIECES, max_degree)
     v1, v2 = IRREP_NAMES["Vstar"]
     line_h0: dict[int, Char] = {}
     counts = []
     for t1, t2, tq in twists:
+        weight = v1 + v2 - t1 - t2 - tq
         per_degree = []
         for layer in layers:
             total = 0
             for (e1, e2, q), cnt in layer.items():
+                if e1 + e2 + q != weight:
+                    continue
                 h0 = line_h0.get(q + tq)
                 if h0 is None:
                     h0 = line_h0[q + tq] = pv_line_cohomology(0, q + tq)[0]

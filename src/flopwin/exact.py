@@ -17,6 +17,7 @@ builds its Fraction fields from it on first read.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add
 
@@ -80,28 +81,40 @@ def echelon(rows, width: int | None = None):
     Each row has its denominators cleared and is reduced against the
     primitive integer pivot rows found so far by row <- a*row - b*prow, with
     a/b = lead/entry in lowest terms, then divided by the gcd of its entries
-    (Bareiss 1968).  Pivots are sought only in the first ``width`` columns
-    (default: all of them).  Yields (vec, lead_col) for each row, in order:
-    a row with a pivot yields its primitive integer row and its pivot
-    column, any other row its reduced integer row and None.  Each yielded
-    row is a nonzero rational multiple of the row plain Fraction elimination
-    would leave, so augmenting each row with a unit vector makes the columns
-    from ``width`` on of the null rows a kernel basis.  Yielded pivot rows
-    are used for later reductions, so callers must not change them.  The
-    rank is the number of rows that yield a pivot.
+    (Bareiss 1968).  Its pivot columns are cleared in increasing column
+    order, from a heap of the pivot columns present in the row: a pivot row
+    has no entry left of its pivot, so clearing one column never refills a
+    column already cleared, and the row ends with no entry at any pivot
+    column.  That row is a positive multiple of the one any clearing order
+    leaves, so the pivot rows, primitive, do not depend on the order.
+    Pivots are sought only in the first ``width`` columns (default: all of
+    them).  Yields (vec, lead_col) for each row, in order: a row with a
+    pivot yields its primitive integer row and its pivot column, any other
+    row its reduced integer row and None.  Each yielded row is a nonzero
+    rational multiple of the row plain Fraction elimination would leave, so
+    augmenting each row with a unit vector makes the columns from ``width``
+    on of the null rows a kernel basis.  Yielded pivot rows are used for
+    later reductions, so callers must not change them.  The rank is the
+    number of rows that yield a pivot.
     """
-    int_rows: list[dict[int, int]] = []  # primitive integer pivot rows
-    pivots: list[int] = []
+    by_col: dict[int, dict[int, int]] = {}  # primitive integer pivot rows by pivot column
     for row in rows:
         den = 1
         for x in row.values():
             if x.denominator != 1:
                 den = lcm(den, x.denominator)
-        vec = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-        for prow, pcol in zip(int_rows, pivots):
+        if den == 1:
+            vec = {j: x.numerator for j, x in row.items()}
+        else:
+            vec = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+        todo = [j for j in vec if j in by_col]
+        heapify(todo)
+        while todo:
+            pcol = heappop(todo)
             c = vec.get(pcol)
-            if c is None:
+            if c is None:  # cancelled by an earlier step, or a repeat on the heap
                 continue
+            prow = by_col[pcol]
             lead = prow[pcol]
             g = gcd(lead, c)
             a, b = lead // g, c // g
@@ -111,8 +124,12 @@ def echelon(rows, width: int | None = None):
                 for j in vec:
                     vec[j] *= a
             for j, v in prow.items():
-                s = vec.get(j, 0) - b * v
-                if s:
+                old = vec.get(j)
+                if old is None:
+                    vec[j] = -b * v
+                    if j in by_col:
+                        heappush(todo, j)
+                elif s := old - b * v:
                     vec[j] = s
                 else:
                     del vec[j]
@@ -121,15 +138,17 @@ def echelon(rows, width: int | None = None):
                 if g != 1:
                     for j in vec:
                         vec[j] //= g
-        lead_col = min((j for j in vec if width is None or j < width), default=None)
+        if width is None:
+            lead_col = min(vec, default=None)
+        else:
+            lead_col = min((j for j in vec if j < width), default=None)
         if lead_col is None:
             yield vec, None
             continue
         g = gcd(*vec.values())
         if g != 1:
             vec = {j: v // g for j, v in vec.items()}
-        int_rows.append(vec)
-        pivots.append(lead_col)
+        by_col[lead_col] = vec
         yield vec, lead_col
 
 

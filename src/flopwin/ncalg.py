@@ -18,6 +18,11 @@ shorter, w * m = x * (w' * m) or m * w = (m * w'') * y, in a table that
 lives for one call; that is exact because normal forms are unique up to
 the cutoff.
 
+`normal_form` reduces its input one degree at a time, highest first: rules
+are homogeneous, so a rewrite never leaves its degree, and inside one degree
+the plain tuple order of words is the deglex order the rules are oriented
+by.
+
 Integral data stays integral: rules store integral coefficients as ints, so
 int input has int normal forms (Fraction input stays Fraction), and spans
 are primitive integer rows from `exact.echelon`.  Graded kernels are memoised
@@ -218,41 +223,58 @@ class RewriteSystem:
         return None
 
     def normal_form(self, poly: Poly) -> Poly:
-        # each pending word's order key, computed once as the word enters
-        # work; rules are homogeneous, so a rewritten word keeps the degree
-        # of the word it came from
-        keys = {word: self.presentation.order_key(word) for word in poly}
-        if any(degree > self.cutoff for degree, _ in keys.values()):
+        """The normal form of poly: rewrite its largest pending word until none is left.
+
+        Words are taken largest first under `order_key` (deglex), so the
+        result lists its words in decreasing deglex order; int coefficients
+        stay int and Fraction ones Fraction.  A word of degree above the
+        cutoff raises ValueError before any rewrite.
+
+        Every rule is homogeneous (`add_rule` checks it), so a rewrite keeps
+        a word's degree: the input is split by degree once and each degree
+        is reduced on its own, highest first, which takes words in the same
+        order as one deglex maximum over all pending words.  Inside one
+        degree the plain tuple maximum is the deglex maximum, because with
+        positive generator degrees neither of two words of one degree is a
+        proper prefix of the other.  Deglex is then a monoid order, and every
+        rhs of a `complete` rule lies below its lhs, so a rewrite only
+        produces words below the one it replaces.
+        """
+        word_degree = self.presentation.word_degree
+        buckets: dict[int, Poly] = {}
+        for word, coeff in poly.items():
+            buckets.setdefault(word_degree(word), {})[word] = coeff
+        order = sorted(buckets, reverse=True)
+        if order and order[0] > self.cutoff:
             raise ValueError("expression degree exceeds the rewrite cutoff")
-        work = dict(poly)
+        find = self._find_reduction
         result: Poly = {}
-        while work:
-            word = max(work, key=keys.__getitem__)
-            coeff = work.pop(word)
-            if coeff == 0:
-                continue
-            hit = self._find_reduction(word)
-            if hit is None:
-                s = result[word] + coeff if word in result else coeff
-                if s == 0:
-                    result.pop(word, None)
-                else:
-                    result[word] = s
-                continue
-            pos, lhs, rhs = hit
-            head, tail = word[:pos], word[pos + len(lhs):]
-            degree = keys[word][0]
-            for rw, rc in rhs.items():
-                new = head + rw + tail
-                s = coeff * rc
-                if new in work:
-                    s += work[new]
-                elif new not in keys:
-                    keys[new] = (degree, new)
-                if s == 0:
-                    work.pop(new, None)
-                else:
-                    work[new] = s
+        for degree in order:
+            work = buckets[degree]
+            while work:
+                word = max(work)
+                coeff = work.pop(word)
+                if coeff == 0:
+                    continue
+                hit = find(word)
+                if hit is None:
+                    s = result[word] + coeff if word in result else coeff
+                    if s == 0:
+                        result.pop(word, None)
+                    else:
+                        result[word] = s
+                    continue
+                pos, lhs, rhs = hit
+                head, tail = word[:pos], word[pos + len(lhs):]
+                for rw, rc in rhs.items():
+                    new = head + rw + tail
+                    s = coeff * rc
+                    if new in work:
+                        s += work[new]
+                    if s == 0:
+                        work.pop(new, None)
+                    else:
+                        work[new] = s
         return result
 
     def basis(self, degree: int) -> list[Word]:

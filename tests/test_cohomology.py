@@ -268,6 +268,53 @@ def test_vstar_section_counts_match_per_monomial_reference():
     assert any(expected[3])
 
 
+def unfiltered_vstar_section_counts(twists, max_degree):
+    """vstar_section_counts summed over every monomial, with no total-weight filter."""
+    layers = sym_pieces_expansion(INTERSECTION_BUNDLE_PIECES, max_degree)
+    v1, v2 = IRREP_NAMES["Vstar"]
+    counts = []
+    for t1, t2, tq in twists:
+        per_degree = []
+        for layer in layers:
+            total = 0
+            for (e1, e2, q), cnt in layer.items():
+                h0 = pv_line_cohomology(0, q + tq)[0]
+                a, b = v1 - e1 - t1, v2 - e2 - t2
+                total += cnt * (h0.get((a, b), 0) - h0.get((a + 1, b - 1), 0))
+            per_degree.append(total)
+        counts.append(per_degree)
+    return counts
+
+
+def test_total_weight_filter_matches_unfiltered_counts():
+    twists = [(t1, t2, tq) for tq in (-1, 0, 1, 2) for t1 in range(-2, 2) for t2 in range(-2, 2)
+              if (t1, t2) != (0, 0)]
+    counts = vstar_section_counts(twists, 14)
+    assert counts == unfiltered_vstar_section_counts(twists, 14)
+    # the filter keeps the contributing monomials: many twists count something
+    assert sum(any(per_degree) for per_degree in counts) >= 10
+    assert any(m < 0 for per_degree in counts for m in per_degree)
+    for d in (0, 1, 5):
+        assert vstar_section_counts(twists[:6], d) == unfiltered_vstar_section_counts(twists[:6], d)
+
+
+def test_sym_pieces_expansion_ignores_the_order_of_its_pieces():
+    rng = random.Random(13)
+    for trial in range(20):
+        pieces = [(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-1, 3))
+                  for _ in range(rng.randint(1, 6))]
+        max_degree = 3 + trial % 8
+        expected = sym_pieces_expansion(pieces, max_degree)
+        for _ in range(3):
+            shuffled = rng.sample(pieces, len(pieces))
+            got = sym_pieces_expansion(shuffled, max_degree)
+            assert got == expected, (pieces, shuffled)
+            assert all(type(layer) is dict for layer in got)
+            assert all(type(cnt) is int and cnt > 0 for layer in got for cnt in layer.values())
+    bundle = list(INTERSECTION_BUNDLE_PIECES)
+    assert sym_pieces_expansion(bundle[::-1], 12) == sym_pieces_expansion(bundle, 12)
+
+
 def test_semiorthogonality():
     report = semiorthogonality_multiplicities(12)
     assert report["Q_twist"] == [0] * 13

@@ -137,6 +137,104 @@ def test_integer_core_rows_are_primitive_multiples_of_echelon_rows(batch):
                 assert is_multiple([vec.get(j, 0) for j in range(w, n)], tail)
 
 
+def discovery_order_echelon(rows, width=None):
+    """echelon with each row reduced against the pivot rows in the order they
+    were found, kept as the reference for the column-order clearing."""
+    int_rows, pivots, out = [], [], []
+    for row in rows:
+        den = math.lcm(1, *(Fraction(x).denominator for x in row.values()))
+        vec = {j: int(x * den) for j, x in row.items()}
+        for prow, pcol in zip(int_rows, pivots):
+            c = vec.get(pcol)
+            if c is None:
+                continue
+            g = math.gcd(prow[pcol], c)
+            a, b = prow[pcol] // g, c // g
+            if a < 0:
+                a, b = -a, -b
+            vec = combine([(a, vec), (-b, prow)])
+        lead = min((j for j in vec if width is None or j < width), default=None)
+        if lead is not None:
+            g = math.gcd(*vec.values())
+            vec = {j: v // g for j, v in vec.items()}
+            int_rows.append(vec)
+            pivots.append(lead)
+        out.append((vec, lead))
+    return out
+
+
+def staircase_matrix(rng, n_rows, n_cols):
+    """A permuted staircase: rows leading at shuffled columns with dense tails,
+    so later rows lead at earlier columns and clearing one pivot column fills
+    later ones; then rational combinations of the rows, which reduce through
+    long chains of pivots."""
+    leads = sorted(rng.sample(range(n_cols), min(n_rows, n_cols)))
+    rows = [[Fraction(0)] * lead + [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))]
+            + [Fraction(rng.randint(-4, 4)) for _ in range(n_cols - lead - 1)] for lead in leads]
+    rng.shuffle(rows)
+    for _ in range(n_rows - len(rows)):
+        row = [Fraction(0)] * n_cols
+        for other in rng.sample(rows, rng.randint(1, len(rows))):
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            row = [x + c * y for x, y in zip(row, other)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("batch", range(6))
+def test_column_order_clearing_on_permuted_staircases(batch):
+    longest = 0
+    for seed in range(40 * batch, 40 * (batch + 1)):
+        rng = random.Random(f"staircase/{seed}")
+        n_cols = rng.randint(1, 14)
+        n_rows = rng.randint(1, 2 * n_cols)
+        rows = staircase_matrix(rng, n_rows, n_cols)
+        aug = [row + [int(i == j) for j in range(n_rows)] for i, row in enumerate(rows)]
+        for mat, width in ((rows, None), (rows, rng.randint(0, n_cols)), (aug, n_cols)):
+            n = len(mat[0])
+            w = n if width is None else width
+            pivot_rows, pivots, null_tails = dense_fraction_echelon(mat, width)
+            out = list(echelon(sparse(mat), width))
+            reference = discovery_order_echelon(sparse(mat), width)
+            assert [lead for _, lead in out] == [lead for _, lead in reference]
+            assert [lead for _, lead in out if lead is not None] == pivots
+            kept = [vec for vec, lead in out if lead is not None]
+            for vec, frow in zip(kept, pivot_rows):
+                assert all(type(v) is int and v for v in vec.values())
+                assert math.gcd(*vec.values()) == 1
+                assert is_multiple([vec.get(j, 0) for j in range(n)], frow)
+            # pivot rows are the ones discovery-order clearing finds, null
+            # rows a positive multiple of its rows
+            for (vec, lead), (ref, _) in zip(out, reference):
+                if lead is not None:
+                    assert vec == ref
+                else:
+                    k = min(ref, default=None)
+                    assert (k is None and not vec) or (
+                        vec[k] * ref[k] > 0 and is_multiple(
+                            [vec.get(j, 0) for j in range(n)], [ref.get(j, 0) for j in range(n)]))
+            nulls = [vec for vec, lead in out if lead is None]
+            assert len(nulls) == len(null_tails)
+            for vec, tail in zip(nulls, null_tails):
+                assert all(type(v) is int and v for v in vec.values())
+                assert is_multiple([vec.get(j, 0) for j in range(w, n)], tail)
+        longest = max(longest, len(pivots))
+    assert longest >= 8
+
+
+def test_clearing_refills_a_pivot_column_and_reverses_the_discovery_order():
+    # clearing column 0 of the last row creates an entry at pivot column 1,
+    # which is then cleared in turn
+    rows = [{0: 1, 1: 2, 3: 1}, {1: 1, 2: 1}, {0: 1, 2: 1, 4: 1}]
+    assert list(echelon(rows)) == discovery_order_echelon(rows) == [
+        ({0: 1, 1: 2, 3: 1}, 0), ({1: 1, 2: 1}, 1), ({2: 3, 3: -1, 4: 1}, 2)]
+    # pivots found at columns 2, 1, 0: the last row is cleared at 0, 1, 2,
+    # the reverse of the order the pivots were found in
+    rows = [{2: 1, 3: 1}, {1: 1, 2: 1}, {0: 1, 1: 1}, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}]
+    assert list(echelon(rows)) == discovery_order_echelon(rows) == [
+        ({2: 1, 3: 1}, 2), ({1: 1, 3: -1}, 1), ({0: 1, 3: 1}, 0), ({4: 1}, 4)]
+
+
 @pytest.mark.parametrize("value,expected", [
     (0, Fraction(0)),
     (-7, Fraction(-7)),

@@ -364,6 +364,136 @@ def test_completion_rules_match_linear_scan_completion(name, monkeypatch):
     assert complete(pres, 8).rules == indexed
 
 
+# -- normal_form against a brute-force rewriter -------------------------------
+
+def brute_normal_form(rs, poly):
+    """Rewrite the leftmost reducible word, one rule at a time, to a fixed point.
+
+    Over Fraction, with the linear rule scan: each step takes the smallest
+    reducible word in tuple order (whatever its degree) and applies the
+    first rule at its leftmost reducible position.  Normal forms are unique
+    up to the cutoff, so any such order reaches the same fixed point.
+    """
+    poly = {w: Fraction(c) for w, c in poly.items() if c}
+    while True:
+        hits = ((word, linear_find_reduction(rs, word)) for word in sorted(poly))
+        word, hit = next(((w, h) for w, h in hits if h is not None), (None, None))
+        if hit is None:
+            return poly
+        pos, lhs, rhs = hit
+        coeff = poly.pop(word)
+        head, tail = word[:pos], word[pos + len(lhs):]
+        poly = combine([(1, poly), (coeff, {head + rw + tail: rc for rw, rc in rhs.items()})])
+
+
+def random_mixed_poly(rng, words, size):
+    """size words of any degree in words, with small int coefficients."""
+    return {w: rng.choice((-3, -2, -1, 1, 2, 5)) for w in rng.sample(words, size)}
+
+
+def words_upto(pres, d):
+    out, frontier = [()], [()]
+    while frontier:
+        frontier = [w + (g,) for w in frontier for g in range(len(pres.generators))
+                    if pres.word_degree(w + (g,)) <= d]
+        out.extend(frontier)
+    return out
+
+
+def assert_matches_brute_force(rs, poly):
+    nf = rs.normal_form(poly)
+    assert nf == brute_normal_form(rs, poly)
+    # words in decreasing deglex order, and the input's coefficient type
+    assert list(nf) == sorted(nf, key=rs.presentation.order_key, reverse=True)
+    kinds = {type(c) for c in poly.values()}
+    if kinds == {int}:
+        assert all(type(c) is int for c in nf.values())
+    elif kinds == {Fraction}:
+        assert all(type(c) is Fraction for c in nf.values())
+    return nf
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_normal_form_matches_brute_force_on_mixed_degrees(name):
+    pres = catalog(name)
+    d = 10 if name == "laufer_target" else 7
+    rs = complete(pres, d)
+    words = words_upto(pres, d)
+    rng = random.Random(f"brute-nf/{name}")
+    for trial in range(25):
+        poly = random_mixed_poly(rng, words, min(len(words), rng.randint(1, 8)))
+        if trial % 2:
+            poly = {w: Fraction(c, rng.choice((1, 2, 3))) for w, c in poly.items()}
+        assert_matches_brute_force(rs, poly)
+    if name == "laufer_target":
+        # words of one weighted degree with different lengths: beta*beta and
+        # gamma^3 (degree 6), beta*beta*gamma and gamma^4 (degree 8)
+        degrees = {pres.word_degree(w) for w in words}
+        assert any(len({len(w) for w in words if pres.word_degree(w) == k}) > 1
+                   for k in degrees)
+        poly = parse_expr(pres, "beta*beta - gamma*gamma*gamma + 3*beta*gamma*gamma"
+                                " + gamma*beta*gamma - gamma*gamma + 2*beta")
+        assert assert_matches_brute_force(rs, poly) == {(0, 1, 1): Fraction(2),
+                                                        (1, 1): Fraction(-1),
+                                                        (0,): Fraction(2)}
+
+
+@pytest.mark.parametrize("name", ["acon", "endG", "laufer_target"])
+def test_normal_form_cancels_relation_multiples_across_degrees(name):
+    pres = catalog(name)
+    rs = complete(pres, 9)
+    words = words_upto(pres, 4)
+    rng = random.Random(f"brute-cancel/{name}")
+    relations = list(map(ncalg.poly_from_key, pres.relations))
+    for _ in range(15):
+        base = random_mixed_poly(rng, words, 4)
+        terms = [(1, base)]
+        for _ in range(3):
+            rel = rng.choice(relations)
+            u, v = rng.choice(words[:8]), rng.choice(words[:8])
+            if pres.word_degree(u + v) + pres.poly_degree(rel) <= 9:
+                terms.append((rng.choice((-2, 1, 3)), p_mul(p_mul({u: 1}, rel), {v: 1})))
+        poly = combine(terms)
+        nf = assert_matches_brute_force(rs, poly)
+        assert nf == rs.normal_form(base)
+        # the relation multiples alone reduce to zero
+        assert rs.normal_form(combine([(1, poly), (-1, base)])) == {}
+    assert rs.normal_form({}) == {}
+    assert rs.normal_form({words[-1]: 0, (): 0}) == {}
+
+
+def test_normal_form_checks_every_word_against_the_cutoff(monkeypatch):
+    pres = catalog("acon")
+    rs = complete(pres, 6)
+
+    def no_rewrites(word):
+        raise AssertionError("rewrote a word before checking the cutoff")
+
+    monkeypatch.setattr(rs, "_find_reduction", no_rewrites)
+    low = {w: 1 for w in words_upto(pres, 3)[1:20]}
+    for high in ((0,) * 7, (2, 1) * 4, (1,) * 12):
+        for poly in ({high: 1, **low}, {**low, high: Fraction(-1, 2)}, {high: 3}):
+            with pytest.raises(ValueError, match="cutoff"):
+                rs.normal_form(poly)
+    weighted = complete(catalog("laufer_target"), 8)
+    monkeypatch.setattr(weighted, "_find_reduction", no_rewrites)
+    with pytest.raises(ValueError, match="cutoff"):
+        weighted.normal_form({(1, 1): 1, (0, 0, 0): 1})  # gamma*gamma, then degree 9
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_completed_rules_decrease_and_keep_degree(name):
+    # normal_form reduces one degree at a time by plain tuple order: every
+    # rhs word must have its lhs's degree and lie strictly below it
+    pres = catalog(name)
+    rs = complete(pres, 10)
+    for lhs, rhs in rs.rules:
+        for word in rhs:
+            assert pres.word_degree(word) == pres.word_degree(lhs)
+            assert pres.order_key(word) < pres.order_key(lhs)
+            assert word < lhs
+
+
 def rank_by_elimination(rows):
     """Rank of a small Fraction matrix by Gaussian elimination on a copy."""
     rows = [list(r) for r in rows]
