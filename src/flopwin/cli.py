@@ -48,13 +48,16 @@ def _load_presentation(source: str) -> GitPresentation:
         raise InputError(f"no such file or bundled fixture: {source}") from None
 
 
-# The README, tests and bench query degree 15 at most.  The Sym tables grow
-# as the cube of the degree: the README's three-summand `coh multiplicity`
-# peaks at about 140 MiB and 2.6 s at degree 100 and would need about 1000
-# times that at degree 1000.  The cap also bounds the degree of an
-# `ncalg normal-form --expr`, which sets the completion cutoff when it is
-# the larger: completing to degree 100 takes about 2 s, growing about as the
-# cube of the degree.
+# The README, tests and bench query degree 15 at most.  `coh multiplicity`
+# expands only the Sym weights of total at most p + q: at degree 100 the
+# README's query (label (1, -1), three summands) peaks at 17 MiB for the whole
+# process and takes 0.08 s.  A label with p + q at least the degree keeps the
+# whole table, which grows as the cube of the degree: `--irrep 100,0` on the
+# same summands peaks at about 90 MiB and takes 0.5 s at degree 100, and
+# would need about 1000 times that at degree 1000 (2-core VM, Python 3.11).
+# The cap also bounds the degree of an `ncalg normal-form --expr`, which sets
+# the completion cutoff when it is the larger: completing to degree 100 takes
+# about 2 s, growing about as the cube of the degree.
 MAX_DEGREE_CAP = 100
 
 
@@ -210,13 +213,13 @@ def _cmd_coh_multiplicity(args) -> int:
         raise InputError("--sym needs at least one summand name")
     d = _max_degree(args, 15)
     try:
-        graded = cohomology.sym_graded(names, d)
+        multiplicities = cohomology.sym_multiplicities(label, names, d)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     payload = {
         "irrep": list(label),
         "max_degree": d,
-        "multiplicities": cohomology.multiplicity(label, graded),
+        "multiplicities": multiplicities,
         "sym": names,
     }
     _emit(payload)

@@ -122,6 +122,21 @@ def multiplicity(label: IrrepLabel | str, graded: GradedRep) -> list[int]:
     return [multiplicity_in_char(label, graded[k]) for k in sorted(graded)]
 
 
+def sym_multiplicities(label: IrrepLabel | str, labels: Sequence[IrrepLabel | str],
+                       max_degree: int) -> list[int]:
+    """Per-degree multiplicity of an irreducible (p, q) in Sym of a direct sum.
+
+    Equals multiplicity(label, sym_graded(labels, max_degree)).  The
+    multiplicity reads the weights (p, q) and (p + 1, q - 1), both of total
+    weight p + q, so only the monomials of total weight <= p + q are
+    expanded.
+    """
+    p, q = irrep_from_name(label) if isinstance(label, str) else label
+    pieces = [(e1, e2, 0) for e1, e2 in _weights_of(labels)]
+    layers = sym_pieces_expansion(pieces, max_degree, p + q)
+    return [layer.get((p, q, 0), 0) - layer.get((p + 1, q - 1, 0), 0) for layer in layers]
+
+
 # ---------------------------------------------------------------------------
 # Line bundle cohomology on P(V)
 
@@ -200,7 +215,8 @@ INTERSECTION_BUNDLE_PIECES: tuple[Piece, ...] = (
 )
 
 
-def sym_pieces_expansion(pieces: Sequence[Piece], max_degree: int) -> list[dict[Piece, int]]:
+def sym_pieces_expansion(pieces: Sequence[Piece], max_degree: int,
+                         target: int | None = None) -> list[dict[Piece, int]]:
     """Per-degree monomials of Sym of a sum of torus-line pieces.
 
     Degree k of the result is a dict mapping each combined piece
@@ -209,17 +225,48 @@ def sym_pieces_expansion(pieces: Sequence[Piece], max_degree: int) -> list[dict[
     multiplies the series by 1/(1 - w), which is the recurrence
     new[k] = old[k] + w * new[k - 1]; each piece updates the degrees in
     place from low to high.
+
+    With a target, only the monomials of total weight e1 + e2 + q <= target
+    are kept.  Sym of a sum is the product of the Sym of each piece, so the
+    pieces may be applied in any order; they are applied in increasing order
+    of total weight (the sum of a piece's three entries).  The total weight
+    of a monomial is the sum of the totals of its factors.  Once the pieces
+    of negative total are applied, every later factor adds a total >= 0, so
+    a monomial built so far with total above the target extends only to
+    monomials above it: such states are dropped then, and a piece of total
+    s only extends the states of total <= target - s.  Before that point
+    nothing is dropped, since a negative piece can still bring a state down.
     """
     layers: list[dict[Piece, int]] = [{(0, 0, 0): 1}][: max_degree + 1]  # none below 0
     layers += [{} for _ in range(max_degree)]
+    if target is None:
+        _multiply_pieces(layers, pieces, None)
+        return layers
+    ordered = sorted(pieces, key=sum)
+    negative = sum(1 for piece in ordered if sum(piece) < 0)
+    _multiply_pieces(layers, ordered[:negative], None)
+    layers = [{key: n for key, n in layer.items() if sum(key) <= target} for layer in layers]
+    _multiply_pieces(layers, ordered[negative:], target)
+    return layers
+
+
+def _multiply_pieces(layers: list[dict[Piece, int]], pieces: Sequence[Piece],
+                     target: int | None) -> None:
+    """Multiply the series in layers by 1/(1 - w) for each piece w, in place.
+
+    With a target, a state of total weight above target - (total of w) is
+    not extended by w; the caller drops the states above the target first.
+    """
     for w1, w2, wq in pieces:
-        for k in range(1, max_degree + 1):
+        limit = None if target is None else target - w1 - w2 - wq
+        for k in range(1, len(layers)):
             layer = layers[k]
             get = layer.get
             for (e1, e2, q), cnt in layers[k - 1].items():
+                if limit is not None and e1 + e2 + q > limit:
+                    continue
                 key = (e1 + w1, e2 + w2, q + wq)
                 layer[key] = get(key, 0) + cnt
-    return layers
 
 
 def vstar_section_counts(twists: Sequence[Piece], max_degree: int) -> list[list[int]]:
@@ -237,14 +284,15 @@ def vstar_section_counts(twists: Sequence[Piece], max_degree: int) -> list[list[
     weight n, and the term reads H0 at (a, b) and (a + 1, b - 1) with
     a + b = v1 + v2 - e1 - e2 - t1 - t2 for V* = (v1, v2).  Both lookups
     are 0 unless a + b = n, that is e1 + e2 + q = v1 + v2 - t1 - t2 - tq,
-    so every other monomial is skipped.
+    so every other monomial is skipped, and the bundle is expanded once, up
+    to the largest of these total weights.
     """
-    layers = sym_pieces_expansion(INTERSECTION_BUNDLE_PIECES, max_degree)
     v1, v2 = IRREP_NAMES["Vstar"]
+    weights = [v1 + v2 - t1 - t2 - tq for t1, t2, tq in twists]
+    layers = sym_pieces_expansion(INTERSECTION_BUNDLE_PIECES, max_degree, max(weights, default=0))
     line_h0: dict[int, Char] = {}
     counts = []
-    for t1, t2, tq in twists:
-        weight = v1 + v2 - t1 - t2 - tq
+    for (t1, t2, tq), weight in zip(twists, weights):
         per_degree = []
         for layer in layers:
             total = 0
@@ -278,8 +326,7 @@ def verify_semiorthogonality(max_degree: int) -> bool:
 
 def afib_vanishing(max_degree: int) -> list[int]:
     """Multiplicity of V* in Sym of V + Sym^2 V(-1)^2; identically zero."""
-    graded = sym_graded(["V", "S2Vm1", "S2Vm1"], max_degree)
-    return multiplicity("Vstar", graded)
+    return sym_multiplicities("Vstar", ["V", "S2Vm1", "S2Vm1"], max_degree)
 
 
 def s0_invariant_dims(max_degree: int) -> list[int]:
@@ -288,8 +335,7 @@ def s0_invariant_dims(max_degree: int) -> list[int]:
     Equals the Hilbert series of a polynomial ring on three degree-2
     generators (the traces of beta^2, gamma^2 and beta gamma).
     """
-    graded = sym_graded(["V", "S2Vm1", "S2Vm1"], max_degree)
-    return multiplicity("O", graded)
+    return sym_multiplicities("O", ["V", "S2Vm1", "S2Vm1"], max_degree)
 
 
 # ---------------------------------------------------------------------------

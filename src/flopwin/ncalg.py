@@ -21,7 +21,8 @@ the cutoff.
 `normal_form` reduces its input one degree at a time, highest first: rules
 are homogeneous, so a rewrite never leaves its degree, and inside one degree
 the plain tuple order of words is the deglex order the rules are oriented
-by.
+by.  A `_Products` entry is homogeneous by construction, so the table hands
+it straight to that per-degree loop.
 
 Integral data stays integral: rules store integral coefficients as ints, so
 int input has int normal forms (Fraction input stays Fraction), and spans
@@ -231,9 +232,9 @@ class RewriteSystem:
         cutoff raises ValueError before any rewrite.
 
         Every rule is homogeneous (`add_rule` checks it), so a rewrite keeps
-        a word's degree: the input is split by degree once and each degree
-        is reduced on its own, highest first, which takes words in the same
-        order as one deglex maximum over all pending words.  Inside one
+        a word's degree: the input is split by degree once and `_reduce`
+        reduces each degree on its own, highest first, which takes words in
+        the same order as one deglex maximum over all pending words.  Inside one
         degree the plain tuple maximum is the deglex maximum, because with
         positive generator degrees neither of two words of one degree is a
         proper prefix of the other.  Deglex is then a monoid order, and every
@@ -247,34 +248,42 @@ class RewriteSystem:
         order = sorted(buckets, reverse=True)
         if order and order[0] > self.cutoff:
             raise ValueError("expression degree exceeds the rewrite cutoff")
-        find = self._find_reduction
         result: Poly = {}
         for degree in order:
-            work = buckets[degree]
-            while work:
-                word = max(work)
-                coeff = work.pop(word)
-                if coeff == 0:
-                    continue
-                hit = find(word)
-                if hit is None:
-                    s = result[word] + coeff if word in result else coeff
-                    if s == 0:
-                        result.pop(word, None)
-                    else:
-                        result[word] = s
-                    continue
-                pos, lhs, rhs = hit
-                head, tail = word[:pos], word[pos + len(lhs):]
-                for rw, rc in rhs.items():
-                    new = head + rw + tail
-                    s = coeff * rc
-                    if new in work:
-                        s += work[new]
-                    if s == 0:
-                        work.pop(new, None)
-                    else:
-                        work[new] = s
+            self._reduce(buckets[degree], result)
+        return result
+
+    def _reduce(self, work: Poly, result: Poly) -> Poly:
+        """Add the normal form of work, all of one degree <= cutoff, to result.
+
+        work is consumed: its largest word is rewritten, or moved to result
+        when irreducible, until none is left.  result is returned.
+        """
+        find = self._find_reduction
+        while work:
+            word = max(work)
+            coeff = work.pop(word)
+            if coeff == 0:
+                continue
+            hit = find(word)
+            if hit is None:
+                s = result[word] + coeff if word in result else coeff
+                if s == 0:
+                    result.pop(word, None)
+                else:
+                    result[word] = s
+                continue
+            pos, lhs, rhs = hit
+            head, tail = word[:pos], word[pos + len(lhs):]
+            for rw, rc in rhs.items():
+                new = head + rw + tail
+                s = coeff * rc
+                if new in work:
+                    s += work[new]
+                if s == 0:
+                    work.pop(new, None)
+                else:
+                    work[new] = s
         return result
 
     def basis(self, degree: int) -> list[Word]:
@@ -458,18 +467,31 @@ class _Products(dict):
     map.  NF(u * NF(v)) = NF(u * v), so the table is exact, wherever normal
     forms are unique on words up to the product's degree; every `complete`
     result asserts that below its cutoff (Bergman's diamond lemma).
+
+    fixed and every letter must be homogeneous (ValueError otherwise), so
+    every entry is homogeneous too: the product of a letter and an entry
+    has the degree of any one of its words.  An entry is therefore checked
+    against the cutoff on that one word, with the ValueError of
+    `RewriteSystem.normal_form`, and reduced in place by
+    `RewriteSystem._reduce`, without splitting it by degree first.
     """
 
     def __init__(self, rs: RewriteSystem, fixed: Poly, side: str,
                  letters: Sequence[Poly] | None = None):
+        pres = rs.presentation
+        self.letters = letters or [{(i,): 1} for i, _ in enumerate(pres.degrees)]
+        for poly in (fixed, *self.letters):
+            pres.poly_degree(poly)
         super().__init__({(): rs.normal_form(fixed)})
         self.rs, self.right = rs, side == "right"
-        self.letters = letters or [{(i,): 1} for i, _ in enumerate(rs.presentation.degrees)]
 
     def __missing__(self, word: Word) -> Poly:
-        nf = self[word] = self.rs.normal_form(
-            p_mul(self.letters[word[0]], self[word[1:]]) if self.right
-            else p_mul(self[word[:-1]], self.letters[word[-1]]))
+        rs = self.rs
+        product = (p_mul(self.letters[word[0]], self[word[1:]]) if self.right
+                   else p_mul(self[word[:-1]], self.letters[word[-1]]))
+        if product and rs.presentation.word_degree(next(iter(product))) > rs.cutoff:
+            raise ValueError("expression degree exceeds the rewrite cutoff")
+        nf = self[word] = rs._reduce(product, {})
         return nf
 
     def __call__(self, poly: Poly) -> Poly:
@@ -509,6 +531,26 @@ def graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> Ker
     return KernelReport(list(rs._kernels[key]))
 
 
+def _right_normal(rs: RewriteSystem, times: _Products, e: int, d: int) -> bool:
+    """Whether g * x lies in A_{deg x} * g for each generator x with e + deg x <= d.
+
+    times is the left table of g = times[()], of degree e.  One `_span` per
+    generator degree spans the products y * g over the basis words y of that
+    degree, and one more tests that adding the g * x of that degree keeps
+    the rank.
+    """
+    right = _Products(rs, times[()], "right")
+    for c in sorted(set(rs.presentation.degrees)):
+        if e + c > d:
+            break
+        target = [rs.basis(e + c)]
+        span = _span([(right[y],) for y in rs.basis(c)], target)
+        gx = [(times[(i,)],) for i, deg in enumerate(rs.presentation.degrees) if deg == c]
+        if len(_span(span + gx, target)) > len(span):
+            return False
+    return True
+
+
 def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
     """Graded dimensions of the two-sided ideal generated by gens.
 
@@ -519,14 +561,30 @@ def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
     per generator x, each built from the product a letter shorter,
     g * w = (g * w'') * y and x * u = (x * u'') * y: exact when normal
     forms are unique on words of degree <= d, as `complete` asserts.
+
+    A gen g of degree e that passes `_right_normal` (g * x in A * g for every
+    generator x with e + deg x <= d; the central t and [beta, gamma] in A_con
+    do) seeds only itself.  First, g * A_m lies in A_m * g for e + m <= d,
+    by induction on m: a word u = x * u' of degree m >= 1 gives
+    g * u = (g * x) * u', which lies in A_{deg x} * (g * u') and so in
+    A_{deg x} * A_{m - deg x} * g.  Second, for m >= 1, A_m * g is spanned by
+    the x * (y' * g) over words y = x * y' of degree m, and y' * g lies in
+    I_{k - deg x} for k = e + m.  So, by induction on k, the seeds g * A_m
+    with m >= 1 already lie in the span of the x * I_{k - deg x}.  Every
+    other gen seeds all of g * A_{k - e}.
     """
     pres = rs.presentation
-    tables = [_Products(rs, _integral(g), "left") for g in gens]
-    seeds = [(e, times) for times in tables if (e := pres.poly_degree(times[()])) is not None]
+    seeds = []
+    for g in gens:
+        times = _Products(rs, _integral(g), "left")
+        e = pres.poly_degree(times[()])
+        if e is not None:
+            seeds.append((e, 0 if _right_normal(rs, times, e, d) else d, times))
     lefts = [(e, _Products(rs, {(i,): 1}, "left")) for i, e in enumerate(pres.degrees)]
     layers: dict[int, list[Poly]] = {}
     for k in range(d + 1):
-        candidates = [times[w] for e, times in seeds if e <= k for w in rs.basis(k - e)]
+        candidates = [times[w] for e, reach, times in seeds if e <= k <= e + reach
+                      for w in rs.basis(k - e)]
         for e, times in lefts:
             candidates += [times(v) for v in layers.get(k - e, [])]
         layers[k] = [v for v, in _span([(c,) for c in candidates], [rs.basis(k)])]
@@ -620,7 +678,8 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
     element pairs (defaults: (t,0), (b,beta), (c,gamma)) are checked against
     every relation of the A_con presentation; they generate the fiber
     product when each pair has matching images and their products span it
-    degree by degree.  A layer vector times a pair's entry g combines the
+    degree by degree; each pair entry must be zero or homogeneous of its
+    generator's degree.  A layer vector times a pair's entry g combines the
     entries u * g = x * (u' * g) of one right `_Products` table per pair and
     side: exact when both sources' normal forms are unique up to degree d.
     """
@@ -640,6 +699,9 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
     acon = catalog("acon")
     if len(pairs) != len(acon.generators):
         raise ValueError("one element pair is needed per A_con generator")
+    for (a, b), name, e in zip(pairs, acon.generators, acon.degrees):
+        if not {rs_a.presentation.poly_degree(a), rs_b.presentation.poly_degree(b)} <= {None, e}:
+            raise ValueError(f"the pair for {name!r} must be homogeneous of degree {e}")
 
     on_a = _Products(rs_a, {(): 1}, "left", [a for a, _ in pairs])
     on_b = _Products(rs_b, {(): 1}, "left", [b for _, b in pairs])

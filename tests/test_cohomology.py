@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import flopwin.cohomology as cohomology
 from flopwin.cohomology import (
     INTERSECTION_BUNDLE_PIECES,
     IRREP_NAMES,
@@ -28,6 +29,7 @@ from flopwin.cohomology import (
     s0_invariant_dims,
     semiorthogonality_multiplicities,
     sym_graded,
+    sym_multiplicities,
     sym_pieces_expansion,
     verify_resf_pushforward,
     verify_semiorthogonality,
@@ -124,6 +126,80 @@ def test_sym_pieces_expansion_matches_quadratic_reference():
     # a negative truncation keeps no degree at all
     assert sym_pieces_expansion(INTERSECTION_BUNDLE_PIECES, -1) == []
     assert ext1_FG_dims(-1) == [] and e2_sections(-2) == [] and sym_graded(["V"], -1) == {}
+
+
+def sliced_cases():
+    """(pieces, max_degree, target) triples for the weight-sliced expansion."""
+    labels = sorted(IRREP_NAMES.values()) + [(0, -2), (1, -3), (-1, -2), (2, -1)]
+    targets = sorted({p + q for p, q in labels} | {-4, 3})
+    lists = [[label] for label in labels] + [
+        ["V", "Vstar"], ["Vstar", "V"], ["Vstar", "Vstar", "V"], ["V", "Vstar", "S2Vm1"],
+        [(1, -3), "V", "D"], ["V", "S2Vm1", "S2Vm1"], [(0, -2), "S2V"]]
+    for names in lists:
+        pieces = [(e1, e2, 0) for e1, e2 in cohomology._weights_of(names)]
+        for target in targets:
+            yield pieces, 6, target
+    rng = random.Random(14)
+    for trial in range(30):
+        pieces = [(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 3))
+                  for _ in range(rng.randint(0, 6))]
+        yield pieces, trial % 8, rng.randint(-4, 4)
+    yield list(INTERSECTION_BUNDLE_PIECES), 9, 0
+
+
+def assert_sliced_expansion_matches_reference(expand):
+    for pieces, max_degree, target in sliced_cases():
+        expected = [{key: n for key, n in layer.items() if sum(key) <= target}
+                    for layer in quadratic_sym_pieces_expansion(pieces, max_degree)]
+        assert expand(pieces, max_degree, target) == expected, (pieces, max_degree, target)
+
+
+def early_pruned_expansion(pieces, max_degree, target):
+    """sym_pieces_expansion pruning one piece too early, before the last negative one."""
+    layers = [{(0, 0, 0): 1}] + [{} for _ in range(max_degree)]
+    ordered = sorted(pieces, key=sum)
+    negative = max(0, sum(1 for piece in ordered if sum(piece) < 0) - 1)
+    cohomology._multiply_pieces(layers, ordered[:negative], None)
+    layers = [{key: n for key, n in layer.items() if sum(key) <= target} for layer in layers]
+    cohomology._multiply_pieces(layers, ordered[negative:], target)
+    return layers
+
+
+def test_sliced_expansion_matches_the_sliced_quadratic_reference():
+    assert_sliced_expansion_matches_reference(sym_pieces_expansion)
+    # the slice is the whole expansion when the target is above every monomial
+    pieces = list(INTERSECTION_BUNDLE_PIECES)
+    assert sym_pieces_expansion(pieces, 7, 7) == sym_pieces_expansion(pieces, 7)
+    assert sym_pieces_expansion(pieces, -1, 0) == []
+
+
+def test_pruning_one_piece_early_is_caught():
+    with pytest.raises(AssertionError):
+        assert_sliced_expansion_matches_reference(early_pruned_expansion)
+
+
+def test_sym_multiplicities_match_the_whole_character():
+    rng = random.Random(15)
+    names = sorted(IRREP_NAMES)
+    labels = [*IRREP_NAMES, (0, -2), (1, -3), (2, -2), (3, 0)]
+    for trial in range(12):
+        summands = [rng.choice(names) for _ in range(rng.randint(1, 3))]
+        graded = sym_graded(summands, 7)
+        for label in labels:
+            got = sym_multiplicities(label, summands, 7)
+            assert got == multiplicity(label, graded), (label, summands)
+    assert sym_multiplicities("O", ["V", "Vstar"], -1) == []
+    with pytest.raises(ValueError, match="unknown representation name"):
+        sym_multiplicities("O", ["W"], 3)
+
+
+def test_sliced_series_match_sym_graded_up_to_degree_16():
+    summands = ["V", "S2Vm1", "S2Vm1"]
+    graded = sym_graded(summands, 16)
+    for d in range(17):
+        prefix = {k: graded[k] for k in range(d + 1)}
+        assert s0_invariant_dims(d) == multiplicity("O", prefix)
+        assert afib_vanishing(d) == multiplicity("Vstar", prefix)
 
 
 def test_sym_graded_matches_char_add_reference():

@@ -593,6 +593,18 @@ def test_fiber_product_requires_surjectivity():
         fiber_product(broken, f_b, 4)
 
 
+def test_fiber_product_validates_its_pairs():
+    f_a, f_b = standard_morphisms(4)
+    a_pres, b_pres = f_a.source.presentation, f_b.source.presentation
+    t, b, c = (a_pres.gen(n) for n in ("t", "b", "c"))
+    beta, gamma = b_pres.gen("beta"), b_pres.gen("gamma")
+    for pairs in ([(t, {}), (p_mul(b, b), p_mul(beta, beta)), (c, gamma)],
+                  [(t, {}), (b, combine([(1, beta), (1, p_mul(beta, gamma))])), (c, gamma)]):
+        with pytest.raises(ValueError, match="homogeneous"):
+            fiber_product(f_a, f_b, 4, pairs)
+    assert fiber_product(f_a, f_b, 4, [(t, {}), (b, beta), (c, gamma)]).generates
+
+
 def test_substitution_identities():
     base = base_coordinates()
     rs = completed(catalog("acon"), 10)
@@ -745,6 +757,102 @@ def test_ideal_oracle_catches_a_one_sided_ideal(monkeypatch):
     monkeypatch.setattr(ncalg, "ideal_dims", left_ideal_dims)
     with pytest.raises(AssertionError, match="endG cubic"):
         assert_ideal_dims_match_brute_force()
+
+
+def seeded_ideal_dims(rs, gens, d):
+    """ideal_dims with every gen g seeding all of g * A_{k - deg g}.
+
+    The version before normal gens stopped seeding, kept as the reference
+    that ideal_dims must agree with.
+    """
+    pres = rs.presentation
+    tables = [ncalg._Products(rs, ncalg._integral(g), "left") for g in gens]
+    seeds = [(e, times) for times in tables if (e := pres.poly_degree(times[()])) is not None]
+    lefts = [(e, ncalg._Products(rs, {(i,): 1}, "left")) for i, e in enumerate(pres.degrees)]
+    layers = {}
+    for k in range(d + 1):
+        candidates = [times[w] for e, times in seeds if e <= k for w in rs.basis(k - e)]
+        for e, times in lefts:
+            candidates += [times(v) for v in layers.get(k - e, [])]
+        layers[k] = [v for v, in ncalg._span([(c,) for c in candidates], [rs.basis(k)])]
+    return [len(layers[k]) for k in range(d + 1)]
+
+
+def brute_right_normal(rs, g, d):
+    """Whether g * x lies in A_{deg x} * g for every generator x with deg g + deg x <= d,
+    by ranks of whole-word normal forms."""
+    pres = rs.presentation
+    e = pres.poly_degree(g)
+    for i, c in enumerate(pres.degrees):
+        if e + c <= d:
+            ys = [rs.normal_form(p_mul({y: 1}, g)) for y in rs.basis(c)]
+            if sparse_rank(ys + [rs.normal_form(p_mul(g, {(i,): 1}))]) > sparse_rank(ys):
+                return False
+    return True
+
+
+def normality_cases():
+    """(label, completed system, gen, whether gen is right-normal) at cutoff 12."""
+    for name, cubics in (("acon", {0: True, 3: False, 7: False}), ("endG", {0: False, 1: False})):
+        pres = catalog(name)
+        rs = complete(pres, 12)
+        beta = pres.gen("beta")
+        if name == "acon":
+            yield "acon t", rs, pres.gen("t"), True
+        yield f"{name} [beta, gamma]", rs, bracket(pres), True
+        yield f"{name} beta^2", rs, p_mul(beta, beta), True
+        # acon cubic #0 is t times a quadric, and t kills every commutator
+        for seed, normal in cubics.items():
+            rng = random.Random(f"normal/{name}/{seed}")
+            yield f"{name} cubic #{seed}", rs, random_cubic(rng, len(pres.generators)), normal
+
+
+def assert_ideal_dims_match_the_seeded_reference():
+    for label, rs, g, _ in normality_cases():
+        e = rs.presentation.poly_degree(g)
+        for d in (0, 1, e, e + 1, 7, 12):
+            assert ideal_dims(rs, [g], d) == seeded_ideal_dims(rs, [g], d), (label, d)
+    # two gens at once, one normal and one not
+    acon = catalog("acon")
+    rs = complete(acon, 12)
+    gens = [acon.gen("t"), random_cubic(random.Random("normal/acon/3"), 3)]
+    assert ideal_dims(rs, gens, 12) == seeded_ideal_dims(rs, gens, 12)
+
+
+def test_ideal_dims_match_the_seeded_reference():
+    assert_ideal_dims_match_the_seeded_reference()
+    for label, rs, g, normal in normality_cases():
+        table = ncalg._Products(rs, ncalg._integral(g), "left")
+        e = rs.presentation.poly_degree(g)
+        assert ncalg._right_normal(rs, table, e, 12) is normal == brute_right_normal(rs, g, 12), label
+
+
+def test_seeded_reference_catches_a_gen_wrongly_taken_as_normal(monkeypatch):
+    monkeypatch.setattr(ncalg, "_right_normal", lambda rs, times, e, d: True)
+    with pytest.raises(AssertionError, match="cubic #3"):
+        assert_ideal_dims_match_the_seeded_reference()
+
+
+def test_normal_gens_need_fewer_candidate_rows(monkeypatch):
+    acon = catalog("acon")
+    rs = complete(acon, 12)
+    g = bracket(acon)
+    rows = []
+    span = ncalg._span
+
+    def counting_span(vectors, bases):
+        vectors = list(vectors)
+        rows.append(len(vectors))
+        return span(vectors, bases)
+
+    monkeypatch.setattr(ncalg, "_span", counting_span)
+    dims = seeded_ideal_dims(rs, [g], 12)
+    seeded = sum(rows)
+    assert seeded == 756
+    rows.clear()
+    assert ideal_dims(rs, [g], 12) == dims
+    # the normality proof's own rows count too
+    assert sum(rows) <= 0.6 * seeded, sum(rows)
 
 
 # -- integer coefficients and the known-irreducible words ---------------------
@@ -934,11 +1042,11 @@ def test_kernel_table_makes_one_normal_form_per_entry(monkeypatch):
     rs = complete(pres, 12)
     rs.basis(0)
     calls, rewrites = [], []
-    normal_form, find_reduction = rs.normal_form, rs._find_reduction
+    reduce, find_reduction = rs._reduce, rs._find_reduction
 
-    def counting_normal_form(poly):
-        calls.append(poly)
-        return normal_form(poly)
+    def counting_reduce(work, result):
+        calls.append(work)
+        return reduce(work, result)
 
     def counting_find_reduction(word):
         hit = find_reduction(word)
@@ -946,15 +1054,37 @@ def test_kernel_table_makes_one_normal_form_per_entry(monkeypatch):
             rewrites.append(word)
         return hit
 
-    monkeypatch.setattr(rs, "normal_form", counting_normal_form)
+    monkeypatch.setattr(rs, "_reduce", counting_reduce)
     monkeypatch.setattr(rs, "_find_reduction", counting_find_reduction)
     graded_kernel(rs, pres.gen("t"), "right", 12)
     # the entries are t itself, for the empty word, and w * t for each
-    # irreducible word w of degree 1..11
+    # irreducible word w of degree 1..11; each is one run of the per-degree
+    # loop, t's through normal_form and every other straight from the table
     assert len(calls) == 1 + sum(rs.graded_dims(11)[1:]) == 489
     # each entry reduces x * (w' * t), not the whole word w * t, which takes
     # 3380 rule applications over the same words
     assert len(rewrites) == 272
+
+
+def test_table_entry_above_the_cutoff_raises():
+    pres = catalog("acon")
+    rs = complete(pres, 4)
+    t, beta = pres.gen("t"), pres.gen("beta")
+    for side in ("left", "right"):
+        table = ncalg._Products(rs, t, side)
+        assert pres.poly_degree(table[(1, 2, 1)]) == 4
+        with pytest.raises(ValueError, match="expression degree exceeds the rewrite cutoff"):
+            table[(1, 2, 1, 2)]
+    # a zero entry has no degree and reduces to zero above the cutoff too
+    assert ncalg._Products(rs, {}, "left")[(1, 2, 1, 2, 1)] == {}
+    with pytest.raises(ValueError, match="expression degree exceeds the rewrite cutoff"):
+        Morphism(rs, rs, {"t": t, "beta": beta, "gamma": beta}).apply({(1, 2, 1, 2, 1): 1})
+    # the table takes an entry's degree from one word, so its inputs must be homogeneous
+    mixed = combine([(1, t), (1, p_mul(t, beta))])
+    with pytest.raises(ValueError, match="not homogeneous"):
+        ncalg._Products(rs, mixed, "left")
+    with pytest.raises(ValueError, match="not homogeneous"):
+        ncalg._Products(rs, {(): 1}, "left", [t, mixed, beta])
 
 
 def test_substitution_matches_direct_normal_forms():
