@@ -94,10 +94,7 @@ def _cmd_windows(args) -> int:
     from .windows import FaceRef, big_window, window
 
     p = _load_presentation(args.input)
-    try:
-        ref = FaceRef.parse(args.face)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    ref = FaceRef.parse(args.face)
     win = big_window(p, ref) if ref.kind == "D" else window(p, ref)
     if args.json:
         _emit(win.to_jsonable())
@@ -110,10 +107,7 @@ def _cmd_kappa(args) -> int:
     from .windows import FaceRef, kappa_generators
 
     p = _load_presentation(args.input)
-    try:
-        gens = kappa_generators(p, FaceRef.parse(args.wall), FaceRef.parse(args.chamber))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    gens = kappa_generators(p, FaceRef.parse(args.wall), FaceRef.parse(args.chamber))
     payload = [
         {
             "chi_class": list(g.chi_class),
@@ -158,10 +152,7 @@ def _cmd_quiver_check(args) -> int:
 def _cmd_ncalg_hilbert(args) -> int:
     from . import ncalg
 
-    try:
-        pres = ncalg.catalog(args.algebra)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    pres = ncalg.catalog(args.algebra)
     d = _max_degree(args, 12)
     _emit({"algebra": args.algebra, "max_degree": d, "dims": ncalg.hilbert(pres, d)})
     return 0
@@ -170,11 +161,8 @@ def _cmd_ncalg_hilbert(args) -> int:
 def _cmd_ncalg_normal_form(args) -> int:
     from . import ncalg
 
-    try:
-        pres = ncalg.catalog(args.algebra)
-        expr = ncalg.parse_expr(pres, args.expr)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    pres = ncalg.catalog(args.algebra)
+    expr = ncalg.parse_expr(pres, args.expr)
     degree = max((pres.word_degree(w) for w in expr), default=0)
     if degree > MAX_DEGREE_CAP:
         raise InputError(f"--expr has degree {degree}, above the cap of {MAX_DEGREE_CAP}")
@@ -198,10 +186,7 @@ def _parse_irrep(text: str) -> tuple[int, int]:
         if p < q:
             raise InputError("irrep label must satisfy p >= q")
         return (p, q)
-    try:
-        return cohomology.irrep_from_name(text.strip())
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return cohomology.irrep_from_name(text.strip())
 
 
 def _cmd_coh_multiplicity(args) -> int:
@@ -212,10 +197,7 @@ def _cmd_coh_multiplicity(args) -> int:
     if not names:
         raise InputError("--sym needs at least one summand name")
     d = _max_degree(args, 15)
-    try:
-        multiplicities = cohomology.sym_multiplicities(label, names, d)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    multiplicities = cohomology.sym_multiplicities(label, names, d)
     payload = {
         "irrep": list(label),
         "max_degree": d,

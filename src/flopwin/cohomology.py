@@ -228,8 +228,8 @@ def sym_pieces_expansion(pieces: Sequence[Piece], max_degree: int,
 
     With a target, only the monomials of total weight e1 + e2 + q <= target
     are kept.  Sym of a sum is the product of the Sym of each piece, so the
-    pieces may be applied in any order; they are applied in increasing order
-    of total weight (the sum of a piece's three entries).  The total weight
+    pieces may be applied in any order; those of negative total weight (the
+    sum of a piece's three entries) are applied first.  The total weight
     of a monomial is the sum of the totals of its factors.  Once the pieces
     of negative total are applied, every later factor adds a total >= 0, so
     a monomial built so far with total above the target extends only to
@@ -242,11 +242,9 @@ def sym_pieces_expansion(pieces: Sequence[Piece], max_degree: int,
     if target is None:
         _multiply_pieces(layers, pieces, None)
         return layers
-    ordered = sorted(pieces, key=sum)
-    negative = sum(1 for piece in ordered if sum(piece) < 0)
-    _multiply_pieces(layers, ordered[:negative], None)
+    _multiply_pieces(layers, [piece for piece in pieces if sum(piece) < 0], None)
     layers = [{key: n for key, n in layer.items() if sum(key) <= target} for layer in layers]
-    _multiply_pieces(layers, ordered[negative:], target)
+    _multiply_pieces(layers, [piece for piece in pieces if sum(piece) >= 0], target)
     return layers
 
 
@@ -254,10 +252,13 @@ def _multiply_pieces(layers: list[dict[Piece, int]], pieces: Sequence[Piece],
                      target: int | None) -> None:
     """Multiply the series in layers by 1/(1 - w) for each piece w, in place.
 
-    With a target, a state of total weight above target - (total of w) is
-    not extended by w; the caller drops the states above the target first.
+    The pieces are applied in sorted order, so that equal pieces come back
+    to back and the layers gain new states as late as possible; the product
+    does not depend on the order.  With a target, a state of total weight
+    above target - (total of w) is not extended by w; the caller drops the
+    states above the target first.
     """
-    for w1, w2, wq in pieces:
+    for w1, w2, wq in sorted(pieces):
         limit = None if target is None else target - w1 - w2 - wq
         for k in range(1, len(layers)):
             layer = layers[k]
@@ -415,7 +416,11 @@ KOSZUL_DUAL_LINES: tuple[tuple[Piece, ...], ...] = (
 
 
 def koszul_lines_consistent() -> bool:
-    """Each nonzero matrix entry must shift the line type by Q^2 D^-1."""
+    """Each nonzero matrix entry must shift the line type by one Q^2 D^-1 step.
+
+    A section s_beta or s_gamma is one such step, so every monomial of the
+    entry must also have section degree a + b = 1, the number of steps.
+    """
     mats = koszul_matrices()
     step = (-1, -1, 2)
     for pos, mat in enumerate(mats):
@@ -426,7 +431,7 @@ def koszul_lines_consistent() -> bool:
                 if not entry:
                     continue
                 expected = tuple(s + d for s, d in zip(sources[c], step))
-                if targets[r] != expected:
+                if targets[r] != expected or any(a + b != 1 for a, b in entry):
                     return False
     return True
 

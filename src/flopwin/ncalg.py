@@ -16,7 +16,9 @@ Kernels, ideals, fiber products and algebra maps never reduce a product
 with a word from scratch.  `_Products` builds it from the product a letter
 shorter, w * m = x * (w' * m) or m * w = (m * w'') * y, in a table that
 lives for one call; that is exact because normal forms are unique up to
-the cutoff.
+the cutoff.  The ideal of one left-normal element g (A g in g A, as for
+the normal t and [beta, gamma] of A_con) is g A, so its dims are read off
+the left kernel of g; any other ideal is grown layer by layer.
 
 `normal_form` reduces its input one degree at a time, highest first: rules
 are homogeneous, so a rewrite never leaves its degree, and inside one degree
@@ -531,22 +533,22 @@ def graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> Ker
     return KernelReport(list(rs._kernels[key]))
 
 
-def _right_normal(rs: RewriteSystem, times: _Products, e: int, d: int) -> bool:
-    """Whether g * x lies in A_{deg x} * g for each generator x with e + deg x <= d.
+def _left_normal(rs: RewriteSystem, times: _Products, e: int, d: int) -> bool:
+    """Whether x * g lies in g * A_{deg x} for each generator x with e + deg x <= d.
 
     times is the left table of g = times[()], of degree e.  One `_span` per
-    generator degree spans the products y * g over the basis words y of that
-    degree, and one more tests that adding the g * x of that degree keeps
-    the rank.
+    generator degree spans the products g * y over the basis words y of that
+    degree, and one more tests that adding the x * g of that degree, from a
+    right table of g, keeps the rank.
     """
     right = _Products(rs, times[()], "right")
     for c in sorted(set(rs.presentation.degrees)):
         if e + c > d:
             break
         target = [rs.basis(e + c)]
-        span = _span([(right[y],) for y in rs.basis(c)], target)
-        gx = [(times[(i,)],) for i, deg in enumerate(rs.presentation.degrees) if deg == c]
-        if len(_span(span + gx, target)) > len(span):
+        span = _span([(times[y],) for y in rs.basis(c)], target)
+        xg = [(right[(i,)],) for i, deg in enumerate(rs.presentation.degrees) if deg == c]
+        if len(_span(span + xg, target)) > len(span):
             return False
     return True
 
@@ -554,24 +556,20 @@ def _right_normal(rs: RewriteSystem, times: _Products, e: int, d: int) -> bool:
 def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
     """Graded dimensions of the two-sided ideal generated by gens.
 
-    Layer k is spanned by x * I_{k - deg x} over the generators x and by
-    g * A_{k - deg g} over the gens g: a product u * g * v with u = x * u'
-    nonempty is x * (u' * g * v), so right products of layers are never
-    needed.  Both come from left `_Products` tables, one per gen g and one
-    per generator x, each built from the product a letter shorter,
+    A single gen g of degree e that passes `_left_normal` (x * g in
+    g * A_{deg x} for each generator x, as for t and [beta, gamma] in A_con)
+    has A * g in g * A up to degree d, by induction on the length of a word
+    x * u': u' * g is in g * A, so x * u' * g is in x * g * A, hence in g * A.
+    So AgA = gA, the image of w -> g * w: dim I_k is dim A_{k - e} minus the
+    left `graded_kernel` of g in degree k - e, and 0 for k < e.
+
+    Otherwise layer k is spanned by x * I_{k - deg x} over the generators x
+    and by g * A_{k - deg g} over the gens g: a product u * g * v with
+    u = x * u' nonempty is x * (u' * g * v), so right products of layers are
+    never needed.  Both come from left `_Products` tables, one per gen g and
+    one per generator x, each built from the product a letter shorter,
     g * w = (g * w'') * y and x * u = (x * u'') * y: exact when normal
     forms are unique on words of degree <= d, as `complete` asserts.
-
-    A gen g of degree e that passes `_right_normal` (g * x in A * g for every
-    generator x with e + deg x <= d; the central t and [beta, gamma] in A_con
-    do) seeds only itself.  First, g * A_m lies in A_m * g for e + m <= d,
-    by induction on m: a word u = x * u' of degree m >= 1 gives
-    g * u = (g * x) * u', which lies in A_{deg x} * (g * u') and so in
-    A_{deg x} * A_{m - deg x} * g.  Second, for m >= 1, A_m * g is spanned by
-    the x * (y' * g) over words y = x * y' of degree m, and y' * g lies in
-    I_{k - deg x} for k = e + m.  So, by induction on k, the seeds g * A_m
-    with m >= 1 already lie in the span of the x * I_{k - deg x}.  Every
-    other gen seeds all of g * A_{k - e}.
     """
     pres = rs.presentation
     seeds = []
@@ -579,12 +577,14 @@ def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
         times = _Products(rs, _integral(g), "left")
         e = pres.poly_degree(times[()])
         if e is not None:
-            seeds.append((e, 0 if _right_normal(rs, times, e, d) else d, times))
+            seeds.append((e, times))
+    if len(gens) == len(seeds) == 1 and _left_normal(rs, times, e, d):
+        kernel = graded_kernel(rs, gens[0], "left", d).dims
+        return [0] * min(e, d + 1) + [len(rs.basis(k)) - n for k, n in enumerate(kernel)]
     lefts = [(e, _Products(rs, {(i,): 1}, "left")) for i, e in enumerate(pres.degrees)]
     layers: dict[int, list[Poly]] = {}
     for k in range(d + 1):
-        candidates = [times[w] for e, reach, times in seeds if e <= k <= e + reach
-                      for w in rs.basis(k - e)]
+        candidates = [times[w] for e, times in seeds if e <= k for w in rs.basis(k - e)]
         for e, times in lefts:
             candidates += [times(v) for v in layers.get(k - e, [])]
         layers[k] = [v for v, in _span([(c,) for c in candidates], [rs.basis(k)])]

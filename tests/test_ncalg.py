@@ -762,8 +762,9 @@ def test_ideal_oracle_catches_a_one_sided_ideal(monkeypatch):
 def seeded_ideal_dims(rs, gens, d):
     """ideal_dims with every gen g seeding all of g * A_{k - deg g}.
 
-    The version before normal gens stopped seeding, kept as the reference
-    that ideal_dims must agree with.
+    The layered growth that ideal_dims takes for every input that is not a
+    single left-normal gen, kept as the reference that ideal_dims must agree
+    with.
     """
     pres = rs.presentation
     tables = [ncalg._Products(rs, ncalg._integral(g), "left") for g in gens]
@@ -778,21 +779,39 @@ def seeded_ideal_dims(rs, gens, d):
     return [len(layers[k]) for k in range(d + 1)]
 
 
-def brute_right_normal(rs, g, d):
-    """Whether g * x lies in A_{deg x} * g for every generator x with deg g + deg x <= d,
+def brute_left_normal(rs, g, d):
+    """Whether x * g lies in g * A_{deg x} for every generator x with deg g + deg x <= d,
     by ranks of whole-word normal forms."""
     pres = rs.presentation
     e = pres.poly_degree(g)
     for i, c in enumerate(pres.degrees):
         if e + c <= d:
-            ys = [rs.normal_form(p_mul({y: 1}, g)) for y in rs.basis(c)]
-            if sparse_rank(ys + [rs.normal_form(p_mul(g, {(i,): 1}))]) > sparse_rank(ys):
+            gys = [rs.normal_form(p_mul(g, {y: 1})) for y in rs.basis(c)]
+            if sparse_rank(gys + [rs.normal_form(p_mul({(i,): 1}, g))]) > sparse_rank(gys):
                 return False
     return True
 
 
+def right_side_check(rs, times, e, d):
+    """The mirror of `_left_normal`: whether g * x lies in A_{deg x} * g.
+
+    Right-normality gives AgA = Ag, not gA, so it cannot license reading
+    the ideal off the left kernel; a mutant that checks it instead must fail.
+    """
+    right = ncalg._Products(rs, times[()], "right")
+    for c in sorted(set(rs.presentation.degrees)):
+        if e + c > d:
+            break
+        target = [rs.basis(e + c)]
+        span = ncalg._span([(right[y],) for y in rs.basis(c)], target)
+        gx = [(times[(i,)],) for i, deg in enumerate(rs.presentation.degrees) if deg == c]
+        if len(ncalg._span(span + gx, target)) > len(span):
+            return False
+    return True
+
+
 def normality_cases():
-    """(label, completed system, gen, whether gen is right-normal) at cutoff 12."""
+    """(label, completed system, gen, whether gen is left-normal) at cutoff 12."""
     for name, cubics in (("acon", {0: True, 3: False, 7: False}), ("endG", {0: False, 1: False})):
         pres = catalog(name)
         rs = complete(pres, 12)
@@ -805,12 +824,16 @@ def normality_cases():
         for seed, normal in cubics.items():
             rng = random.Random(f"normal/{name}/{seed}")
             yield f"{name} cubic #{seed}", rs, random_cubic(rng, len(pres.generators)), normal
+    # x * A has dims 1, 1, 1, ... but AxA has 0, 1, 2, ...: x is right-normal
+    # (x * x = x * x, x * y = 0) and not left-normal (y * x is not in x * A)
+    xy = NCPresentation.build([("x", 1), ("y", 1)], relations=[{(0, 1): Fraction(1)}])
+    yield "x*y = 0, x", complete(xy, 12), xy.gen("x"), False
 
 
 def assert_ideal_dims_match_the_seeded_reference():
     for label, rs, g, _ in normality_cases():
         e = rs.presentation.poly_degree(g)
-        for d in (0, 1, e, e + 1, 7, 12):
+        for d in sorted({0, 1, 2, e, e + 1, 6, 7, 12}):
             assert ideal_dims(rs, [g], d) == seeded_ideal_dims(rs, [g], d), (label, d)
     # two gens at once, one normal and one not
     acon = catalog("acon")
@@ -824,12 +847,21 @@ def test_ideal_dims_match_the_seeded_reference():
     for label, rs, g, normal in normality_cases():
         table = ncalg._Products(rs, ncalg._integral(g), "left")
         e = rs.presentation.poly_degree(g)
-        assert ncalg._right_normal(rs, table, e, 12) is normal == brute_right_normal(rs, g, 12), label
+        assert ncalg._left_normal(rs, table, e, 12) is normal == brute_left_normal(rs, g, 12), label
+        if label.startswith("x*y"):
+            assert right_side_check(rs, table, e, 12)
+            assert seeded_ideal_dims(rs, [g], 6) == [0, 1, 2, 3, 4, 5, 6]
 
 
 def test_seeded_reference_catches_a_gen_wrongly_taken_as_normal(monkeypatch):
-    monkeypatch.setattr(ncalg, "_right_normal", lambda rs, times, e, d: True)
+    monkeypatch.setattr(ncalg, "_left_normal", lambda rs, times, e, d: True)
     with pytest.raises(AssertionError, match="cubic #3"):
+        assert_ideal_dims_match_the_seeded_reference()
+
+
+def test_seeded_reference_catches_a_right_side_normality_check(monkeypatch):
+    monkeypatch.setattr(ncalg, "_left_normal", right_side_check)
+    with pytest.raises(AssertionError, match=r"x\*y = 0"):
         assert_ideal_dims_match_the_seeded_reference()
 
 
@@ -851,7 +883,7 @@ def test_normal_gens_need_fewer_candidate_rows(monkeypatch):
     assert seeded == 756
     rows.clear()
     assert ideal_dims(rs, [g], 12) == dims
-    # the normality proof's own rows count too
+    # 381 rows for the left kernel of g plus the normality proof's 8
     assert sum(rows) <= 0.6 * seeded, sum(rows)
 
 

@@ -37,6 +37,20 @@ def test_broken_koszul_section_fails_cohomology_suite(monkeypatch):
     assert details == "dual Koszul line bookkeeping is inconsistent"
 
 
+def test_koszul_entry_of_wrong_section_degree_fails_cohomology_suite(monkeypatch, capsys):
+    # s_beta^2 keeps d o d = 0 and every line shift, but it is two sections
+    # where the one Q^2 D^-1 step between the line types takes one
+    section = ({(2, 0): 1}, cohomology.S_GAMMA, {})
+    monkeypatch.setattr(cohomology, "_SECTION", section)
+    assert cohomology.koszul_is_complex(cohomology.koszul_matrices())
+    ok, details = verify.check_cohomology_suite()
+    assert not ok
+    assert details == "dual Koszul line bookkeeping is inconsistent"
+    assert cli.main(["verify", "--suite", "cohomology"]) == 1
+    out, _ = capsys.readouterr()
+    assert "dual Koszul line bookkeeping is inconsistent" in out
+
+
 def test_nonzero_degree3_term_fails_cohomology_suite(monkeypatch):
     original = cohomology.vstar_section_counts
 
