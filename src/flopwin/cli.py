@@ -7,7 +7,8 @@ SVG figure emission.
 
 Exit codes: 0 success, 1 a computation ran and reported failure, 2 usage or
 input error.  Stdout carries only the deterministic payload; timing lines go
-to stderr.
+to stderr, after one `warning: <message>` line per distinct warning the
+computation raised, whatever the interpreter's warning filters.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from importlib import import_module
 
 
@@ -323,17 +325,24 @@ def main(argv=None) -> int:
     # look up modules already loaded.
     import_module(f".{args.engine}", __package__)
     start = time.perf_counter()
-    try:
-        code = args.handler(args)
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-    except BrokenPipeError:
-        # Point stdout at devnull so that the exit-time flush stays silent.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the output was written", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # Record the handler's warnings under our own filter, so that neither a
+    # file:line source echo nor an error-filtered traceback reaches stderr.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.handler(args)
+            sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        except BrokenPipeError:
+            # Point stdout at devnull so that the exit-time flush stays silent.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print("error: stdout was closed before the output was written", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
     print(f"{args.command}: {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code
 

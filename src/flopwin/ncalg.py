@@ -12,13 +12,15 @@ centrality, kernels of multiplication maps, ideals, resolutions, fiber
 products and substitution identities are then exact linear algebra on
 bases of irreducible words.
 
-Kernels, ideals, fiber products and algebra maps never reduce a product
-with a word from scratch.  `_Products` builds it from the product a letter
-shorter, w * m = x * (w' * m) or m * w = (m * w'') * y, in a table that
-lives for one call; that is exact because normal forms are unique up to
-the cutoff.  The ideal of one left-normal element g (A g in g A, as for
-the normal t and [beta, gamma] of A_con) is g A, so its dims are read off
-the left kernel of g; any other ideal is grown layer by layer.
+Kernels, ideals, centrality, fiber products and algebra maps never reduce
+a product with a word from scratch.  `_Products` builds it from the product
+a letter shorter, w * m = x * (w' * m) or m * w = (m * w'') * y, in a table
+that lives for one call; that is exact because normal forms are unique up to
+the cutoff.  Every algebra map on generators is one left table of 1, built
+and checked by `_map_table`; `is_central` compares a left and a right table.
+The ideal of one left-normal element g (A g in g A, as for the normal t and
+[beta, gamma] of A_con) is g A, so its dims are read off the left kernel of
+g; any other ideal is grown layer by layer.
 
 `normal_form` reduces its input one degree at a time, highest first: rules
 are homogeneous, so a rewrite never leaves its degree, and inside one degree
@@ -26,8 +28,8 @@ the plain tuple order of words is the deglex order the rules are oriented
 by.  A `_Products` entry is homogeneous by construction, so the table hands
 it straight to that per-degree loop.
 
-Integral data stays integral: rules store integral coefficients as ints, so
-int input has int normal forms (Fraction input stays Fraction), and spans
+Integral data stays integral: rules and `_Products` inputs store integral
+coefficients as ints, so int input has int normal forms (Fraction input stays Fraction), and spans
 are primitive integer rows from `exact.echelon`.  Graded kernels are memoised
 per (multiplier, side, degree), and a grown basis skips the rule scan for its
 words; `add_rule` drops the memo, the basis and those known words together.
@@ -416,21 +418,13 @@ def hilbert(p: NCPresentation, d: int) -> list[int]:
 
 
 def is_central(rs: RewriteSystem, expr: Poly) -> bool:
-    """True iff the commutator with every generator reduces to zero.
+    """True iff expr * x = x * expr for every generator x, taken in order.
 
-    Every commutator must stay within the rewrite cutoff.
+    The two sides are the entries for x of a left and a right `_Products`
+    table of expr, which raise ValueError for a product above the cutoff.
     """
-    pres = rs.presentation
-    deg = pres.poly_degree(expr)
-    if deg is None:
-        return True
-    for i, _ in enumerate(pres.generators):
-        if deg + pres.degrees[i] > rs.cutoff:
-            raise ValueError("centrality check exceeds the rewrite cutoff")
-        g: Poly = {(i,): 1}
-        if rs.normal_form(commutator(expr, g)):
-            return False
-    return True
+    left, right = _Products(rs, expr, "left"), _Products(rs, expr, "right")
+    return all(left[(i,)] == right[(i,)] for i, _ in enumerate(rs.presentation.degrees))
 
 
 # -- exact linear algebra on irreducible-word bases ------------------------
@@ -470,7 +464,8 @@ class _Products(dict):
     forms are unique on words up to the product's degree; every `complete`
     result asserts that below its cutoff (Bergman's diamond lemma).
 
-    fixed and every letter must be homogeneous (ValueError otherwise), so
+    fixed and every letter are stored with integral coefficients as ints
+    (others stay Fraction) and must be homogeneous (ValueError otherwise), so
     every entry is homogeneous too: the product of a letter and an entry
     has the degree of any one of its words.  An entry is therefore checked
     against the cutoff on that one word, with the ValueError of
@@ -481,7 +476,8 @@ class _Products(dict):
     def __init__(self, rs: RewriteSystem, fixed: Poly, side: str,
                  letters: Sequence[Poly] | None = None):
         pres = rs.presentation
-        self.letters = letters or [{(i,): 1} for i, _ in enumerate(pres.degrees)]
+        letters = letters or [{(i,): 1} for i, _ in enumerate(pres.degrees)]
+        fixed, *self.letters = map(_integral, (fixed, *letters))
         for poly in (fixed, *self.letters):
             pres.poly_degree(poly)
         super().__init__({(): rs.normal_form(fixed)})
@@ -524,7 +520,7 @@ def graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> Ker
         deg = rs.presentation.poly_degree(multiplier)
         if deg is None:
             raise ValueError("multiplier must be nonzero")
-        times = _Products(rs, _integral(multiplier), side)
+        times = _Products(rs, multiplier, side)
         dims: list[int] = []
         for k in range(0, d - deg + 1):
             source, target = rs.basis(k), rs.basis(k + deg)
@@ -574,7 +570,7 @@ def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
     pres = rs.presentation
     seeds = []
     for g in gens:
-        times = _Products(rs, _integral(g), "left")
+        times = _Products(rs, g, "left")
         e = pres.poly_degree(times[()])
         if e is not None:
             seeds.append((e, times))
@@ -619,40 +615,43 @@ def resolution_check(rs: RewriteSystem, multipliers: Sequence[Poly],
 
 # -- morphisms and the fiber product ---------------------------------------
 
+def _map_table(source: NCPresentation, target: RewriteSystem,
+               images: Mapping[str, Poly]) -> _Products:
+    """The map sending each source generator to its image, as a left table of 1.
+
+    Each image must be zero or homogeneous of its generator's degree
+    (ValueError otherwise).
+    """
+    word_degree = target.presentation.word_degree
+    for name, e in zip(source.generators, source.degrees):
+        if name not in images:
+            raise ValueError(f"no image for generator {name!r}")
+        if any(word_degree(w) != e for w, c in images[name].items() if c):
+            raise ValueError(f"image of {name!r} must be zero or homogeneous of degree {e}")
+    return _Products(target, {(): 1}, "left", [images[name] for name in source.generators])
+
+
 class Morphism:
-    """Graded algebra map given on generators of the source."""
+    """Graded algebra map given on generators of the source.
+
+    `_map_table` checks the images on construction and builds the map's
+    table afresh for each `apply` and `surjective_upto` call.
+    """
 
     def __init__(self, source: RewriteSystem, target: RewriteSystem,
                  images: Mapping[str, Poly]):
-        self.source = source
-        self.target = target
-        self.images = images
-        spres = source.presentation
-        tpres = target.presentation
-        for name in spres.generators:
-            if name not in images:
-                raise ValueError(f"no image for generator {name!r}")
-            img = images[name]
-            deg = tpres.poly_degree(img)
-            if deg is not None and deg != spres.degrees[spres.gen_index(name)]:
-                raise ValueError(f"image of {name!r} has the wrong degree")
-
-    def _table(self) -> _Products:
-        """The map as a left `_Products` table: a word's image is its prefix's
-        times its last letter's, exact when the target's normal forms are
-        unique on words up to the image's degree."""
-        letters = [_integral(self.images[name]) for name in self.source.presentation.generators]
-        return _Products(self.target, {(): 1}, "left", letters)
+        self.source, self.target, self.images = source, target, images
+        _map_table(source.presentation, target, images)
 
     def apply(self, poly: Poly) -> Poly:
-        return self._table()(poly)
+        return _map_table(self.source.presentation, self.target, self.images)(poly)
 
     def surjective_upto(self, d: int) -> bool:
         """Whether the source basis maps onto the target's in each degree <= d.
 
-        Each word's image is an entry of one `_table`, read in degree order.
+        Each word's image is an entry of one map table, read in degree order.
         """
-        image = self._table()
+        image = _map_table(self.source.presentation, self.target, self.images)
         for k in range(d + 1):
             target = self.target.basis(k)
             if not target:
@@ -699,19 +698,14 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
     acon = catalog("acon")
     if len(pairs) != len(acon.generators):
         raise ValueError("one element pair is needed per A_con generator")
-    for (a, b), name, e in zip(pairs, acon.generators, acon.degrees):
-        if not {rs_a.presentation.poly_degree(a), rs_b.presentation.poly_degree(b)} <= {None, e}:
-            raise ValueError(f"the pair for {name!r} must be homogeneous of degree {e}")
-
-    on_a = _Products(rs_a, {(): 1}, "left", [a for a, _ in pairs])
-    on_b = _Products(rs_b, {(): 1}, "left", [b for _, b in pairs])
+    on_a = _map_table(acon, rs_a, dict(zip(acon.generators, (a for a, _ in pairs))))
+    on_b = _map_table(acon, rs_b, dict(zip(acon.generators, (b for _, b in pairs))))
     relations_ok = not any(on_a(rel) or on_b(rel) for rel in map(poly_from_key, acon.relations))
 
     # grow the subalgebra generated by the pairs, degree by degree
     layers: dict[int, list[list[Poly]]] = {0: [[{(): 1}, {(): 1}]]}
     generates = dims[0] == 1 and all(f_a.apply(a) == f_b.apply(b) for a, b in pairs)
-    times = [(_Products(rs_a, _integral(a), "right"), _Products(rs_b, _integral(b), "right"))
-             for a, b in pairs]
+    times = [(_Products(rs_a, a, "right"), _Products(rs_b, b, "right")) for a, b in pairs]
     for k in range(1, d + 1):
         products = [
             (times_a(va), times_b(vb))
@@ -746,22 +740,11 @@ def substitute_and_reduce(rs: RewriteSystem, dictionary: Mapping[str, Poly],
                           expr: Poly, base: NCPresentation) -> Poly:
     """Normal form of expr after substituting the dictionary images.
 
-    expr lives over the base coordinate presentation; nonzero images must be
-    homogeneous of the coordinate's degree, which keeps the substituted
-    expression homogeneous whenever expr is.  A word's image is built from
-    its prefix's by a left `_Products` table, exact when rs has unique
-    normal forms on words up to expr's degree.
+    expr lives over the base coordinate presentation; each image must be
+    zero or homogeneous of its coordinate's degree (`_map_table`), which
+    keeps the substituted expression homogeneous whenever expr is.
     """
-    tpres = rs.presentation
-    for name in base.generators:
-        img = dictionary.get(name)
-        if img is None:
-            raise ValueError(f"dictionary misses coordinate {name!r}")
-        deg = tpres.poly_degree(img)
-        if deg is not None and deg != base.degrees[base.gen_index(name)]:
-            raise ValueError(f"image of {name!r} is not degree-matching")
-    images = [_integral(dictionary[name]) for name in base.generators]
-    return _Products(rs, {(): 1}, "left", images)(expr)
+    return _map_table(base, rs, dictionary)(expr)
 
 
 def hypersurface_polynomial(base: NCPresentation) -> Poly:

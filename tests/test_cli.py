@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -103,6 +104,25 @@ def test_skms_cost_does_not_grow_with_multiplicity(tmp_path, capsys):
     assert code == 0
     assert payload["vertices"] == [["-500000"], ["500000"]]
     assert payload["punctures"] == ["0"]
+
+
+def test_warnings_reach_stderr_as_one_plain_line(tmp_path, capsys):
+    # a non-quasi-symmetric presentation makes zonotope.nabla warn; neither the
+    # warning's source line nor, under an "error" filter, a traceback escapes
+    src = tmp_path / "nqs.json"
+    src.write_text(json.dumps({"rank": 1, "weights": [{"vec": [1], "mult": 2}, {"vec": [-1]}]}),
+                   encoding="utf-8")
+    runs = []
+    for action in ("default", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            runs.append(run_cli(capsys, "skms", "--input", str(src)))
+    assert runs[0][:2] == runs[1][:2] and runs[0][0] == 0
+    for _, _, err in runs:
+        assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+            "warning: presentation is not quasi-symmetric; polytope may degenerate"]
+        assert err.splitlines()[-1].startswith("skms: ")
+        assert ".py:" not in err and "Traceback" not in err
 
 
 def test_kappa_payload(capsys):
@@ -380,7 +400,7 @@ def test_figures_empty_presentation_placeholder(tmp_path, capsys):
     assert code == 0
     for path in payload["files"]:
         ET.parse(path)
-        assert "empty presentation" in open(path, encoding="utf-8").read()
+        assert "empty presentation" in Path(path).read_text(encoding="utf-8")
 
 
 def test_figures_draw_each_weight_once(tmp_path, capsys):

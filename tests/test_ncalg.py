@@ -1132,3 +1132,91 @@ def test_substitution_matches_direct_normal_forms():
         assert got == rs.normal_form(evaluate(expr, images)), base.render(expr)
         nonzero += bool(got)
     assert nonzero > len(exprs) // 2
+
+
+def bad_map_calls():
+    """(label, call, message) for each algebra map with a missing image, an
+    image of the wrong degree and an inhomogeneous image."""
+    f_a, f_b = standard_morphisms(4)
+    rs_a, cbc = f_a.source, f_a.target
+    b, c = cbc.presentation.gen("b"), cbc.presentation.gen("c")
+    bad_images = {
+        "missing": ({"t": {}, "b": b}, "no image for generator 'c'"),
+        "wrong degree": ({"t": {}, "b": p_mul(b, b), "c": c},
+                         "image of 'b' must be zero or homogeneous of degree 1"),
+        "inhomogeneous": ({"t": {}, "b": b, "c": combine([(1, c), (1, p_mul(b, c))])},
+                          "image of 'c' must be zero or homogeneous of degree 1"),
+    }
+    for kind, (images, message) in bad_images.items():
+        yield f"Morphism {kind}", lambda images=images: Morphism(rs_a, cbc, images), message
+
+    base = base_coordinates()
+    rs = completed(catalog("acon"), 10)
+    good = acon_dictionary(rs.presentation)
+    t, beta = rs.presentation.gen("t"), rs.presentation.gen("beta")
+    bad_dictionaries = {
+        "missing": ({k: v for k, v in good.items() if k != "w"}, "no image for generator 'w'"),
+        "wrong degree": ({**good, "y": t}, "image of 'y' must be zero or homogeneous of degree 2"),
+        "inhomogeneous": ({**good, "t": combine([(1, t), (1, p_mul(t, beta))])},
+                          "image of 't' must be zero or homogeneous of degree 1"),
+    }
+    for kind, (dictionary, message) in bad_dictionaries.items():
+        yield (f"substitute_and_reduce {kind}",
+               lambda d=dictionary: substitute_and_reduce(rs, d, base.gen("x"), base), message)
+
+    a_pres, b_pres = rs_a.presentation, f_b.source.presentation
+    pt, pb, pc = (a_pres.gen(n) for n in ("t", "b", "c"))
+    bb, gg = b_pres.gen("beta"), b_pres.gen("gamma")
+    bad_pairs = {
+        "wrong degree": ([(pt, {}), (pb, p_mul(bb, bb)), (pc, gg)],
+                         "image of 'beta' must be zero or homogeneous of degree 1"),
+        "inhomogeneous": ([(combine([(1, pt), (1, p_mul(pb, pc))]), {}), (pb, bb), (pc, gg)],
+                          "image of 't' must be zero or homogeneous of degree 1"),
+    }
+    for kind, (pairs, message) in bad_pairs.items():
+        yield f"fiber_product {kind}", lambda p=pairs: fiber_product(f_a, f_b, 4, p), message
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(call, message, id=label)
+                                            for label, call, message in bad_map_calls()])
+def test_every_algebra_map_checks_its_images_once(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+def test_product_tables_store_integral_inputs_as_ints():
+    pres = catalog("acon")
+    rs = complete(pres, 6)
+    t, beta, gamma = (pres.gen(n) for n in ("t", "beta", "gamma"))
+    assert all(type(c) is Fraction for c in beta.values())
+    for side in ("left", "right"):
+        table = ncalg._Products(rs, combine([(1, t), (2, beta)]), side, [t, beta, gamma])
+        entries = [table[w] for k in range(4) for w in rs.basis(k)]
+        assert any(entries) and all(type(c) is int for e in entries for c in e.values()), side
+    # acon_dictionary's v = (beta*gamma + gamma*beta)/2 keeps its Fraction
+    v = acon_dictionary(pres)["v"]
+    table = ncalg._Products(rs, {(): Fraction(1)}, "left", [t, v, beta])
+    assert table.letters[1] == v and {type(c) for c in table[(1,)].values()} == {Fraction}
+    assert all(type(c) is int for c in table[(0, 2)].values()) and table[(0, 2)]
+
+
+def test_is_central_reads_the_cutoff_off_its_tables():
+    pres = catalog("acon")
+    rs = complete(pres, 4)
+    t, beta = pres.gen("t"), pres.gen("beta")
+    quartic = p_mul(p_mul(beta, beta), p_mul(beta, beta))
+    assert is_central(rs, {}) and is_central(rs, p_mul(t, p_mul(t, t)))
+    with pytest.raises(ValueError, match="expression degree exceeds the rewrite cutoff"):
+        is_central(rs, quartic)
+    with pytest.raises(ValueError, match="expression degree exceeds the rewrite cutoff"):
+        is_central(rs, p_mul(p_mul(t, t), p_mul(t, t)))
+    # generators are read in order: x fails against y before z's degree 3
+    # is read, and raises there once it commutes with y
+    gens = [("x", 1), ("y", 1), ("z", 2)]
+    free = NCPresentation.build(gens)
+    x = free.gen("x")
+    assert not is_central(complete(free, 2), x)
+    xy = NCPresentation.build(gens, relations=[commutator(x, free.gen("y"))])
+    with pytest.raises(ValueError, match="expression degree exceeds the rewrite cutoff"):
+        is_central(complete(xy, 2), x)
