@@ -271,11 +271,10 @@ class RewriteSystem:
                 continue
             hit = find(word)
             if hit is None:
-                s = result[word] + coeff if word in result else coeff
-                if s == 0:
-                    result.pop(word, None)
-                else:
-                    result[word] = s
+                # word is the largest pending word of its degree and every
+                # later word is deglex-smaller (a rewrite only lowers a word),
+                # so no word reaches result twice and nothing merges or cancels
+                result[word] = coeff
                 continue
             pos, lhs, rhs = hit
             head, tail = word[:pos], word[pos + len(lhs):]

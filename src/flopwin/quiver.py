@@ -8,16 +8,18 @@ alpha.alpha_star.  This module checks the relations, decides stability for the
 two GIT chambers, classifies unstable strata, and evaluates the invariant map
 onto a hypersurface in A^7 together with its singular-locus membership tests.
 
-All arithmetic is exact.  A representation stores one integer view: the
-least common denominator D of its 16 entries and four parameters, and every
-entry and parameter times D.  Assembly builds that view on integers: it
-scales the input by the lcm L of its denominators, derives delta and the
-default parameters over 4 L^4 and divides out the common factor once.  The
-relations, the stability and stratum tests and the invariant map all run on
-the integer view; `relations_hold` and `base_map` divide by the power of D
-each formula carries.  The Fraction fields (alpha, ..., params, and t) are
-views of the integer view, built on first read.  Base points stay Fraction,
-since they are also read from outside input.
+All arithmetic is exact.  A representation is built by `QuiverRep.from_dict`
+alone (`from_chart` and `scalar_pair_rep` go through it) and stores one
+integer view, `_scaled`: the least common denominator D of its 16 entries
+and four parameters, and every entry and parameter times D.  Assembly
+builds that view on integers: it scales the input by the lcm L of its
+denominators, derives delta and the default parameters over 4 L^4 and
+divides out the common factor once.  The relations, the stability and
+stratum tests and the invariant map all run on the integer view;
+`relations_hold` and `base_map` divide by the power of D each formula
+carries.  The Fraction fields (alpha, ..., params, and t) are views of the
+integer view, built on first read.  Base points stay Fraction, since they
+are also read from outside input.
 """
 from __future__ import annotations
 
@@ -53,8 +55,8 @@ def _mat2(rows) -> list:
     return [x for row in _pair(rows, "2x2 matrix") for x in _vec2(row)]
 
 
-def _assemble(data: Mapping) -> tuple[tuple, tuple]:
-    """The integer view and the parameter key order of a representation.
+def _assemble(data: Mapping) -> tuple:
+    """The integer view of a representation.
 
     data maps alpha, alpha_star, beta and gamma, and optionally delta and
     some of the parameters, to values; an absent delta is t/2 I - (beta +
@@ -67,8 +69,7 @@ def _assemble(data: Mapping) -> tuple[tuple, tuple]:
     common denominator.
 
     Returns (D, alpha, alpha_star, beta, gamma, delta, (t, Tbeta, Tgamma,
-    Tdelta)), each item times D as ints, and the parameter keys in the order
-    given, followed by the derived ones in the order of PARAM_KEYS.
+    Tdelta)), each item times D as ints.
     """
     raw = (_vec2(data["alpha"]) + _vec2(data["alpha_star"])
            + _mat2(data["beta"]) + _mat2(data["gamma"]))
@@ -114,33 +115,23 @@ def _assemble(data: Mapping) -> tuple[tuple, tuple]:
     g = gcd(scale, *values)
     (a0, a1, s0, s1, b00, b01, b10, b11, c00, c01, c10, c11, d00, d01, d10, d11,
      t, tb, tc, td) = [x // g for x in values]
-    keys = tuple(given) + tuple(k for k in PARAM_KEYS if k not in given)
     return (scale // g, (a0, a1), (s0, s1), ((b00, b01), (b10, b11)), ((c00, c01), (c10, c11)),
-            ((d00, d01), (d10, d11)), (t, tb, tc, td)), keys
+            ((d00, d01), (d10, d11)), (t, tb, tc, td))
 
 
 class QuiverRep:
     """One representation with dimension vector (1, 2).
 
-    Built by `from_dict` or positionally, QuiverRep(alpha, alpha_star, beta,
-    gamma, delta, params), where delta and params may be None or params
-    partial: the missing values are derived as in `from_dict`.  Its one
-    state is the integer view `_scaled`; the fields alpha, alpha_star,
-    beta, gamma, delta and params and the parameter t are Fraction views of
+    Built only by `from_dict`, from a mapping of alpha, alpha_star, beta
+    and gamma, and optionally delta and some parameters; the missing values
+    are derived as in `_assemble`.  Its one state is the integer view
+    `_scaled`; the fields alpha, alpha_star, beta, gamma, delta and params
+    (keyed in PARAM_KEYS order) and the parameter t are Fraction views of
     it, built on first read.  Equality and the hash are those of the integer
     view, and assigning any attribute raises AttributeError.
     """
 
-    __slots__ = ("_scaled", "_keys", "__dict__")
-
-    def __init__(self, alpha, alpha_star, beta, gamma, delta, params):
-        self._build({"alpha": alpha, "alpha_star": alpha_star, "beta": beta, "gamma": gamma,
-                     "delta": delta, "params": params})
-
-    def _build(self, data: Mapping) -> None:
-        scaled, keys = _assemble(data)
-        object.__setattr__(self, "_scaled", scaled)
-        object.__setattr__(self, "_keys", keys)
+    __slots__ = ("_scaled", "__dict__")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "QuiverRep":
@@ -150,7 +141,7 @@ class QuiverRep:
         if unknown:
             raise ValueError(f"unknown representation keys: {sorted(unknown)}")
         rep = cls.__new__(cls)
-        rep._build(data)
+        object.__setattr__(rep, "_scaled", _assemble(data))
         return rep
 
     def __setattr__(self, name, value):
@@ -189,8 +180,8 @@ class QuiverRep:
 
     @cached_property
     def params(self) -> dict[str, Fraction]:
-        den, values = self._scaled[0], dict(zip(PARAM_KEYS, self._scaled[6]))
-        return {k: Fraction(values[k], den) for k in self._keys}
+        den = self._scaled[0]
+        return {k: Fraction(v, den) for k, v in zip(PARAM_KEYS, self._scaled[6])}
 
     @cached_property
     def t(self) -> Fraction:
@@ -203,7 +194,7 @@ class QuiverRep:
             "beta": rational_json(self.beta),
             "gamma": rational_json(self.gamma),
             "delta": rational_json(self.delta),
-            "params": {k: rational_json(self.params[k]) for k in PARAM_KEYS},
+            "params": {k: rational_json(v) for k, v in self.params.items()},
         }
 
     @cached_property
@@ -389,31 +380,10 @@ def base_equation(p: BasePoint) -> Fraction:
     )
 
 
-def singular_locus_generators(p: BasePoint) -> dict[str, Fraction]:
-    return {
-        "x": p.x,
-        "uy+vz": p.u * p.y + p.v * p.z,
-        "vy+wz": p.v * p.y + p.w * p.z,
-        "z^2+ut^2": p.z * p.z + p.u * p.t * p.t,
-        "y^2+wt^2": p.y * p.y + p.w * p.t * p.t,
-        "yz-vt^2": p.y * p.z - p.v * p.t * p.t,
-        "(uw-v^2)t": (p.u * p.w - p.v * p.v) * p.t,
-    }
-
-
 class SingularReport(_Record):
     """The singular-locus generators of a base point and its components."""
 
     __slots__ = ("generators", "in_singular_locus", "in_z1", "in_z2", "component")
-
-    def to_dict(self) -> dict:
-        return {
-            "generators": {k: rational_json(v) for k, v in self.generators.items()},
-            "in_singular_locus": self.in_singular_locus,
-            "in_z1": self.in_z1,
-            "in_z2": self.in_z2,
-            "component": self.component,
-        }
 
 
 def singular_locus_check(p: BasePoint) -> SingularReport:
@@ -425,7 +395,15 @@ def singular_locus_check(p: BasePoint) -> SingularReport:
     x = 0 and uw - v^2 = 0 (the latter cuts the closure at t = 0 down to the
     degenerate-conic locus).
     """
-    gens = singular_locus_generators(p)
+    gens = {
+        "x": p.x,
+        "uy+vz": p.u * p.y + p.v * p.z,
+        "vy+wz": p.v * p.y + p.w * p.z,
+        "z^2+ut^2": p.z * p.z + p.u * p.t * p.t,
+        "y^2+wt^2": p.y * p.y + p.w * p.t * p.t,
+        "yz-vt^2": p.y * p.z - p.v * p.t * p.t,
+        "(uw-v^2)t": (p.u * p.w - p.v * p.v) * p.t,
+    }
     in_locus = all(v == 0 for v in gens.values())
     in_z1 = p.x == 0 and p.y == 0 and p.z == 0 and p.t == 0
     in_z2 = (
@@ -446,9 +424,9 @@ def singular_locus_check(p: BasePoint) -> SingularReport:
     return SingularReport(gens, in_locus, in_z1, in_z2, component)
 
 
-def random_chart_rep(rng, bound: int = 5) -> QuiverRep:
-    """Sample a chart representation with integer entries in [-bound, bound]."""
-    pick = lambda: rng.randint(-bound, bound)
+def random_chart_rep(rng) -> QuiverRep:
+    """Sample a chart representation with integer entries in [-5, 5]."""
+    pick = lambda: rng.randint(-5, 5)
     alpha = (pick(), pick())
     alpha_star = (pick(), pick())
     b00, b01, b10 = pick(), pick(), pick()
@@ -458,14 +436,14 @@ def random_chart_rep(rng, bound: int = 5) -> QuiverRep:
     )
 
 
-def scalar_pair_rep(rng, bound: int = 5) -> QuiverRep:
+def scalar_pair_rep(rng) -> QuiverRep:
     """Sample a relation-scheme point with beta = b.I and gamma = -b.I, b != 0.
 
     These loops are not trace-free, so the sample is built by from_dict, not
     from_chart; every loop still squares to a scalar and the vertex relation
     holds, which makes the family a probe for the instability lemma.
     """
-    pick = lambda: rng.randint(-bound, bound)
+    pick = lambda: rng.randint(-5, 5)
     b = 0
     while b == 0:
         b = pick()

@@ -274,10 +274,13 @@ def test_ncalg_normal_form_of_central_relation(capsys):
 
 
 def test_ncalg_normal_form_nontrivial(capsys):
-    code, out, _ = run_cli(capsys, "ncalg", "normal-form", "--algebra", "acon",
-                           "--expr", "gamma*beta*beta - 1/2*t")
-    assert code == 0
-    assert out == "beta*beta*gamma - 1/2*t\n"
+    # in the last two, inhomogeneous factors put two products on one word:
+    # 1*t and t*1 add up in the first and cancel in the second
+    for expr, want in (("gamma*beta*beta - 1/2*t", "beta*beta*gamma - 1/2*t\n"),
+                       ("(1+t)*(1+t)", "t*t + 2*t + 1\n"), ("(1+t)*(1-t)", "-t*t + 1\n")):
+        code, out, _ = run_cli(capsys, "ncalg", "normal-form", "--algebra", "acon", "--expr", expr)
+        assert code == 0
+        assert out == want
 
 
 def test_ncalg_normal_form_parse_error(capsys):

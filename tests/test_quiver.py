@@ -123,10 +123,10 @@ def test_relations_are_evaluated_once_per_rep(monkeypatch):
     base_map(fresh)
     stratum(fresh)
     assert calls == [rep, broken, fresh] and len(builds) == 3
-    # every constructor assembles the integer view exactly once
+    # every build assembles the integer view exactly once
     pair = scalar_pair_rep(random.Random(3))
     assert len(builds) == 4
-    again = QuiverRep(*(getattr(fresh, name) for name in FIELDS))
+    again = QuiverRep.from_dict({name: getattr(fresh, name) for name in FIELDS})
     assert len(builds) == 5 and again == fresh
     is_semistable(pair, "theta1")
     assert calls == [rep, broken, fresh, pair] and len(builds) == 5
@@ -173,33 +173,33 @@ def reference_chart(alpha, alpha_star, beta, gamma):
         for i in range(2)
     )
     params = {"t": t, "Tbeta": -det(b), "Tgamma": -det(c), "Tdelta": -det(d)}
-    return QuiverRep(a, s, b, c, d, params)
+    return QuiverRep.from_dict(dict(zip(FIELDS, (a, s, b, c, d, params))))
 
 
-def reference_scalar_pair(rng, bound=5):
+def reference_scalar_pair(rng):
     """scalar_pair_rep by the explicit formulas: parameters b^2, b^2 and t^2/4."""
     b = 0
     while b == 0:
-        b = rng.randint(-bound, bound)
+        b = rng.randint(-5, 5)
     alpha = (0, 0)
     while alpha == (0, 0):
-        alpha = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+        alpha = (rng.randint(-5, 5), rng.randint(-5, 5))
     a = tuple(map(F, alpha))
-    s = (F(rng.randint(-bound, bound)), F(rng.randint(-bound, bound)))
+    s = (F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))
     t = s[0] * a[0] + s[1] * a[1]
     delta = tuple(
         tuple((t / 2 if i == j else 0) - a[i] * s[j] for j in range(2)) for i in range(2)
     )
     scalar = lambda k: ((F(k), F(0)), (F(0), F(k)))
     params = {"t": t, "Tbeta": F(b * b), "Tgamma": F(b * b), "Tdelta": t * t / 4}
-    return QuiverRep(a, s, scalar(b), scalar(-b), delta, params)
+    return QuiverRep.from_dict(dict(zip(FIELDS, (a, s, scalar(b), scalar(-b), delta, params))))
 
 
 def reference_assembly(data):
     """from_dict by the explicit Fraction formulas: every value read by
     rational, delta = t/2 I - (beta + gamma + alpha alpha_star) with t the
     pairing unless given, and each missing parameter t or entry (0, 0) of its
-    loop's square, after the given ones."""
+    loop's square; the parameters are listed in PARAM_KEYS order."""
     vec = lambda values: tuple(map(rational, values))
     a, s = vec(data["alpha"]), vec(data["alpha_star"])
     b, c = tuple(map(vec, data["beta"])), tuple(map(vec, data["gamma"]))
@@ -215,7 +215,7 @@ def reference_assembly(data):
     params.setdefault("t", t)
     for key, m in (("Tbeta", b), ("Tgamma", c), ("Tdelta", d)):
         params.setdefault(key, m[0][0] * m[0][0] + m[0][1] * m[1][0])
-    return a, s, b, c, d, params
+    return a, s, b, c, d, {k: params[k] for k in PARAM_KEYS}
 
 
 def reference_scaled(a, s, b, c, d, params):
@@ -265,7 +265,7 @@ def test_assembly_matches_the_explicit_formulas():
             "params": {k: rational_json(want.params[k]) for k in PARAM_KEYS},
         }
         assert rep._scaled == reference_scaled(*fields)
-        same = QuiverRep(*fields)
+        same = QuiverRep.from_dict(dict(zip(FIELDS, fields)))
         assert rep == same and hash(rep) == hash(same)
         moved = dict(data, alpha=[rational_json(want.alpha[0] + F(1, 6)), data["alpha"][1]])
         assert rep != QuiverRep.from_dict(moved)
@@ -278,9 +278,7 @@ def test_assembly_matches_the_explicit_formulas():
         assert typed(from_chart(a, s, b, c)) == typed(reference_chart(a, s, b, c))
     for seed in range(300):
         ours, theirs = random.Random(seed), random.Random(seed)
-        assert typed(scalar_pair_rep(ours, 1 + seed % 5)) == typed(
-            reference_scalar_pair(theirs, 1 + seed % 5)
-        )
+        assert typed(scalar_pair_rep(ours)) == typed(reference_scalar_pair(theirs))
         assert ours.getstate() == theirs.getstate()
 
 
@@ -566,9 +564,8 @@ def gauge_transform(rep, g, g0):
     )
     alpha_star = (g0 * star_row[0], g0 * star_row[1])
     conj = lambda m: mat_mul(mat_mul(g, m), ginv)
-    return QuiverRep(
-        alpha, alpha_star, conj(rep.beta), conj(rep.gamma), conj(rep.delta), dict(rep.params)
-    )
+    fields = (alpha, alpha_star, conj(rep.beta), conj(rep.gamma), conj(rep.delta), rep.params)
+    return QuiverRep.from_dict(dict(zip(FIELDS, fields)))
 
 
 def test_gauge_invariance():

@@ -88,6 +88,40 @@ def test_non_central_image_fails_substitution_laufer(monkeypatch):
     assert details == "image of t is not central"
 
 
+def test_flipped_sign_fails_substitution_laufer(monkeypatch):
+    text = "x*x + u*y*y - 2*v*y*z + w*z*z + (u*w - v*v)*t*t"
+    monkeypatch.setattr(ncalg, "hypersurface_polynomial", lambda base: ncalg.parse_expr(base, text))
+    ok, details = verify.check_substitution_laufer()
+    assert not ok
+    assert details == "hypersurface polynomial does not reduce to zero"
+
+
+def test_flipped_singular_generator_fails_substitution_laufer(monkeypatch):
+    original = ncalg.singular_polynomials
+
+    def mutant(base):
+        gens = original(base)
+        gens["yz-vt^2"] = ncalg.parse_expr(base, "y*z + v*t*t")
+        return gens
+
+    monkeypatch.setattr(ncalg, "singular_polynomials", mutant)
+    ok, details = verify.check_substitution_laufer()
+    assert not ok
+    assert details == "singular-locus generator yz-vt^2 does not reduce to zero"
+
+
+def test_target_without_anticommutator_fails_substitution_laufer(monkeypatch):
+    original = ncalg.catalog
+    target = ncalg._build((("beta", 3), ("gamma", 2)), (), ("beta*beta - gamma*gamma*gamma",))
+    monkeypatch.setattr(
+        ncalg, "catalog", lambda name: target if name == "laufer_target" else original(name)
+    )
+    ok, details = verify.check_substitution_laufer()
+    assert not ok
+    assert details == ("slice dims [1, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0] "
+                       "vs target [1, 0, 1, 1, 1, 2, 1, 3, 2, 3, 4, 3, 6]")
+
+
 def test_resg_class_outside_wall_window_fails_kappa_generators(monkeypatch):
     # Sym^2 V is not among the D:-1 classes O, V, V(-1), Sym^2 V(-1)
     terms = cohomology.RES_G_TERMS[:-1] + (((2, 0),),)
@@ -166,3 +200,20 @@ def test_doubled_v_fails_quiver_sweeps(monkeypatch):
     ok, details = verify.check_quiver_sweeps()
     assert not ok
     assert details == "base equation nonzero on sample 0"
+
+
+def test_semistable_scalar_pair_fails_quiver_sweeps(monkeypatch):
+    monkeypatch.setattr(quiver, "is_semistable", lambda rep, stability: True)
+    ok, details = verify.check_quiver_sweeps()
+    assert not ok
+    assert details == "scalar-pair sample 0 is semistable"
+
+
+def test_swapped_stratum_label_fails_quiver_sweeps(monkeypatch):
+    original = quiver.stratum
+    monkeypatch.setattr(
+        quiver, "stratum", lambda rep: "S1" if original(rep) == "semistable" else "semistable"
+    )
+    ok, details = verify.check_quiver_sweeps()
+    assert not ok
+    assert details == "stratum label inconsistent on sample 0"
