@@ -77,36 +77,33 @@ class _Record:
 def echelon(rows, width: int | None = None):
     """Sparse fraction-free elimination of rows, taken in the given order.
 
-    rows are sparse {column: int or Fraction} dicts without zero entries.
-    Each row has its denominators cleared and is reduced against the
-    primitive integer pivot rows found so far by row <- a*row - b*prow, with
-    a/b = lead/entry in lowest terms, then divided by the gcd of its entries
-    (Bareiss 1968).  Its pivot columns are cleared in increasing column
-    order, from a heap of the pivot columns present in the row: a pivot row
-    has no entry left of its pivot, so clearing one column never refills a
-    column already cleared, and the row ends with no entry at any pivot
-    column.  That row is a positive multiple of the one any clearing order
-    leaves, so the pivot rows, primitive, do not depend on the order.
-    Pivots are sought only in the first ``width`` columns (default: all of
-    them).  Yields (vec, lead_col) for each row, in order: a row with a
-    pivot yields its primitive integer row and its pivot column, any other
-    row its reduced integer row and None.  Each yielded row is a nonzero
-    rational multiple of the row plain Fraction elimination would leave, so
-    augmenting each row with a unit vector makes the columns from ``width``
-    on of the null rows a kernel basis.  Yielded pivot rows are used for
-    later reductions, so callers must not change them.  The rank is the
-    number of rows that yield a pivot.
+    rows are sparse {column: int or Fraction} dicts without zero entries.  A
+    row with a Fraction entry has its denominators cleared (an int row is
+    copied as it is), and each row is reduced against the primitive integer
+    pivot rows found so far by row <- a*row - b*prow, with a/b = lead/entry in
+    lowest terms, then divided by the gcd of its entries (Bareiss 1968).  Its
+    pivot columns are cleared in increasing column order, from a heap of the
+    pivot columns present in the row: a pivot row has no entry left of its
+    pivot, so clearing one column never refills a column already cleared, and
+    the row ends with no entry at any pivot column.  That row is a positive
+    multiple of the one any clearing order leaves, so the pivot rows,
+    primitive, do not depend on the order.  Pivots are sought only in the first
+    ``width`` columns (default: all of them).  Yields (vec, lead_col) for each
+    row, in order: a row with a pivot yields its primitive integer row and its
+    pivot column, any other row its reduced integer row and None.  Each yielded
+    row is a nonzero rational multiple of the row plain Fraction elimination
+    would leave, so augmenting each row with a unit vector makes the columns
+    from ``width`` on of the null rows a kernel basis.  Yielded pivot rows are
+    used for later reductions, so callers must not change them.  The rank is
+    the number of rows that yield a pivot.
     """
     by_col: dict[int, dict[int, int]] = {}  # primitive integer pivot rows by pivot column
     for row in rows:
-        den = 1
-        for x in row.values():
-            if x.denominator != 1:
-                den = lcm(den, x.denominator)
-        if den == 1:
-            vec = {j: x.numerator for j, x in row.items()}
-        else:
+        if Fraction in map(type, row.values()):
+            den = lcm(*(x.denominator for x in row.values()))
             vec = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+        else:
+            vec = dict(row)
         todo = [j for j in vec if j in by_col]
         heapify(todo)
         while todo:

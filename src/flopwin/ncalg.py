@@ -6,11 +6,11 @@ Words are tuples of generator indices and polynomials are dicts mapping
 words to rational coefficients, int or Fraction, summed by `exact.combine`
 and multiplied by concatenating words (`p_mul`).  `complete` turns a
 presentation into rewrite rules whose normal forms are unique on all words
-up to a degree cutoff (truncated Buchberger completion; its final overlap
-pass asserts confluence, Bergman's diamond lemma).  Graded dimensions,
-centrality, kernels of multiplication maps, ideals, resolutions, fiber
-products and substitution identities are then exact linear algebra on
-bases of irreducible words.
+up to a degree cutoff (truncated Buchberger completion; its final pass over
+the S-polynomials it kept asserts confluence, Bergman's diamond lemma).
+Graded dimensions, centrality, kernels of multiplication maps, ideals,
+resolutions, fiber products and substitution identities are then exact
+linear algebra on bases of irreducible words.
 
 Kernels, ideals, centrality, fiber products and algebra maps never reduce
 a product with a word from scratch.  `_Products` builds it from the product
@@ -18,9 +18,10 @@ a letter shorter, w * m = x * (w' * m) or m * w = (m * w'') * y, in a table
 that lives for one call; that is exact because normal forms are unique up to
 the cutoff.  Every algebra map on generators is one left table of 1, built
 and checked by `_map_table`; `is_central` compares a left and a right table.
-The ideal of one left-normal element g (A g in g A, as for the normal t and
-[beta, gamma] of A_con) is g A, so its dims are read off the left kernel of
-g; any other ideal is grown layer by layer.
+The ideal of one right-normal element g (g A in A g, as for the normal t
+and [beta, gamma] of A_con) is A g, so its dims are read off the right
+kernel of g, which the kernel memo holds once the kernel of g was asked
+for; any other ideal is grown layer by layer.
 
 `normal_form` reduces its input one degree at a time, highest first: rules
 are homogeneous, so a rewrite never leaves its degree, and inside one degree
@@ -29,10 +30,12 @@ by.  A `_Products` entry is homogeneous by construction, so the table hands
 it straight to that per-degree loop.
 
 Integral data stays integral: rules and `_Products` inputs store integral
-coefficients as ints, so int input has int normal forms (Fraction input stays Fraction), and spans
-are primitive integer rows from `exact.echelon`.  Graded kernels are memoised
-per (multiplier, side, degree), and a grown basis skips the rule scan for its
-words; `add_rule` drops the memo, the basis and those known words together.
+coefficients as ints, so int input has int normal forms, and Fraction input
+is reduced over ints after its denominators are cleared once.  Ranks and
+independent vectors come from one `exact.echelon` pass (`_independent`).
+Graded kernels are memoised per (multiplier, side, degree), and the rule
+scan per word (a grown basis marks its words irreducible); `add_rule` drops
+both memos and the basis together.
 
 The catalog at the bottom holds the named algebras the rest of the package
 verifies statements about.  Every fixed polynomial here, catalog relations
@@ -40,10 +43,12 @@ included, is written as text and read by `parse_expr`.
 """
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import lcm
 
 from .exact import _Record, combine, echelon, rational
 
@@ -169,6 +174,9 @@ class NCPresentation(_Record):
         return " ".join(parts)
 
 
+_UNSCANNED = object()
+
+
 class RewriteSystem:
     """Rules confluent on words of degree <= cutoff for one presentation."""
 
@@ -176,13 +184,16 @@ class RewriteSystem:
                  rules: list[tuple[Word, Poly]]):
         self.presentation = presentation
         self.cutoff = cutoff
+        # a word's degree: its length when every generator has degree 1
+        self._word_degree = len if set(presentation.degrees) == {1} else presentation.word_degree
         self.rules: list[tuple[Word, Poly]] = []
         # the left-hand sides as a trie of generator indices; the node ending
         # a lhs holds (index of the first rule with that lhs, lhs, rhs) under None
         self._trie: dict = {}
         self._basis: dict[int, list[Word]] = {}
-        # every word of the basis: normal_form never rescans one for a rule
-        self._irreducible: set[Word] = set()
+        # the answer of _find_reduction for every word it has scanned, and
+        # None for every basis word, so no word is scanned twice
+        self._reductions: dict[Word, tuple[int, Word, Poly] | None] = {}
         # graded_kernel dimensions keyed by (poly_key(multiplier), side, d)
         self._kernels: dict[tuple[PolyKey, str, int], list[int]] = {}
         for lhs, rhs in rules:
@@ -193,15 +204,15 @@ class RewriteSystem:
 
         Every rhs word must have the degree of lhs, so that a rewrite keeps
         the degree of the word it rewrites.  Integral coefficients are stored
-        as ints.  The basis, the known irreducible words and the kernels
+        as ints.  The basis, the memoised rule scans and the kernels
         computed so far are dropped.
         """
-        degree = self.presentation.word_degree(lhs)
-        if any(self.presentation.word_degree(w) != degree for w in rhs):
+        degree = self._word_degree(lhs)
+        if any(self._word_degree(w) != degree for w in rhs):
             raise ValueError("rewrite rule is not homogeneous")
         rhs = _integral(rhs)
         self._basis = {}
-        self._irreducible = set()
+        self._reductions = {}
         self._kernels = {}
         node = self._trie
         for g in lhs:
@@ -210,9 +221,13 @@ class RewriteSystem:
         self.rules.append((lhs, rhs))
 
     def _find_reduction(self, word: Word) -> tuple[int, Word, Poly] | None:
-        """Leftmost reducible position, then the earliest rule applying there."""
-        if word in self._irreducible:
-            return None
+        """Leftmost reducible position, then the earliest rule applying there.
+
+        The answer is memoised per word until `add_rule`.
+        """
+        found = self._reductions.get(word, _UNSCANNED)
+        if found is not _UNSCANNED:
+            return found
         n = len(word)
         for pos in range(n):
             node, best = self._trie, None
@@ -224,16 +239,22 @@ class RewriteSystem:
                 if hit is not None and (best is None or hit[0] < best[0]):
                     best = hit
             if best is not None:
-                return pos, best[1], best[2]
-        return None
+                found = pos, best[1], best[2]
+                break
+        else:
+            found = None
+        self._reductions[word] = found
+        return found
 
     def normal_form(self, poly: Poly) -> Poly:
         """The normal form of poly: rewrite its largest pending word until none is left.
 
         Words are taken largest first under `order_key` (deglex), so the
-        result lists its words in decreasing deglex order; int coefficients
-        stay int and Fraction ones Fraction.  A word of degree above the
-        cutoff raises ValueError before any rewrite.
+        result lists its words in decreasing deglex order.  A word of degree
+        above the cutoff raises ValueError before any rewrite.  Int input has
+        int normal forms under int rules.  Input with a Fraction coefficient
+        is scaled by the lcm of its denominators once, reduced, and divided
+        back, so its normal form has Fraction coefficients.
 
         Every rule is homogeneous (`add_rule` checks it), so a rewrite keeps
         a word's degree: the input is split by degree once and `_reduce`
@@ -245,17 +266,20 @@ class RewriteSystem:
         rhs of a `complete` rule lies below its lhs, so a rewrite only
         produces words below the one it replaces.
         """
-        word_degree = self.presentation.word_degree
+        word_degree = self._word_degree
+        dens = [c.denominator for c in poly.values() if type(c) is Fraction]
+        den = lcm(*dens)
         buckets: dict[int, Poly] = {}
         for word, coeff in poly.items():
-            buckets.setdefault(word_degree(word), {})[word] = coeff
+            buckets.setdefault(word_degree(word), {})[word] = (
+                coeff.numerator * (den // coeff.denominator) if dens else coeff)
         order = sorted(buckets, reverse=True)
         if order and order[0] > self.cutoff:
             raise ValueError("expression degree exceeds the rewrite cutoff")
         result: Poly = {}
         for degree in order:
             self._reduce(buckets[degree], result)
-        return result
+        return {w: Fraction(c, den) for w, c in result.items()} if dens else result
 
     def _reduce(self, work: Poly, result: Poly) -> Poly:
         """Add the normal form of work, all of one degree <= cutoff, to result.
@@ -334,7 +358,7 @@ class RewriteSystem:
                     nxt.append((new, degree + e))
             frontier = nxt
         self._basis = {d: sorted(ws) for d, ws in per_degree.items()}
-        self._irreducible = set(chain.from_iterable(per_degree.values()))
+        self._reductions.update(dict.fromkeys(chain.from_iterable(per_degree.values())))
 
     def graded_dims(self, max_degree: int) -> list[int]:
         return [len(self.basis(k)) for k in range(max_degree + 1)]
@@ -364,12 +388,13 @@ def _one_step(word: Word, pos: int, lhs: Word, rhs: Poly) -> Poly:
 
 def _s_polys(p: NCPresentation, d: int, rule1: tuple[Word, Poly],
              rule2: tuple[Word, Poly]) -> Iterable[Poly]:
-    """Differences of the two one-step reductions of each overlap word of degree <= d."""
+    """Nonzero differences of the two one-step reductions of each overlap word of degree <= d."""
     (l1, r1), (l2, r2) = rule1, rule2
     for word, pos1, pos2 in _overlap_words(l1, l2):
         if p.word_degree(word) <= d:
-            yield combine([(1, _one_step(word, pos1, l1, r1)),
-                           (-1, _one_step(word, pos2, l2, r2))])
+            if s := combine([(1, _one_step(word, pos1, l1, r1)),
+                             (-1, _one_step(word, pos2, l2, r2))]):
+                yield s
 
 
 def complete(p: NCPresentation, d: int) -> RewriteSystem:
@@ -377,27 +402,34 @@ def complete(p: NCPresentation, d: int) -> RewriteSystem:
 
     Relations (including the implicit central commutators) are oriented by
     the degree-lexicographic order with the presentation's generator order,
-    S-polynomials of degree <= d are adjoined until exhausted, and a final
-    exhaustive overlap pass asserts confluence below the cutoff.  A relation
-    of degree > d cannot rewrite a word of degree <= d, so it is left out.
+    and S-polynomials of degree <= d are adjoined until exhausted: each new
+    rule is overlapped with every earlier rule in both orders and with
+    itself once.  The nonzero S-polynomials queued are kept on one list,
+    which so covers every ordered pair of final rules; a final pass reduces
+    each against the final rules and raises RuntimeError unless all vanish,
+    asserting confluence below the cutoff (Bergman's diamond lemma).  A
+    relation of degree > d cannot rewrite a word of degree <= d, so it is
+    left out.
     """
     rs = RewriteSystem(p, d, [])
-    queue = [_integral(rel) for rel in p.all_relations() if rel and p.poly_degree(rel) <= d]
+    queue = deque(_integral(rel) for rel in p.all_relations() if rel and p.poly_degree(rel) <= d)
+    s_polys: list[Poly] = []
     while queue:
-        poly = rs.normal_form(queue.pop(0))
+        poly = rs.normal_form(queue.popleft())
         if not poly:
             continue
         lead = max(poly, key=p.order_key)
         coeff = poly[lead]
-        rhs = {w: Fraction(-c, coeff) for w, c in poly.items() if w != lead}
-        rs.add_rule(lead, rhs)
-        for other in list(rs.rules):
-            for rule1, rule2 in (((lead, rhs), other), (other, (lead, rhs))):
-                queue.extend(s for s in _s_polys(p, d, rule1, rule2) if s)
-    for rule1 in rs.rules:
-        for rule2 in rs.rules:
-            if any(rs.normal_form(diff) for diff in _s_polys(p, d, rule1, rule2)):
-                raise RuntimeError("completion failed to reach confluence")
+        rs.add_rule(lead, {w: Fraction(-c, coeff) for w, c in poly.items() if w != lead})
+        new = rs.rules[-1]
+        start = len(s_polys)
+        for other in rs.rules[:-1]:
+            s_polys += _s_polys(p, d, new, other)
+            s_polys += _s_polys(p, d, other, new)
+        s_polys += _s_polys(p, d, new, new)
+        queue.extend(s_polys[start:])
+    if any(map(rs.normal_form, s_polys)):
+        raise RuntimeError("completion failed to reach confluence")
     return rs
 
 
@@ -428,27 +460,22 @@ def is_central(rs: RewriteSystem, expr: Poly) -> bool:
 
 # -- exact linear algebra on irreducible-word bases ------------------------
 
-def _span(vectors: Iterable[Sequence[Poly]], bases: Sequence[list[Word]]) -> list[list[Poly]]:
-    """A basis of the span of vectors: primitive integer rows, as polynomials.
+def _independent(vectors: Sequence[Sequence[Poly]],
+                 bases: Sequence[list[Word]]) -> list[Sequence[Poly]]:
+    """The vectors, in order, that are independent of the ones before them.
 
     The i-th polynomial of a vector lies in the span of the words bases[i];
     the coordinates of a vector are those of its polynomials, concatenated.
-    The rank is the length of the result.
+    The kept vectors are a basis of the span of all of them and their
+    number is its rank: one `echelon` pass, whose pivots mark them.
     """
-    columns = [(i, w) for i, words in enumerate(bases) for w in words]
-    index = {col: j for j, col in enumerate(columns)}
-    rows = ({index[i, w]: c for i, poly in enumerate(vec) for w, c in poly.items()}
+    indexes, start = [], 0
+    for words in bases:
+        indexes.append({w: start + j for j, w in enumerate(words)})
+        start += len(words)
+    rows = ({index[w]: c for index, poly in zip(indexes, vec) for w, c in poly.items()}
             for vec in vectors)
-    out = []
-    for vec, lead in echelon(rows):
-        if lead is None:
-            continue
-        parts: list[Poly] = [{} for _ in bases]
-        for j in sorted(vec):
-            i, w = columns[j]
-            parts[i][w] = vec[j]
-        out.append(parts)
-    return out
+    return [vec for vec, (_, lead) in zip(vectors, echelon(rows)) if lead is not None]
 
 
 class _Products(dict):
@@ -481,12 +508,23 @@ class _Products(dict):
             pres.poly_degree(poly)
         super().__init__({(): rs.normal_form(fixed)})
         self.rs, self.right = rs, side == "right"
+        # the word of each letter that is one word with coefficient 1, else None
+        self.words = [next(iter(x)) if len(x) == 1 and 1 in x.values() else None
+                      for x in self.letters]
 
     def __missing__(self, word: Word) -> Poly:
         rs = self.rs
-        product = (p_mul(self.letters[word[0]], self[word[1:]]) if self.right
-                   else p_mul(self[word[:-1]], self.letters[word[-1]]))
-        if product and rs.presentation.word_degree(next(iter(product))) > rs.cutoff:
+        if self.right:
+            i, entry = word[0], self[word[1:]]
+            w = self.words[i]
+            product = (p_mul(self.letters[i], entry) if w is None
+                       else {w + u: c for u, c in entry.items()})
+        else:
+            i, entry = word[-1], self[word[:-1]]
+            w = self.words[i]
+            product = (p_mul(entry, self.letters[i]) if w is None
+                       else {u + w: c for u, c in entry.items()})
+        if product and rs._word_degree(next(iter(product))) > rs.cutoff:
             raise ValueError("expression degree exceeds the rewrite cutoff")
         nf = self[word] = rs._reduce(product, {})
         return nf
@@ -523,27 +561,27 @@ def graded_kernel(rs: RewriteSystem, multiplier: Poly, side: str, d: int) -> Ker
         dims: list[int] = []
         for k in range(0, d - deg + 1):
             source, target = rs.basis(k), rs.basis(k + deg)
-            dims.append(len(source) - len(_span([(times[w],) for w in source], [target])))
+            dims.append(len(source) - len(_independent([(times[w],) for w in source], [target])))
         rs._kernels[key] = dims
     return KernelReport(list(rs._kernels[key]))
 
 
-def _left_normal(rs: RewriteSystem, times: _Products, e: int, d: int) -> bool:
-    """Whether x * g lies in g * A_{deg x} for each generator x with e + deg x <= d.
+def _right_normal(rs: RewriteSystem, times: _Products, e: int, d: int) -> bool:
+    """Whether g * x lies in A_{deg x} * g for each generator x with e + deg x <= d.
 
-    times is the left table of g = times[()], of degree e.  One `_span` per
-    generator degree spans the products g * y over the basis words y of that
-    degree, and one more tests that adding the x * g of that degree, from a
-    right table of g, keeps the rank.
+    times is the left table of g = times[()], of degree e.  Per generator
+    degree, one `_independent` pass ranks the products y * g over the basis
+    words y of that degree, from a right table of g, and one more tests that
+    adding the g * x of that degree keeps the rank.
     """
     right = _Products(rs, times[()], "right")
     for c in sorted(set(rs.presentation.degrees)):
         if e + c > d:
             break
         target = [rs.basis(e + c)]
-        span = _span([(times[y],) for y in rs.basis(c)], target)
-        xg = [(right[(i,)],) for i, deg in enumerate(rs.presentation.degrees) if deg == c]
-        if len(_span(span + xg, target)) > len(span):
+        span = _independent([(right[y],) for y in rs.basis(c)], target)
+        gx = [(times[(i,)],) for i, deg in enumerate(rs.presentation.degrees) if deg == c]
+        if len(_independent(span + gx, target)) > len(span):
             return False
     return True
 
@@ -551,12 +589,14 @@ def _left_normal(rs: RewriteSystem, times: _Products, e: int, d: int) -> bool:
 def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
     """Graded dimensions of the two-sided ideal generated by gens.
 
-    A single gen g of degree e that passes `_left_normal` (x * g in
-    g * A_{deg x} for each generator x, as for t and [beta, gamma] in A_con)
-    has A * g in g * A up to degree d, by induction on the length of a word
-    x * u': u' * g is in g * A, so x * u' * g is in x * g * A, hence in g * A.
-    So AgA = gA, the image of w -> g * w: dim I_k is dim A_{k - e} minus the
-    left `graded_kernel` of g in degree k - e, and 0 for k < e.
+    A single gen g of degree e that passes `_right_normal` (g * x in
+    A_{deg x} * g for each generator x, as for t and [beta, gamma] in A_con)
+    has g * A in A * g up to degree d, by induction on the length of a word
+    x * u': g * x = a * g with a in A_{deg x}, and g * u' is in A * g, so
+    g * x * u' = a * (g * u') is in a * A * g, hence in A * g.  So
+    AgA = A(gA) = Ag, the image of w -> w * g: dim I_k is dim A_{k - e}
+    minus the right `graded_kernel` of g in degree k - e, and 0 for k < e.
+    The kernel comes from the memo when the caller asked for it before.
 
     Otherwise layer k is spanned by x * I_{k - deg x} over the generators x
     and by g * A_{k - deg g} over the gens g: a product u * g * v with
@@ -564,7 +604,8 @@ def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
     never needed.  Both come from left `_Products` tables, one per gen g and
     one per generator x, each built from the product a letter shorter,
     g * w = (g * w'') * y and x * u = (x * u'') * y: exact when normal
-    forms are unique on words of degree <= d, as `complete` asserts.
+    forms are unique on words of degree <= d, as `complete` asserts.  Each
+    layer keeps the candidates `_independent` of those before them.
     """
     pres = rs.presentation
     seeds = []
@@ -573,8 +614,8 @@ def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
         e = pres.poly_degree(times[()])
         if e is not None:
             seeds.append((e, times))
-    if len(gens) == len(seeds) == 1 and _left_normal(rs, times, e, d):
-        kernel = graded_kernel(rs, gens[0], "left", d).dims
+    if len(gens) == len(seeds) == 1 and _right_normal(rs, times, e, d):
+        kernel = graded_kernel(rs, gens[0], "right", d).dims
         return [0] * min(e, d + 1) + [len(rs.basis(k)) - n for k, n in enumerate(kernel)]
     lefts = [(e, _Products(rs, {(i,): 1}, "left")) for i, e in enumerate(pres.degrees)]
     layers: dict[int, list[Poly]] = {}
@@ -582,7 +623,7 @@ def ideal_dims(rs: RewriteSystem, gens: Sequence[Poly], d: int) -> list[int]:
         candidates = [times[w] for e, times in seeds if e <= k for w in rs.basis(k - e)]
         for e, times in lefts:
             candidates += [times(v) for v in layers.get(k - e, [])]
-        layers[k] = [v for v, in _span([(c,) for c in candidates], [rs.basis(k)])]
+        layers[k] = [v for v, in _independent([(c,) for c in candidates], [rs.basis(k)])]
     return [len(layers[k]) for k in range(d + 1)]
 
 
@@ -656,7 +697,7 @@ class Morphism:
             if not target:
                 continue
             images = [(image[w],) for w in self.source.basis(k)]
-            if len(_span(images, [target])) < len(target):
+            if len(_independent(images, [target])) < len(target):
                 return False
         return True
 
@@ -711,7 +752,7 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
             for gi, (times_a, times_b) in enumerate(times)
             for va, vb in layers.get(k - acon.degrees[gi], [])
         ]
-        layers[k] = _span(products, [rs_a.basis(k), rs_b.basis(k)])
+        layers[k] = _independent(products, [rs_a.basis(k), rs_b.basis(k)])
         if len(layers[k]) != dims[k]:
             generates = False
     return FiberReport(dims, relations_ok, generates)

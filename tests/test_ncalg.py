@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -103,6 +104,30 @@ def test_completion_trivial_cases():
     free = NCPresentation.build([("x", 1), ("y", 1)])
     assert complete(free, 4).rules == []
     assert hilbert(free, 5) == [1, 2, 4, 8, 16, 32]
+
+
+def test_completion_fails_on_an_s_polynomial_left_out_of_the_queue(monkeypatch):
+    # C<x, y>/(y*y - x*y): the rule y*y -> x*y overlaps itself on y*y*y, whose
+    # S-polynomial x*y*y - y*x*y is the first one complete queues; it yields
+    # the rule y*x*y -> x*x*y, without which the final pass cannot reduce it
+    pres = NCPresentation.build([("x", 1), ("y", 1)],
+                                relations=[{(1, 1): Fraction(1), (0, 1): Fraction(-1)}])
+    assert [lhs for lhs, _ in complete(pres, 4).rules] == [(1, 1), (1, 0, 1), (1, 0, 0, 1)]
+
+    class LeakyQueue(deque):
+        """A queue that leaves out the first S-polynomial complete hands it."""
+        left_out = []
+
+        def extend(self, polys):
+            polys = list(polys)
+            if polys and not self.left_out:
+                self.left_out.append(polys.pop(0))
+            super().extend(polys)
+
+    monkeypatch.setattr(ncalg, "deque", LeakyQueue)
+    with pytest.raises(RuntimeError, match=r"^completion failed to reach confluence$"):
+        complete(pres, 4)
+    assert LeakyQueue.left_out == [{(0, 1, 1): 1, (1, 0, 1): -1}]
 
 
 def test_completion_rejects_inhomogeneous():
@@ -438,6 +463,24 @@ def test_normal_form_matches_brute_force_on_mixed_degrees(name):
                                                         (0,): Fraction(2)}
 
 
+def test_normal_form_over_fraction_rules_matches_brute_force():
+    # 2*y*y*x - 3*x*y*x + x*x*y gives rules with halves; a Fraction input
+    # has its denominators cleared once, and an input mixing int and
+    # Fraction coefficients reduces to Fraction ones
+    pres = NCPresentation.build([("x", 1), ("y", 1)], relations=[
+        {(1, 1, 0): Fraction(2), (0, 1, 0): Fraction(-3), (0, 0, 1): Fraction(1)}])
+    rs = complete(pres, 7)
+    assert any(type(c) is Fraction for _, rhs in rs.rules for c in rhs.values())
+    words = words_upto(pres, 7)
+    rng = random.Random("brute-nf/fraction-rules")
+    for trial in range(30):
+        poly = random_mixed_poly(rng, words, rng.randint(1, 8))
+        poly = {w: Fraction(c, rng.choice((1, 2, 6))) if trial % 2 or i % 2 == 0 else c
+                for i, (w, c) in enumerate(poly.items())}
+        nf = assert_matches_brute_force(rs, poly)
+        assert all(type(c) is Fraction for c in nf.values())
+
+
 @pytest.mark.parametrize("name", ["acon", "endG", "laufer_target"])
 def test_normal_form_cancels_relation_multiples_across_degrees(name):
     pres = catalog(name)
@@ -727,6 +770,11 @@ def ideal_cases():
         for seed in range(4):
             rng = random.Random(f"ideal/{name}/{seed}")
             yield f"{name} cubic #{seed}", rs, [random_cubic(rng, len(pres.generators))]
+    # in C<x, y>/(x*y), x is right-normal and y only left-normal
+    xy = NCPresentation.build([("x", 1), ("y", 1)], relations=[{(0, 1): Fraction(1)}])
+    rs = complete(xy, 6)
+    yield "x*y = 0, x", rs, [xy.gen("x")]
+    yield "x*y = 0, y", rs, [xy.gen("y")]
 
 
 def assert_ideal_dims_match_brute_force():
@@ -749,7 +797,7 @@ def left_ideal_dims(rs, gens, d):
         candidates = [g for g in seeds if pres.poly_degree(g) == k]
         for i, e in enumerate(pres.degrees):
             candidates += [rs.normal_form(p_mul({(i,): 1}, v)) for v in layers.get(k - e, [])]
-        layers[k] = [v for v, in ncalg._span([(c,) for c in candidates], [rs.basis(k)])]
+        layers[k] = [v for v, in ncalg._independent([(c,) for c in candidates], [rs.basis(k)])]
     return [len(layers[k]) for k in range(d + 1)]
 
 
@@ -763,7 +811,7 @@ def seeded_ideal_dims(rs, gens, d):
     """ideal_dims with every gen g seeding all of g * A_{k - deg g}.
 
     The layered growth that ideal_dims takes for every input that is not a
-    single left-normal gen, kept as the reference that ideal_dims must agree
+    single right-normal gen, kept as the reference that ideal_dims must agree
     with.
     """
     pres = rs.presentation
@@ -775,43 +823,43 @@ def seeded_ideal_dims(rs, gens, d):
         candidates = [times[w] for e, times in seeds if e <= k for w in rs.basis(k - e)]
         for e, times in lefts:
             candidates += [times(v) for v in layers.get(k - e, [])]
-        layers[k] = [v for v, in ncalg._span([(c,) for c in candidates], [rs.basis(k)])]
+        layers[k] = [v for v, in ncalg._independent([(c,) for c in candidates], [rs.basis(k)])]
     return [len(layers[k]) for k in range(d + 1)]
 
 
-def brute_left_normal(rs, g, d):
-    """Whether x * g lies in g * A_{deg x} for every generator x with deg g + deg x <= d,
+def brute_right_normal(rs, g, d):
+    """Whether g * x lies in A_{deg x} * g for every generator x with deg g + deg x <= d,
     by ranks of whole-word normal forms."""
     pres = rs.presentation
     e = pres.poly_degree(g)
     for i, c in enumerate(pres.degrees):
         if e + c <= d:
-            gys = [rs.normal_form(p_mul(g, {y: 1})) for y in rs.basis(c)]
-            if sparse_rank(gys + [rs.normal_form(p_mul({(i,): 1}, g))]) > sparse_rank(gys):
+            ygs = [rs.normal_form(p_mul({y: 1}, g)) for y in rs.basis(c)]
+            if sparse_rank(ygs + [rs.normal_form(p_mul(g, {(i,): 1}))]) > sparse_rank(ygs):
                 return False
     return True
 
 
-def right_side_check(rs, times, e, d):
-    """The mirror of `_left_normal`: whether g * x lies in A_{deg x} * g.
+def left_side_check(rs, times, e, d):
+    """The mirror of `_right_normal`: whether x * g lies in g * A_{deg x}.
 
-    Right-normality gives AgA = Ag, not gA, so it cannot license reading
-    the ideal off the left kernel; a mutant that checks it instead must fail.
+    Left-normality gives AgA = gA, not Ag, so it cannot license reading
+    the ideal off the right kernel; a mutant that checks it instead must fail.
     """
     right = ncalg._Products(rs, times[()], "right")
     for c in sorted(set(rs.presentation.degrees)):
         if e + c > d:
             break
         target = [rs.basis(e + c)]
-        span = ncalg._span([(right[y],) for y in rs.basis(c)], target)
-        gx = [(times[(i,)],) for i, deg in enumerate(rs.presentation.degrees) if deg == c]
-        if len(ncalg._span(span + gx, target)) > len(span):
+        span = ncalg._independent([(times[y],) for y in rs.basis(c)], target)
+        xg = [(right[(i,)],) for i, deg in enumerate(rs.presentation.degrees) if deg == c]
+        if len(ncalg._independent(span + xg, target)) > len(span):
             return False
     return True
 
 
 def normality_cases():
-    """(label, completed system, gen, whether gen is left-normal) at cutoff 12."""
+    """(label, completed system, gen, whether gen is right-normal) at cutoff 12."""
     for name, cubics in (("acon", {0: True, 3: False, 7: False}), ("endG", {0: False, 1: False})):
         pres = catalog(name)
         rs = complete(pres, 12)
@@ -824,10 +872,14 @@ def normality_cases():
         for seed, normal in cubics.items():
             rng = random.Random(f"normal/{name}/{seed}")
             yield f"{name} cubic #{seed}", rs, random_cubic(rng, len(pres.generators)), normal
-    # x * A has dims 1, 1, 1, ... but AxA has 0, 1, 2, ...: x is right-normal
-    # (x * x = x * x, x * y = 0) and not left-normal (y * x is not in x * A)
+    # in C<x, y>/(x*y) both AxA and AyA have dims 0, 1, 2, ...  x is
+    # right-normal (x * x = x * x, x * y = 0) but x * A has dims 1, 1, 1, ...;
+    # y is the mirror, left-normal only (y * x is not in A * y), and A * y
+    # has dims 1, 1, 1, ..., so y must take the layered growth
     xy = NCPresentation.build([("x", 1), ("y", 1)], relations=[{(0, 1): Fraction(1)}])
-    yield "x*y = 0, x", complete(xy, 12), xy.gen("x"), False
+    rs = complete(xy, 12)
+    yield "x*y = 0, x", rs, xy.gen("x"), True
+    yield "x*y = 0, y", rs, xy.gen("y"), False
 
 
 def assert_ideal_dims_match_the_seeded_reference():
@@ -847,21 +899,22 @@ def test_ideal_dims_match_the_seeded_reference():
     for label, rs, g, normal in normality_cases():
         table = ncalg._Products(rs, ncalg._integral(g), "left")
         e = rs.presentation.poly_degree(g)
-        assert ncalg._left_normal(rs, table, e, 12) is normal == brute_left_normal(rs, g, 12), label
+        right_normal = ncalg._right_normal(rs, table, e, 12)
+        assert right_normal is normal == brute_right_normal(rs, g, 12), label
         if label.startswith("x*y"):
-            assert right_side_check(rs, table, e, 12)
+            assert left_side_check(rs, table, e, 12) is not normal
             assert seeded_ideal_dims(rs, [g], 6) == [0, 1, 2, 3, 4, 5, 6]
 
 
 def test_seeded_reference_catches_a_gen_wrongly_taken_as_normal(monkeypatch):
-    monkeypatch.setattr(ncalg, "_left_normal", lambda rs, times, e, d: True)
+    monkeypatch.setattr(ncalg, "_right_normal", lambda rs, times, e, d: True)
     with pytest.raises(AssertionError, match="cubic #3"):
         assert_ideal_dims_match_the_seeded_reference()
 
 
-def test_seeded_reference_catches_a_right_side_normality_check(monkeypatch):
-    monkeypatch.setattr(ncalg, "_left_normal", right_side_check)
-    with pytest.raises(AssertionError, match=r"x\*y = 0"):
+def test_seeded_reference_catches_a_left_side_normality_check(monkeypatch):
+    monkeypatch.setattr(ncalg, "_right_normal", left_side_check)
+    with pytest.raises(AssertionError, match=r"x\*y = 0, y"):
         assert_ideal_dims_match_the_seeded_reference()
 
 
@@ -870,20 +923,19 @@ def test_normal_gens_need_fewer_candidate_rows(monkeypatch):
     rs = complete(acon, 12)
     g = bracket(acon)
     rows = []
-    span = ncalg._span
+    independent = ncalg._independent
 
-    def counting_span(vectors, bases):
-        vectors = list(vectors)
+    def counting_independent(vectors, bases):
         rows.append(len(vectors))
-        return span(vectors, bases)
+        return independent(vectors, bases)
 
-    monkeypatch.setattr(ncalg, "_span", counting_span)
+    monkeypatch.setattr(ncalg, "_independent", counting_independent)
     dims = seeded_ideal_dims(rs, [g], 12)
     seeded = sum(rows)
     assert seeded == 756
     rows.clear()
     assert ideal_dims(rs, [g], 12) == dims
-    # 381 rows for the left kernel of g plus the normality proof's 8
+    # 381 rows for the right kernel of g plus the normality proof's 8
     assert sum(rows) <= 0.6 * seeded, sum(rows)
 
 
@@ -966,7 +1018,7 @@ def direct_ideal_dims(rs, gens, d):
                       for g in seeds for w in rs.basis(k - pres.poly_degree(g))]
         for i, e in enumerate(pres.degrees):
             candidates += [rs.normal_form(p_mul({(i,): 1}, v)) for v in layers.get(k - e, [])]
-        layers[k] = [v for v, in ncalg._span([(c,) for c in candidates], [rs.basis(k)])]
+        layers[k] = [v for v, in ncalg._independent([(c,) for c in candidates], [rs.basis(k)])]
     return [len(layers[k]) for k in range(d + 1)]
 
 
@@ -1005,7 +1057,7 @@ def direct_fiber(f_a, f_b, d, pairs):
     for k in range(1, d + 1):
         products = [(rs_a.normal_form(p_mul(va, a)), rs_b.normal_form(p_mul(vb, b)))
                     for a, b in pairs for va, vb in layers[k - 1]]
-        layers[k] = ncalg._span(products, [rs_a.basis(k), rs_b.basis(k)])
+        layers[k] = ncalg._independent(products, [rs_a.basis(k), rs_b.basis(k)])
         generates = generates and len(layers[k]) == dims[k]
     return dims, relations_ok, generates
 

@@ -164,6 +164,51 @@ def test_off_by_one_invariants_fail_hilbert_series(monkeypatch):
     assert details == "invariant dims [1, 0, 3, 0, 6, 0, 10, 0, 15, 0, 21, 0, 0]"
 
 
+def patch_hilbert(monkeypatch, extra):
+    """ncalg.hilbert with extra(name) added to every degree of the named catalog algebra."""
+    original = ncalg.hilbert
+    names = {ncalg.catalog(name): name for name in ncalg.catalog_names()}
+
+    def mutant(p, d):
+        return [n + extra(names.get(p)) for n in original(p, d)]
+
+    monkeypatch.setattr(ncalg, "hilbert", mutant)
+
+
+def test_short_endomorphism_series_fails_hilbert_series(monkeypatch):
+    # every series one degree short, padded back to length: endG is checked first
+    original = ncalg.hilbert
+    monkeypatch.setattr(ncalg, "hilbert", lambda p, d: original(p, d - 1) + [0])
+    ok, details = verify.check_hilbert_series()
+    assert not ok
+    assert details == ("endomorphism dims [1, 2, 4, 6, 9, 12, 16, 20, 25, 30, 36, 42, 0]"
+                       " vs Ore basis [1, 2, 4, 6, 9, 12, 16, 20, 25, 30, 36, 42, 49]")
+
+
+def test_inflated_cbc_fails_the_fiber_identity(monkeypatch):
+    patch_hilbert(monkeypatch, lambda name: name == "Cbc")
+    ok, details = verify.check_hilbert_series()
+    assert not ok
+    assert details == "fiber identity fails at degree 0"
+
+
+def test_common_extra_dimension_fails_the_shift_2_identity(monkeypatch):
+    # one extra dimension in both C[t, b, c] and C[b, c] cancels in the fiber
+    # identity but not in the shift-2 exact sequence
+    patch_hilbert(monkeypatch, lambda name: name in ("Ctbc", "Cbc"))
+    ok, details = verify.check_hilbert_series()
+    assert not ok
+    assert details == "shift-2 exact-sequence identity fails at degree 0"
+
+
+def test_inflated_acon_and_ctbc_fail_the_acon_table(monkeypatch):
+    # one extra dimension in both A_con and C[t, b, c] keeps both identities
+    patch_hilbert(monkeypatch, lambda name: name in ("acon", "Ctbc"))
+    ok, details = verify.check_hilbert_series()
+    assert not ok
+    assert details == "contraction algebra dims [2, 4, 8, 13, 20, 28, 38]"
+
+
 def test_inflated_ideal_fails_graded_kernels(monkeypatch):
     original = ncalg.ideal_dims
     monkeypatch.setattr(ncalg, "ideal_dims",
@@ -171,6 +216,47 @@ def test_inflated_ideal_fails_graded_kernels(monkeypatch):
     ok, details = verify.check_graded_kernels()
     assert not ok
     assert details == "kernel of right multiplication by t is not the commutator ideal"
+
+
+def test_inflated_t_ideal_fails_graded_kernels(monkeypatch):
+    original = ncalg.ideal_dims
+
+    def mutant(rs, gens, d):
+        dims = original(rs, gens, d)
+        return [n + 1 for n in dims] if gens == [rs.presentation.gen("t")] else dims
+
+    monkeypatch.setattr(ncalg, "ideal_dims", mutant)
+    ok, details = verify.check_graded_kernels()
+    assert not ok
+    assert details == "kernel of the commutator action is not the t ideal"
+
+
+def repeat_last_map(monkeypatch, name):
+    """resolution_check with its last multiplier replaced by t or by the commutator c."""
+    original = ncalg.resolution_check
+
+    def mutant(rs, maps, d):
+        gen = rs.presentation.gen
+        last = gen("t") if name == "t" else ncalg.commutator(gen("beta"), gen("gamma"))
+        return original(rs, list(maps[:-1]) + [last], d)
+
+    monkeypatch.setattr(ncalg, "resolution_check", mutant)
+
+
+def test_repeated_t_fails_the_t_first_resolution(monkeypatch):
+    # [t, c, t, t]: t * t is nonzero; the [c, t, c, t] resolution is unchanged
+    repeat_last_map(monkeypatch, "t")
+    ok, details = verify.check_graded_kernels()
+    assert not ok
+    assert details == "resolution [t, c, t, c]: composite of maps 3 and 2 is nonzero"
+
+
+def test_repeated_commutator_fails_the_commutator_first_resolution(monkeypatch):
+    # [c, t, c, c]: the commutator squared is nonzero; [t, c, t, c] is unchanged
+    repeat_last_map(monkeypatch, "c")
+    ok, details = verify.check_graded_kernels()
+    assert not ok
+    assert details == "resolution [c, t, c, t]: composite of maps 3 and 2 is nonzero"
 
 
 def test_swapped_pairs_fail_fiber_product(monkeypatch):
@@ -187,6 +273,33 @@ def test_swapped_pairs_fail_fiber_product(monkeypatch):
     ok, details = verify.check_fiber_product()
     assert not ok
     assert details == "pairs do not generate the fiber product"
+
+
+def test_noncentral_t_image_fails_fiber_product(monkeypatch):
+    # t paired with beta: t * beta * gamma - t * gamma * beta maps to
+    # beta^2 * gamma - beta * gamma * beta, nonzero in endG
+    original = ncalg.fiber_product
+
+    def mutant(f_a, f_b, d):
+        a_pres, b_pres = f_a.source.presentation, f_b.source.presentation
+        pairs = [(a_pres.gen("t"), b_pres.gen("beta")), (a_pres.gen("b"), b_pres.gen("beta")),
+                 (a_pres.gen("c"), b_pres.gen("gamma"))]
+        return original(f_a, f_b, d, pairs)
+
+    monkeypatch.setattr(ncalg, "fiber_product", mutant)
+    ok, details = verify.check_fiber_product()
+    assert not ok
+    assert details == "defining relations fail on the generating pairs"
+
+
+def test_short_fiber_product_fails_fiber_product(monkeypatch):
+    # the fiber product one degree short: relations and generation still hold
+    original = ncalg.fiber_product
+    monkeypatch.setattr(ncalg, "fiber_product", lambda f_a, f_b, d: original(f_a, f_b, d - 1))
+    ok, details = verify.check_fiber_product()
+    assert not ok
+    assert details == ("fiber dims [1, 3, 7, 12, 19, 27, 37, 48, 61, 75]"
+                       " vs [1, 3, 7, 12, 19, 27, 37, 48, 61, 75, 91]")
 
 
 def test_doubled_v_fails_quiver_sweeps(monkeypatch):
