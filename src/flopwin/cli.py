@@ -14,12 +14,14 @@ computation raised, whatever the interpreter's warning filters.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
 import sys
 import time
 import warnings
 from importlib import import_module
+from typing import NoReturn
 
 
 class InputError(ValueError):
@@ -50,16 +52,17 @@ def _load_presentation(source: str) -> GitPresentation:
         raise InputError(f"no such file or bundled fixture: {source}") from None
 
 
-# The README, tests and bench query degree 15 at most.  `coh multiplicity`
-# expands only the Sym weights of total at most p + q: at degree 100 the
-# README's query (label (1, -1), three summands) peaks at 17 MiB for the whole
-# process and takes 0.08 s.  A label with p + q at least the degree keeps the
-# whole table, which grows as the cube of the degree: `--irrep 100,0` on the
-# same summands peaks at about 90 MiB and takes 0.5 s at degree 100, and
-# would need about 1000 times that at degree 1000 (2-core VM, Python 3.11).
-# The cap also bounds the degree of an `ncalg normal-form --expr`, which sets
-# the completion cutoff when it is the larger: completing to degree 100 takes
-# about 2 s, growing about as the cube of the degree.
+# `--max-degree` is the last degree that `ncalg hilbert` and `coh
+# multiplicity` report; the README, tests and bench ask for 15 at most.
+# `coh multiplicity` expands only the Sym weights of total at most p + q: at
+# degree 100 the README's query (label (1, -1), three summands) peaks at
+# 17 MiB for the whole process and takes 0.08 s.  A label with p + q at least
+# the degree keeps the whole table, which grows as the cube of the degree:
+# `--irrep 100,0` on the same summands peaks at about 90 MiB and takes 0.5 s
+# at degree 100, and would need about 1000 times that at degree 1000 (2-core
+# VM, Python 3.11).  The cap also bounds the degree of an `ncalg normal-form
+# --expr`, the one cutoff that query completes to: completing to degree 100
+# takes about 2 s, growing about as the cube of the degree.
 MAX_DEGREE_CAP = 100
 
 
@@ -168,8 +171,9 @@ def _cmd_ncalg_normal_form(args) -> int:
     degree = max((pres.word_degree(w) for w in expr), default=0)
     if degree > MAX_DEGREE_CAP:
         raise InputError(f"--expr has degree {degree}, above the cap of {MAX_DEGREE_CAP}")
-    cutoff = max(_max_degree(args, 12), degree)
-    rs = ncalg.completed(pres, cutoff)
+    # completion is homogeneous, so its rules up to the expression's degree
+    # fix the normal form there: no larger cutoff changes the answer
+    rs = ncalg.completed(pres, degree)
     print(pres.render(rs.normal_form(expr)))
     return 0
 
@@ -290,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_nf = ncalg_sub.add_parser("normal-form", help="normal form of an expression")
     p_nf.add_argument("--algebra", required=True, help="catalog name, e.g. acon")
     p_nf.add_argument("--expr", required=True, help="e.g. \"t*(beta*gamma - gamma*beta)\"")
-    p_nf.add_argument("--max-degree", default=None)
     p_nf.set_defaults(handler=_cmd_ncalg_normal_form, engine="ncalg")
 
     p_coh = sub.add_parser("coh", help="equivariant cohomology queries")
@@ -331,11 +334,16 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             code = args.handler(args)
-            sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-        except BrokenPipeError:
-            # Point stdout at devnull so that the exit-time flush stays silent.
+            sys.stdout.flush()  # a failed write raises here, not at interpreter exit
+        except OSError as exc:
+            # Handlers turn the OSErrors of the files they read or write into
+            # InputError, so this one came from writing the output.  Point
+            # stdout at devnull so that the exit-time flush stays silent.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            print("error: stdout was closed before the output was written", file=sys.stderr)
+            reason = ("stdout was closed before the output was written"
+                      if isinstance(exc, BrokenPipeError)
+                      else f"the output could not be written: {exc.strerror or exc}")
+            print(f"error: {reason}", file=sys.stderr)
             return 2
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -347,5 +355,27 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> NoReturn:
+    """The process entry of `flopwin` and `python -m flopwin.cli`.
+
+    Runs `main` on the command line, then the registered `atexit` handlers,
+    flushes stdout and then stderr, and leaves with `os._exit`: the
+    interpreter's teardown frees nothing a finished query still needs.  A
+    write to stderr that fails (say, to a full disk) cannot be reported; it
+    exits 2 without a traceback.
+    """
+    try:
+        code = main()
+    except OSError:
+        code = 2
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

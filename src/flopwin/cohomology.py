@@ -458,15 +458,15 @@ def ext1_FG_dims(max_degree: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Sections over the resolved exceptional locus chart
 
-def e2_sections(max_degree: int, twist: int = 0) -> list[int]:
-    """Sections of O(twist) on the resolved chart, graded by base degree.
+def e2_sections(max_degree: int) -> list[int]:
+    """Sections of the structure sheaf on the resolved chart, by base degree.
 
     The chart is P^1 x A^3 where the projective coordinates carry scaling
     weight -1 and the affine coordinates p, b00, c00 are weight 0, so degree
-    m is h0(O(twist)) times the degree-m monomials in three weight-0 pieces.
-    Twist 0 recovers the polynomial ring on the three affine coordinates.
+    m is h0(O) of the P^1 fiber times the degree-m monomials in three
+    weight-0 pieces: the polynomial ring on the three affine coordinates.
     """
-    fiber = sum(pv_line_cohomology(0, twist)[0].values())
+    fiber = sum(pv_line_cohomology(0, 0)[0].values())
     layers = sym_pieces_expansion([(0, 0, 0)] * 3, max_degree)
     return [fiber * sum(layer.values()) for layer in layers]
 

@@ -15,9 +15,10 @@ linear algebra on bases of irreducible words.
 Kernels, ideals, centrality, fiber products and algebra maps never reduce
 a product with a word from scratch.  `_Products` builds it from the product
 a letter shorter, w * m = x * (w' * m) or m * w = (m * w'') * y, in a table
-that lives for one call; that is exact because normal forms are unique up to
-the cutoff.  Every algebra map on generators is one left table of 1, built
-and checked by `_map_table`; `is_central` compares a left and a right table.
+that lives for one call (for a `Morphism`, as long as the map); that is exact
+because normal forms are unique up to the cutoff.  Every algebra map on
+generators is one left table of 1, built and checked by `_map_table`;
+`is_central` compares a left and a right table.
 The ideal of one right-normal element g (g A in A g, as for the normal t
 and [beta, gamma] of A_con) is A g, so its dims are read off the right
 kernel of g, which the kernel memo holds once the kernel of g was asked
@@ -674,29 +675,29 @@ def _map_table(source: NCPresentation, target: RewriteSystem,
 class Morphism:
     """Graded algebra map given on generators of the source.
 
-    `_map_table` checks the images on construction and builds the map's
-    table afresh for each `apply` and `surjective_upto` call.
+    `_map_table` checks the images and builds the map's table once, on
+    construction; `apply` and `surjective_upto` read that one table, which
+    grows with the words they ask for.  The target must gain no rule after.
     """
 
     def __init__(self, source: RewriteSystem, target: RewriteSystem,
                  images: Mapping[str, Poly]):
         self.source, self.target, self.images = source, target, images
-        _map_table(source.presentation, target, images)
+        self._table = _map_table(source.presentation, target, images)
 
     def apply(self, poly: Poly) -> Poly:
-        return _map_table(self.source.presentation, self.target, self.images)(poly)
+        return self._table(poly)
 
     def surjective_upto(self, d: int) -> bool:
         """Whether the source basis maps onto the target's in each degree <= d.
 
         Each word's image is an entry of one map table, read in degree order.
         """
-        image = _map_table(self.source.presentation, self.target, self.images)
         for k in range(d + 1):
             target = self.target.basis(k)
             if not target:
                 continue
-            images = [(image[w],) for w in self.source.basis(k)]
+            images = [(self._table[w],) for w in self.source.basis(k)]
             if len(_independent(images, [target])) < len(target):
                 return False
         return True

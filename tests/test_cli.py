@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import flopwin
+import flopwin.ncalg as ncalg
 from flopwin.cli import main
 from flopwin.verify import SUITES
 
@@ -297,6 +299,49 @@ def test_ncalg_normal_form_parse_error(capsys):
         assert message in err
 
 
+def _seeded_expr(rng, names):
+    """A sum of one to three terms, each a rational times one to six letters."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [rng.choice(names) for _ in range(rng.randint(1, 6))]
+        terms.append("*".join([rng.choice(["1", "-1", "2", "1/2", "-7/3"]), *factors]))
+    return " + ".join(terms)
+
+
+def test_ncalg_normal_form_completes_to_the_expression_degree(capsys, monkeypatch):
+    # Completion is homogeneous: a rule of degree <= k comes only from
+    # overlaps of degree <= k, so completing past the expression's degree
+    # adds no rule its normal form can use.  The printed normal form is the
+    # one a cutoff of max(12, degree) gives, for every catalog algebra.
+    cutoffs = []
+    completed = ncalg.completed
+    monkeypatch.setattr(ncalg, "completed", lambda p, d: cutoffs.append(d) or completed(p, d))
+    rng = random.Random(5)
+    for name in ncalg.catalog_names():
+        pres = ncalg.catalog(name)
+        rewritten = 0
+        for _ in range(12):
+            text = _seeded_expr(rng, pres.generators)
+            expr = ncalg.parse_expr(pres, text)
+            degree = max((pres.word_degree(w) for w in expr), default=0)
+            code, out, _ = run_cli(capsys, "ncalg", "normal-form", "--algebra", name,
+                                   f"--expr={text}")
+            assert code == 0 and cutoffs.pop() == degree, (name, text)
+            wide = completed(pres, max(12, degree)).normal_form(expr)
+            assert out == pres.render(wide) + "\n", (name, text)
+            rewritten += wide != expr
+        # the comparison is not vacuous: rules rewrite some of the inputs
+        assert rewritten, name
+
+
+def test_ncalg_normal_form_takes_no_degree_flag(capsys):
+    code, out, err = run_cli(capsys, "ncalg", "normal-form", "--algebra", "acon",
+                             "--expr", "t", "--max-degree", "5")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --max-degree 5" in err
+
+
 def test_coh_multiplicity_dual_vanishing(capsys):
     code, payload, _ = run_json(capsys, "coh", "multiplicity", "--irrep", "Vstar",
                                 "--sym", "V,S2Vm1,S2Vm1", "--max-degree", "15")
@@ -465,6 +510,69 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path, command, unbuffered):
     assert "Exception ignored" not in proc.stderr
     assert proc.returncode == 2
     assert proc.stderr.count("error:") == 1
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full to write to")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_full_stdout_exits_2_without_traceback(unbuffered):
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flopwin.cli", "windows", "--face", "C:0"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**_child_env(), "PYTHONUNBUFFERED": unbuffered},
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: the output could not be written: No space left on device\n"
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_full_stderr_exits_2(unbuffered):
+    # nothing can be reported, but the payload was written before the
+    # timing line failed, and no traceback is attempted
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flopwin.cli", "ncalg", "hilbert", "--algebra", "acon",
+             "--max-degree", "3"],
+            stdout=subprocess.PIPE,
+            stderr=full,
+            text=True,
+            env={**_child_env(), "PYTHONUNBUFFERED": unbuffered},
+        )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["dims"] == [1, 3, 7, 12]
+
+
+def test_entry_runs_atexit_handlers_before_it_flushes():
+    # a handler registered before the entry (as a subprocess coverage run
+    # registers its data save) still runs, and what it prints is flushed
+    probe = ("import atexit, sys\n"
+             "atexit.register(print, 'atexit ran')\n"
+             "from flopwin.cli import run\n"
+             "run()\n")
+    proc = subprocess.run([sys.executable, "-c", probe, "windows", "--face", "C:0"],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "⟨O, V⟩\natexit ran\n"
+
+
+def test_entry_exit_codes(tmp_path):
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({**SEMISTABLE_REP, "beta": [[1, 1], [0, 1]]}), encoding="utf-8")
+    for argv, want in ((["windows", "--face", "C:0"], 0),
+                       (["quiver", "check", "--rep", str(rep)], 1),
+                       (["windows", "--face", "X:0"], 2),
+                       (["windows"], 2)):
+        proc = subprocess.run([sys.executable, "-m", "flopwin.cli", *argv],
+                              capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == want, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
 
 
 # One valid run of every subcommand, with the flopwin modules it loads: each

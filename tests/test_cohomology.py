@@ -433,10 +433,7 @@ def test_ext1_pipeline():
 
 def test_e2_sections():
     assert e2_sections(3) == [1, 3, 6, 10]
-    assert e2_sections(5, twist=-1) == [0] * 6
-    for twist in range(-3, 4):
-        expected = [max(twist + 1, 0) * comb(m + 2, 2) for m in range(9)]
-        assert e2_sections(8, twist) == expected, twist
+    assert e2_sections(8) == [comb(m + 2, 2) for m in range(9)]
 
 
 def test_resolution_terms():

@@ -134,8 +134,7 @@ def _expr_argv(rng):
     if rng.random() < 0.3:
         tokens.insert(rng.randint(0, len(tokens)), rng.choice(NC_NOISE))
     expr = rng.choice(["", " "]).join(tokens)
-    return ["ncalg", "normal-form", "--algebra", algebra, f"--expr={expr}",
-            f"--max-degree={rng.randint(0, 4)}"], False
+    return ["ncalg", "normal-form", "--algebra", algebra, f"--expr={expr}"], False
 
 
 def _irrep_argv(rng):

@@ -636,6 +636,22 @@ def test_fiber_product_requires_surjectivity():
         fiber_product(broken, f_b, 4)
 
 
+def test_morphism_builds_its_table_once(monkeypatch):
+    built = []
+    map_table = ncalg._map_table
+    monkeypatch.setattr(ncalg, "_map_table", lambda *args: built.append(args) or map_table(*args))
+    f_a, f_b = standard_morphisms(5)
+    assert len(built) == 2
+    t, b, c = (f_a.source.presentation.gen(n) for n in ("t", "b", "c"))
+    cbc = f_a.target.presentation
+    for _ in range(2):
+        assert f_a.apply(p_mul(p_mul(b, t), c)) == {}
+        assert f_a.apply(p_mul(c, b)) == p_mul(cbc.gen("b"), cbc.gen("c"))
+        assert f_a.surjective_upto(5) and f_b.surjective_upto(5)
+    assert fiber_product(f_a, f_b, 5).generates
+    assert len(built) == 2 + 2  # fiber_product's own two maps from A_con
+
+
 def test_fiber_product_validates_its_pairs():
     f_a, f_b = standard_morphisms(4)
     a_pres, b_pres = f_a.source.presentation, f_b.source.presentation

@@ -614,3 +614,36 @@ def test_singular_components():
     assert generic.component == "neither"
     assert generic.generators["x"] == 1
     assert not generic.in_singular_locus
+
+
+def _evaluate(base, poly, point):
+    """A commutative polynomial over the base coordinates at a BasePoint."""
+    values = [getattr(point, name) for name in base.generators]
+    return sum(c * math.prod(values[i] for i in word) for word, c in poly.items())
+
+
+def test_base_polynomials_agree_with_their_text_in_ncalg():
+    # quiver evaluates the hypersurface and the singular-locus generators in
+    # Python; ncalg writes the same polynomials as text for the substitution
+    # check.  Both copies must agree, generator by generator: on base points
+    # of seeded charts, where the hypersurface vanishes, and on seeded
+    # rational points off it.
+    from flopwin import ncalg
+
+    base = ncalg.base_coordinates()
+    hypersurface = ncalg.hypersurface_polynomial(base)
+    singular = ncalg.singular_polynomials(base)
+    rng = random.Random(11)
+    pick = lambda: F(rng.randint(-9, 9), rng.randint(1, 5))
+    points = [base_map(random_chart_rep(rng)) for _ in range(40)]
+    points += [BasePoint(*(pick() for _ in range(7))) for _ in range(40)]
+    off = 0
+    for point in points:
+        value = base_equation(point)
+        assert _evaluate(base, hypersurface, point) == value, point.to_dict()
+        off += value != 0
+        gens = singular_locus_check(point).generators
+        assert sorted(gens) == sorted(singular)
+        for name, poly in singular.items():
+            assert _evaluate(base, poly, point) == gens[name], (name, point.to_dict())
+    assert off >= 30

@@ -5,7 +5,8 @@ expects the owning check to report ok=False with that oracle's message.
 """
 
 from flopwin import cli, cohomology, ncalg, quiver, verify
-from flopwin.windows import FaceRef
+from flopwin.windows import FaceRef, KappaGenerator, WindowSpec
+from flopwin.zonotope import Zonotope
 
 
 def test_wrong_resf_upstairs_term_fails_cohomology_suite(monkeypatch):
@@ -131,6 +132,77 @@ def test_resg_class_outside_wall_window_fails_kappa_generators(monkeypatch):
     assert details == "K-class of resG leaves the D:-1 window"
 
 
+def test_low_wall_answered_by_the_flop_wall_fails_kappa_generators(monkeypatch):
+    original = verify.kappa_generators
+    monkeypatch.setattr(verify, "kappa_generators", lambda p, wall, chamber: original(
+        p, FaceRef("D", -1), FaceRef("C", 0)))
+    ok, details = verify.check_kappa_generators()
+    assert not ok
+    assert details == ("(D:-2, C:-2) gave {((1, -1), (0, -1)): 'sigma_* O(Q^2 D^-1)', "
+                       "((1, 0), (-1, -1)): 'O_S0(V)', ((1, 0), (0, -1)): 'sigma_* O(Q)'}")
+
+
+def test_flop_wall_answered_by_the_low_wall_fails_kappa_generators(monkeypatch):
+    original = verify.kappa_generators
+    monkeypatch.setattr(verify, "kappa_generators", lambda p, wall, chamber: original(
+        p, FaceRef("D", -2), FaceRef("C", -2)))
+    ok, details = verify.check_kappa_generators()
+    assert not ok
+    assert details == "(D:-1, C:0) gave {((0, 0), (-1, -1)): 'O_S0'}"
+
+
+def test_unfiltered_cocharacter_fails_kappa_generators(monkeypatch):
+    original = verify.kappa_generators
+
+    def mutant(p, wall, chamber):
+        # the flop wall keeps a copy of its first generator along (0, 1)
+        gens = original(p, wall, chamber)
+        if wall.j != -1:
+            return gens
+        g = gens[0]
+        return gens + (KappaGenerator(g.chi_class, (0, 1), g.b_weight, g.chi_name, g.object_name),)
+
+    monkeypatch.setattr(verify, "kappa_generators", mutant)
+    ok, details = verify.check_kappa_generators()
+    assert not ok
+    assert details == "excluded cocharacter (0, 1) appeared"
+
+
+def test_translated_hexagon_fails_zonotope_hrep(monkeypatch):
+    original = verify.nabla
+    monkeypatch.setattr(verify, "nabla", lambda p: original(p).translate((1, 0)))
+    ok, details = verify.check_zonotope_hrep()
+    assert not ok
+    assert details == (
+        "halfspaces [((-1, -1), Fraction(0, 1)), ((-1, 0), Fraction(0, 1)), "
+        "((0, -1), Fraction(1, 1)), ((0, 1), Fraction(1, 1)), ((1, 0), Fraction(2, 1)), "
+        "((1, 1), Fraction(2, 1))]")
+
+
+def test_dropped_vertex_fails_zonotope_hrep(monkeypatch):
+    original = verify.nabla
+
+    def mutant(p):
+        z = original(p)
+        return Zonotope(z.rank, z.halfspaces, z.vertices[1:])
+
+    monkeypatch.setattr(verify, "nabla", mutant)
+    ok, details = verify.check_zonotope_hrep()
+    assert not ok
+    assert details == (
+        "vertices [(Fraction(-1, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(-1, 1)), "
+        "(Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(-1, 1)), "
+        "(Fraction(1, 1), Fraction(0, 1))]")
+
+
+def test_short_eta_fails_the_zonotope_oracle(monkeypatch):
+    original = verify.eta
+    monkeypatch.setattr(verify, "eta", lambda p, n: original(p, n) - 1)
+    ok, details = verify.check_zonotope_hrep()
+    assert not ok
+    assert details == "oracle violated at direction (-8, -7)"
+
+
 def test_shifted_eta_fails_zonotope_hrep(monkeypatch):
     original = verify.eta
     monkeypatch.setattr(verify, "eta", lambda p, n: original(p, n) + 1)
@@ -153,6 +225,32 @@ def test_shifted_window_fails_window_tables(monkeypatch):
     ok, details = verify.check_window_tables()
     assert not ok
     assert details == "window C:-2 gave ⟨O, V(-1)⟩, expected ⟨O(-1), V(-1)⟩"
+
+
+def test_shifted_big_window_fails_window_tables(monkeypatch):
+    original = verify.big_window
+    monkeypatch.setattr(verify, "big_window",
+                        lambda p, ref: original(p, FaceRef(ref.kind, ref.j + 1)))
+    ok, details = verify.check_window_tables()
+    assert not ok
+    assert details == "big window D:-2 gave ⟨O, V, V(-1), Sym^2V(-1)⟩, expected ⟨O(-1), V(-1), O⟩"
+
+
+def test_unshifted_classes_fail_window_periodicity(monkeypatch):
+    # C:2 keeps its rendered names but reports the classes of C:0
+    original = verify.window
+
+    def mutant(p, ref):
+        spec = original(p, ref)
+        if ref.j != 2:
+            return spec
+        return WindowSpec(spec.face, original(p, FaceRef("C", 0)).classes, spec.names,
+                          spec.lattice, spec.boundary)
+
+    monkeypatch.setattr(verify, "window", mutant)
+    ok, details = verify.check_window_tables()
+    assert not ok
+    assert details == "periodicity fails between C:0 and C:2"
 
 
 def test_off_by_one_invariants_fail_hilbert_series(monkeypatch):
