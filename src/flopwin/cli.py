@@ -24,20 +24,16 @@ from importlib import import_module
 from typing import NoReturn
 
 
-class InputError(ValueError):
-    """Bad user input (file contents, flag values); reported with exit 2."""
-
-
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        raise ValueError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
-        raise InputError(f"{path}: JSON nested too deeply") from None
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _load_presentation(source: str) -> GitPresentation:
@@ -49,7 +45,7 @@ def _load_presentation(source: str) -> GitPresentation:
     try:
         return load_fixture(source)
     except OSError:
-        raise InputError(f"no such file or bundled fixture: {source}") from None
+        raise ValueError(f"no such file or bundled fixture: {source}") from None
 
 
 # `--max-degree` is the last degree that `ncalg hilbert` and `coh
@@ -73,9 +69,9 @@ def _max_degree(args, fallback: int) -> int:
     try:
         value = int(args.max_degree)
     except ValueError:
-        raise InputError(f"--max-degree must be an integer, got {args.max_degree!r}") from None
+        raise ValueError(f"--max-degree must be an integer, got {args.max_degree!r}") from None
     if not 0 <= value <= MAX_DEGREE_CAP:
-        raise InputError(f"--max-degree must be between 0 and {MAX_DEGREE_CAP}, got {value}")
+        raise ValueError(f"--max-degree must be between 0 and {MAX_DEGREE_CAP}, got {value}")
     return value
 
 
@@ -149,7 +145,7 @@ def _cmd_quiver_check(args) -> int:
             payload["residuals"] = {k: rational_json(v) for k, v in residuals.items()}
         text = _render(payload)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{args.rep}: {exc}") from None
+        raise ValueError(f"{args.rep}: {exc}") from None
     print(text)
     return 0 if ok else 1
 
@@ -170,7 +166,7 @@ def _cmd_ncalg_normal_form(args) -> int:
     expr = ncalg.parse_expr(pres, args.expr)
     degree = max((pres.word_degree(w) for w in expr), default=0)
     if degree > MAX_DEGREE_CAP:
-        raise InputError(f"--expr has degree {degree}, above the cap of {MAX_DEGREE_CAP}")
+        raise ValueError(f"--expr has degree {degree}, above the cap of {MAX_DEGREE_CAP}")
     # completion is homogeneous, so its rules up to the expression's degree
     # fix the normal form there: no larger cutoff changes the answer
     rs = ncalg.completed(pres, degree)
@@ -184,13 +180,13 @@ def _parse_irrep(text: str) -> tuple[int, int]:
     if "," in text:
         parts = [part.strip() for part in text.split(",")]
         if len(parts) != 2:
-            raise InputError("irrep label must be 'p,q' or a representation name")
+            raise ValueError("irrep label must be 'p,q' or a representation name")
         try:
             p, q = int(parts[0]), int(parts[1])
         except ValueError:
-            raise InputError(f"irrep label {text!r} is not an integer pair") from None
+            raise ValueError(f"irrep label {text!r} is not an integer pair") from None
         if p < q:
-            raise InputError("irrep label must satisfy p >= q")
+            raise ValueError("irrep label must satisfy p >= q")
         return (p, q)
     return cohomology.irrep_from_name(text.strip())
 
@@ -201,7 +197,7 @@ def _cmd_coh_multiplicity(args) -> int:
     label = _parse_irrep(args.irrep)
     names = [part.strip() for part in args.sym.split(",") if part.strip()]
     if not names:
-        raise InputError("--sym needs at least one summand name")
+        raise ValueError("--sym needs at least one summand name")
     d = _max_degree(args, 15)
     multiplicities = cohomology.sym_multiplicities(label, names, d)
     payload = {
@@ -238,7 +234,7 @@ def _cmd_figures(args) -> int:
     try:
         paths = emit_figures(args.out_dir, p)
     except OSError as exc:
-        raise InputError(f"{args.out_dir}: {exc.strerror or exc}") from None
+        raise ValueError(f"{args.out_dir}: {exc.strerror or exc}") from None
     _emit({"files": paths})
     return 0
 
@@ -337,7 +333,7 @@ def main(argv=None) -> int:
             sys.stdout.flush()  # a failed write raises here, not at interpreter exit
         except OSError as exc:
             # Handlers turn the OSErrors of the files they read or write into
-            # InputError, so this one came from writing the output.  Point
+            # ValueError, so this one came from writing the output.  Point
             # stdout at devnull so that the exit-time flush stays silent.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             reason = ("stdout was closed before the output was written"

@@ -160,10 +160,7 @@ def _arrangement_figure(desc: SKMSDescriptor) -> str:
 def _facet_figure(z: Zonotope) -> str:
     elements = _axes() + _polytope_outline(z)
     for n, b, sat in z.facets():
-        if z.rank == 1:
-            mid = sat[0]
-        else:
-            mid = tuple(sum(v[i] for v in sat) / Fraction(len(sat)) for i in range(2))
+        mid = tuple(sum(v[i] for v in sat) / Fraction(len(sat)) for i in range(z.rank))
         norm = math.sqrt(sum(float(c) ** 2 for c in n)) or 1.0
         direction = [float(c) / norm for c in n] + [0.0]
         x1, y1 = _project(mid)

@@ -51,12 +51,10 @@ class FaceRef(_Record):
 
 
 def rep_name(dominant: Sequence) -> str:
-    """Render a dominant weight: (a+i, i) is Sym^a V(i), with O and V short forms."""
-    if len(dominant) == 1:
-        i = dominant[0]
-        return "O" if i == 0 else f"O({i})"
-    a = dominant[0] - dominant[1]
-    i = dominant[1]
+    """Render a dominant weight: (a+i, i) is Sym^a V(i), and rank-1 (i,) is
+    O(i); O and V are the short forms."""
+    a = dominant[0] - dominant[-1]
+    i = dominant[-1]
     if a < 0:
         raise ValueError(f"{tuple(dominant)} is not dominant")
     twist = "" if i == 0 else f"({i})"
@@ -105,10 +103,7 @@ def _classes(p: GitPresentation, points: Sequence) -> set:
 
 
 def _class_sort_key(dom: Sequence):
-    if len(dom) == 1:
-        return (0, dom[0])
-    a = dom[0] - dom[1]
-    return (a, dom[1])
+    return (dom[0] - dom[-1], dom[-1])
 
 
 def _boundary_points(z: Zonotope, points: tuple) -> tuple:
@@ -216,13 +211,9 @@ def _object_name(p: GitPresentation, b_weight: tuple, lam: tuple) -> str:
         mat_apply(mat_inverse_transpose(g), lam) == lam for g in p.weyl
     )
     if weyl_fixed:
-        if len(b_weight) == 1:
-            twist = rep_name(b_weight)
-            return "O_S0" if twist == "O" else f"O_S0({twist})"
-        m, n = b_weight
-        if n < m:
+        sections = tuple(reversed(b_weight))  # highest weight of the pushforward
+        if sections[0] < sections[-1]:
             raise ValueError(f"character {b_weight} has no sections on the flag fiber")
-        sections = (n, m)  # highest weight of the pushforward
         twist = rep_name(sections)
         return "O_S0" if twist == "O" else f"O_S0({twist})"
     return f"sigma_* O({_line_bundle_name(b_weight)})"

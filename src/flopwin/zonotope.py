@@ -3,9 +3,9 @@
 The polytope nabla is cut out by |<lam, chi>| <= eta(lam)/2 over all
 cocharacters lam; eta is piecewise linear on the fan whose walls are the
 hyperplanes orthogonal to the weights and roots, so the primitive ray
-generators of that fan suffice as candidate normals. Everything downstream
-(arrangement families, punctures on the Weyl-invariant line, walls and
-chambers) is exact rational arithmetic.
+generators of that fan suffice as candidate normals. One construction serves
+rank 1 and rank 2. Everything downstream (arrangement families, punctures on
+the Weyl-invariant line, walls and chambers) is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import combinations
 
 from .exact import _Record
 from .lattice import (
@@ -45,22 +46,19 @@ def eta(p: GitPresentation, lam: Sequence):
     return total
 
 
+def _orthogonal_rays(v: Sequence) -> tuple:
+    """The two primitive rays of the fan cut by the wall orthogonal to v != 0:
+    +-1 in rank 1, where the wall is the origin, and the two signs of the
+    primitive (-v1, v0) in rank 2."""
+    r = (1,) if len(v) == 1 else primitive_signed((-v[1], v[0]))
+    return r, vec_neg(r)
+
+
 def _candidate_normals(p: GitPresentation) -> list:
-    """Primitive ray generators of the fan cut by the weight/root orthogonals."""
-    directions = set()
-    for v in list(p.roots) + [w for w, _ in p.weights]:
-        if not is_zero(v):
-            directions.add(primitive_signed(v))
-    rays = set()
-    if p.rank == 1:
-        if directions:
-            rays.update({(1,), (-1,)})
-    else:
-        for d in directions:
-            r = primitive_signed((-d[1], d[0]))
-            rays.add(r)
-            rays.add(vec_neg(r))
-    return sorted(rays)
+    """Primitive ray generators of the fan cut by the weight/root orthogonals,
+    in either rank: each nonzero weight or root adds the rays of its wall."""
+    return sorted({r for v in (*p.roots, *(w for w, _ in p.weights)) if not is_zero(v)
+                   for r in _orthogonal_rays(v)})
 
 
 class Zonotope(_Record):
@@ -101,71 +99,49 @@ class Zonotope(_Record):
         )
 
 
+def _meet(rows: Sequence):
+    """The point where the rank-many constraints (normal, bound) are all tight,
+    by Cramer's rule; None when their normals are dependent."""
+    if len(rows) == 1:
+        ((n, b),) = rows
+        return (Fraction(b, n[0]),) if n[0] else None
+    (n1, b1), (n2, b2) = rows
+    det = n1[0] * n2[1] - n1[1] * n2[0]
+    if det == 0:
+        return None
+    return (Fraction(b1 * n2[1] - b2 * n1[1], det), Fraction(n1[0] * b2 - n2[0] * b1, det))
+
+
 def polytope_from_constraints(rank: int, constraints: Sequence) -> Zonotope:
     """Build a Zonotope from (normal, bound) pairs by exact vertex enumeration.
 
-    Bounds may be any rationals; duplicate normals keep the tightest bound.
-    Raises UnboundedPolytopeError when the normals do not span.
+    One construction serves rank 1 and rank 2: the vertices are the feasible
+    meeting points of ``rank`` constraints with independent normals. Bounds
+    may be any rationals; duplicate normals keep the tightest bound. Raises
+    UnboundedPolytopeError with a ray d that has <n, d> <= 0 for every n.
     """
     merged: dict = {}
     for n, b in constraints:
-        b = Fraction(b)
-        n = tuple(int(x) for x in n)
-        if n in merged:
-            merged[n] = min(merged[n], b)
-        else:
-            merged[n] = b
-    normals = sorted(merged)
-    if not normals:
+        n, b = tuple(int(x) for x in n), Fraction(b)
+        merged[n] = min(merged.get(n, b), b)
+    items = sorted(merged.items())
+    if not items:
         return Zonotope(rank=rank, halfspaces=(), vertices=((Fraction(0),) * rank,))
-    # boundedness: the kernel of the normal matrix must be trivial and the
-    # normals must not all lie in a closed halfplane with 0 on its boundary
-    if rank == 1:
-        if not any(n[0] > 0 for n in normals) or not any(n[0] < 0 for n in normals):
-            d = (1,) if any(n[0] < 0 for n in normals) else (-1,)
-            raise UnboundedPolytopeError(f"unbounded in direction {d}")
-        hi = min(Fraction(merged[n], n[0]) for n in normals if n[0] > 0)
-        lo = max(Fraction(merged[n], n[0]) for n in normals if n[0] < 0)
-        if lo > hi:
-            return Zonotope(rank=1, halfspaces=tuple(merged.items()), vertices=())
-        verts = ((lo,),) if lo == hi else ((lo,), (hi,))
-        hs = tuple((n, merged[n]) for n in normals
-                   if any(pair(n, v) == merged[n] for v in verts))
-        return Zonotope(rank=1, halfspaces=hs, vertices=verts)
-    # rank 2: recession direction d satisfies <n, d> <= 0 for all n; extreme
-    # rays of that cone lie on some wall <n, d> = 0, so checking the rotated
-    # normals is exhaustive
-    for n in normals:
-        for d in ((-n[1], n[0]), (n[1], -n[0])):
-            if any(c != 0 for c in d) and all(pair(m, d) <= 0 for m in normals):
-                raise UnboundedPolytopeError(
-                    f"unbounded in direction {primitive_signed(d)}"
-                )
-    verts = set()
-    items = [(n, merged[n]) for n in normals]
-    for i in range(len(items)):
-        n1, b1 = items[i]
-        for j in range(i + 1, len(items)):
-            n2, b2 = items[j]
-            det = n1[0] * n2[1] - n1[1] * n2[0]
-            if det == 0:
-                continue
-            x = Fraction(b1 * n2[1] - b2 * n1[1], det)
-            y = Fraction(n1[0] * b2 - n2[0] * b1, det)
-            if all(pair(n, (x, y)) <= b for n, b in items):
-                verts.add((x, y))
-    vertices = tuple(sorted(verts))
-    if not vertices:
-        return Zonotope(rank=2, halfspaces=tuple(items), vertices=())
-    full_dim = len(vertices) >= 3
-    if full_dim:
-        hs = tuple(
-            (n, b) for n, b in items
-            if sum(1 for v in vertices if pair(n, v) == b) >= 2
-        )
-    else:
-        hs = tuple(items)
-    return Zonotope(rank=2, halfspaces=hs, vertices=vertices)
+    # a nonzero recession cone has a ray on the wall of some nonzero normal, or
+    # is everything when every normal is zero, so these rays are exhaustive
+    walls = [n for n, _ in items if not is_zero(n)] or [(1,) * rank]
+    for v in walls:
+        for d in _orthogonal_rays(v):
+            if all(pair(n, d) <= 0 for n, _ in items):
+                raise UnboundedPolytopeError(f"unbounded in direction {d}")
+    meets = (_meet(rows) for rows in combinations(items, rank))
+    vertices = tuple(sorted({x for x in meets if x is not None
+                             and all(pair(n, x) <= b for n, b in items)}))
+    z = Zonotope(rank=rank, halfspaces=tuple(items), vertices=vertices)
+    if len(vertices) > rank:
+        # full-dimensional: keep only the constraints that support a facet
+        z = Zonotope(rank=rank, halfspaces=tuple(h[:2] for h in z.facets()), vertices=vertices)
+    return z
 
 
 def nabla(p: GitPresentation) -> Zonotope:
@@ -173,11 +149,12 @@ def nabla(p: GitPresentation) -> Zonotope:
     if not is_quasi_symmetric(p):
         warnings.warn("presentation is not quasi-symmetric; polytope may degenerate",
                       stacklevel=2)
-    candidates = _candidate_normals(p)
-    constraints = [(lam, Fraction(eta(p, lam), 2)) for lam in candidates]
-    # |<lam, chi>| <= eta/2 also bounds the opposite side
-    constraints += [(vec_neg(lam), Fraction(eta(p, lam), 2)) for lam in candidates]
-    return polytope_from_constraints(p.rank, constraints)
+    # the candidates come in opposite pairs, and |<lam, chi>| <= eta(lam)/2
+    # bounds both sides, so lam's side takes the smaller of eta(+-lam)
+    return polytope_from_constraints(p.rank, [
+        (lam, Fraction(min(eta(p, lam), eta(p, vec_neg(lam))), 2))
+        for lam in _candidate_normals(p)
+    ])
 
 
 class HyperplaneFamily(_Record):

@@ -67,6 +67,54 @@ def test_nonzero_degree3_term_fails_cohomology_suite(monkeypatch):
     assert details == "degree-3 obstruction term does not vanish"
 
 
+def test_v_for_vstar_fails_the_afib_vanishing(monkeypatch):
+    # V itself does occur in Sym(V + Sym^2 V(-1)^2), from degree 1 on
+    monkeypatch.setattr(cohomology, "afib_vanishing", lambda d: cohomology.sym_multiplicities(
+        "V", ["V", "S2Vm1", "S2Vm1"], d))
+    ok, details = verify.check_cohomology_suite()
+    assert not ok
+    assert details == "dual-representation multiplicity does not vanish"
+
+
+def test_nonzero_section_count_fails_semiorthogonality(monkeypatch):
+    original = cohomology.semiorthogonality_multiplicities
+
+    def mutant(max_degree):
+        report = original(max_degree)
+        report["Q_twist"][3] += 1
+        return report
+
+    monkeypatch.setattr(cohomology, "semiorthogonality_multiplicities", mutant)
+    ok, details = verify.check_cohomology_suite()
+    assert not ok
+    assert details == "a semiorthogonality section count is nonzero"
+
+
+def test_short_bimodule_series_fails_cohomology_suite(monkeypatch):
+    original = cohomology.ext1_FG_dims
+    monkeypatch.setattr(cohomology, "ext1_FG_dims", lambda d: original(d - 1) + [0])
+    ok, details = verify.check_cohomology_suite()
+    assert not ok
+    assert details == "bimodule dims [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0]"
+
+
+def test_three_variable_ring_for_cbc_fails_cohomology_suite(monkeypatch):
+    original = ncalg.catalog
+    monkeypatch.setattr(ncalg, "catalog",
+                        lambda name: original("Ctbc" if name == "Cbc" else name))
+    ok, details = verify.check_cohomology_suite()
+    assert not ok
+    assert details == "bimodule dims disagree with the two-variable polynomial ring"
+
+
+def test_two_coordinate_chart_fails_cohomology_suite(monkeypatch):
+    # the chart read as P^1 x A^2: degree m has m + 1 monomials, not C(m+2, 2)
+    monkeypatch.setattr(cohomology, "e2_sections", lambda d: list(range(1, d + 2)))
+    ok, details = verify.check_cohomology_suite()
+    assert not ok
+    assert details == "chart sections do not match the three-variable polynomial ring"
+
+
 def test_failing_cohomology_suite_exits_1(monkeypatch, capsys):
     break_koszul_section(monkeypatch)
     assert cli.main(["verify", "--suite", "cohomology"]) == 1

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ast
+import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -12,16 +15,7 @@ from flopwin.zonotope import (
     polytope_from_constraints,
     skms,
 )
-
-HEX_VERTICES = {
-    (Fraction(1), Fraction(0)),
-    (Fraction(-1), Fraction(0)),
-    (Fraction(0), Fraction(1)),
-    (Fraction(0), Fraction(-1)),
-    (Fraction(1), Fraction(-1)),
-    (Fraction(-1), Fraction(1)),
-}
-
+from flopwin.verify import HEXAGON_VERTICES
 
 @pytest.fixture(scope="module")
 def flop():
@@ -78,8 +72,8 @@ def test_hexagon_h_rep(flop):
 
 def test_hexagon_vertices(flop):
     z = nabla(flop)
-    assert set(z.vertices) == HEX_VERTICES
-    assert {(-x, -y) for x, y in z.vertices} == HEX_VERTICES
+    assert set(z.vertices) == HEXAGON_VERTICES
+    assert {(-x, -y) for x, y in z.vertices} == HEXAGON_VERTICES
 
 
 def test_every_constraint_is_a_facet(flop):
@@ -152,6 +146,99 @@ def test_unbounded_report():
     constraints = [((0, 1), Fraction(0)), ((0, -1), Fraction(0))]
     with pytest.raises(UnboundedPolytopeError):
         polytope_from_constraints(2, constraints)
+
+
+def test_unbounded_report_names_a_recession_ray():
+    # the quadrant x, y <= 0 recedes along (-1, 0) and (0, -1), never (1, 0)
+    with pytest.raises(UnboundedPolytopeError, match=r"direction \(-1, 0\)$"):
+        polytope_from_constraints(2, [((1, 0), 0), ((0, 1), 0)])
+
+
+def test_infeasible_zero_normal_empties_the_polytope():
+    # 0 <= -1 fails everywhere, in rank 1 as in rank 2
+    z = polytope_from_constraints(1, [((1,), 1), ((-1,), 1), ((0,), -1)])
+    assert z.vertices == ()
+    assert not z.contains((0,))
+    z2 = polytope_from_constraints(2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1),
+                                       ((0, -1), 1), ((0, 0), -1)])
+    assert z2.vertices == ()
+
+
+def test_a_point_keeps_every_constraint():
+    z = polytope_from_constraints(1, [((2,), 2), ((-1,), -1), ((1,), 3)])
+    assert z.vertices == ((Fraction(1),),)
+    assert z.halfspaces == (((-1,), -1), ((1,), 3), ((2,), 2))
+
+
+def _recession_rays(rank, normals):
+    """Brute force: every nonzero d in a box with <n, d> <= 0 for all normals.
+
+    Normals have coordinates in [-2, 2], so the rays on their walls lie in the
+    box, and a nonzero recession cone has one of them.
+    """
+    box = product(range(-2, 3), repeat=rank)
+    return [d for d in box if any(d) and all(pair(n, d) <= 0 for n in normals)]
+
+
+def _independent(rows):
+    if len(rows) == 1:
+        return rows[0] != (0,)
+    return rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0]
+
+
+def _random_constraints(rng, rank):
+    """Zero, repeated and non-primitive normals with half-integer bounds."""
+    def half():
+        return Fraction(rng.randint(-4, 4), 2)
+
+    constraints = [(tuple(rng.randint(-2, 2) for _ in range(rank)), half())
+                   for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.7:
+        # a positively spanning frame, so that most lists are bounded
+        frame = [(1,), (-1,)] if rank == 1 else rng.choice(
+            [[(1, 0), (0, 1), (-1, -1)], [(1, 0), (-1, 0), (0, 1), (0, -1)]])
+        constraints += [(n, half()) for n in frame]
+    if rng.random() < 0.3:
+        n, b = rng.choice(constraints)  # a repeat, maybe scaled, maybe looser
+        k = rng.choice([1, 2])
+        constraints.append((tuple(k * c for c in n), k * b + rng.choice([0, 1])))
+    return constraints
+
+
+def test_one_construction_property_both_ranks():
+    rng = random.Random(32)
+    seen = set()
+    for _ in range(300):
+        rank = rng.choice([1, 2])
+        constraints = _random_constraints(rng, rank)
+        normals = [n for n, _ in constraints]
+        rays = _recession_rays(rank, normals)
+        try:
+            z = polytope_from_constraints(rank, constraints)
+        except UnboundedPolytopeError as exc:
+            assert rays, constraints
+            d = ast.literal_eval(str(exc).rpartition("direction ")[2])
+            assert any(d) and all(pair(n, d) <= 0 for n in normals), constraints
+            seen.add((rank, "unbounded"))
+            continue
+        assert not rays, constraints
+        shape = ("empty", "point", "segment")[len(z.vertices)] if len(z.vertices) <= rank \
+            else "full"
+        seen.add((rank, shape))
+        for v in z.vertices:
+            assert all(pair(n, v) <= b for n, b in constraints), (constraints, v)
+            tight = [n for n, b in constraints if pair(n, v) == b]
+            assert any(_independent(rows) for rows in combinations(tight, rank)), \
+                (constraints, v)
+        grid = [Fraction(k, 2) for k in range(-7, 8)]
+        for pt in product(grid, repeat=rank):
+            assert z.contains(pt) == all(pair(n, pt) <= b for n, b in constraints), \
+                (constraints, pt)
+        if len(z.vertices) > rank:
+            for n, b in z.halfspaces:
+                assert sum(1 for v in z.vertices if pair(n, v) == b) >= rank, constraints
+    assert seen == {(1, k) for k in ("unbounded", "empty", "point", "full")} | {
+        (2, k) for k in ("unbounded", "empty", "point", "segment", "full")}
 
 
 def test_non_quasi_symmetric_warns():
