@@ -17,8 +17,8 @@ a product with a word from scratch.  `_Products` builds it from the product
 a letter shorter, w * m = x * (w' * m) or m * w = (m * w'') * y, in a table
 that lives for one call (for a `Morphism`, as long as the map); that is exact
 because normal forms are unique up to the cutoff.  Every algebra map on
-generators is one left table of 1, built and checked by `_map_table`;
-`is_central` compares a left and a right table.
+generators (`Morphism`, `fiber_product`'s maps from A_con) is one left
+table of 1 from `_map_table`; `is_central` compares a left and a right table.
 The ideal of one right-normal element g (g A in A g, as for the normal t
 and [beta, gamma] of A_con) is A g, so its dims are read off the right
 kernel of g, which the kernel memo holds once the kernel of g was asked
@@ -704,7 +704,8 @@ class Morphism:
 
 
 class FiberReport(_Record):
-    """Fiber product dims per degree and the verdicts on the given pairs."""
+    """Fiber product dims per degree and the verdicts on the given pairs;
+    pairs that fail A_con's relations define no map from it, so never generate."""
 
     __slots__ = ("dims", "relations_ok", "generates")
 
@@ -714,14 +715,17 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
     """Degreewise fiber product of two surjections onto a common target.
 
     dims[k] counts pairs (f, g) with matching images; with both maps
-    degreewise surjective this is dim A_k + dim B_k - dim C_k.  The given
-    element pairs (defaults: (t,0), (b,beta), (c,gamma)) are checked against
-    every relation of the A_con presentation; they generate the fiber
-    product when each pair has matching images and their products span it
-    degree by degree; each pair entry must be zero or homogeneous of its
-    generator's degree.  A layer vector times a pair's entry g combines the
-    entries u * g = x * (u' * g) of one right `_Products` table per pair and
-    side: exact when both sources' normal forms are unique up to degree d.
+    degreewise surjective this is dim A_k + dim B_k - dim C_k.  The element
+    pairs (defaults: (t,0), (b,beta), (c,gamma)), one per A_con generator and
+    each entry zero or homogeneous of its generator's degree, generate the
+    fiber product when they satisfy A_con's relations, each has matching
+    images, and the images (on_a[w], on_b[w]) of the degree-k basis words w of
+    A_con have rank dims[k], k <= d.  Then on_a, on_b tabulate an algebra map
+    phi: A_con -> A x B; rules in the ideal of the relations (`complete`
+    asserts confluence below d) reduce any word to basis words, so those of
+    basis(k) span phi's degree-k image; images agreeing in C on generators
+    agree on every word, so phi lands in the fiber product and is onto in
+    degree k: an isomorphism when dims are A_con's.
     """
     if f_a.target.presentation != f_b.target.presentation:
         raise ValueError("fiber product requires a common target")
@@ -742,20 +746,11 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
     on_a = _map_table(acon, rs_a, dict(zip(acon.generators, (a for a, _ in pairs))))
     on_b = _map_table(acon, rs_b, dict(zip(acon.generators, (b for _, b in pairs))))
     relations_ok = not any(on_a(rel) or on_b(rel) for rel in map(poly_from_key, acon.relations))
-
-    # grow the subalgebra generated by the pairs, degree by degree
-    layers: dict[int, list[list[Poly]]] = {0: [[{(): 1}, {(): 1}]]}
-    generates = dims[0] == 1 and all(f_a.apply(a) == f_b.apply(b) for a, b in pairs)
-    times = [(_Products(rs_a, a, "right"), _Products(rs_b, b, "right")) for a, b in pairs]
-    for k in range(1, d + 1):
-        products = [
-            (times_a(va), times_b(vb))
-            for gi, (times_a, times_b) in enumerate(times)
-            for va, vb in layers.get(k - acon.degrees[gi], [])
-        ]
-        layers[k] = _independent(products, [rs_a.basis(k), rs_b.basis(k)])
-        if len(layers[k]) != dims[k]:
-            generates = False
+    acon_words = completed(acon, d).basis
+    generates = relations_ok and all(f_a.apply(a) == f_b.apply(b) for a, b in pairs) and all(
+        len(_independent([(on_a[w], on_b[w]) for w in acon_words(k)],
+                         [rs_a.basis(k), rs_b.basis(k)])) == dims[k]
+        for k in range(d + 1))
     return FiberReport(dims, relations_ok, generates)
 
 

@@ -187,16 +187,6 @@ class QuiverRep:
     def t(self) -> Fraction:
         return Fraction(self._scaled[6][0], self._scaled[0])
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": rational_json(self.alpha),
-            "alpha_star": rational_json(self.alpha_star),
-            "beta": rational_json(self.beta),
-            "gamma": rational_json(self.gamma),
-            "delta": rational_json(self.delta),
-            "params": {k: rational_json(v) for k, v in self.params.items()},
-        }
-
     @cached_property
     def _defects(self) -> tuple[int, tuple]:
         """The integer relation defects, evaluated once per representation."""

@@ -125,8 +125,6 @@ def polytope_from_constraints(rank: int, constraints: Sequence) -> Zonotope:
         n, b = tuple(int(x) for x in n), Fraction(b)
         merged[n] = min(merged.get(n, b), b)
     items = sorted(merged.items())
-    if not items:
-        return Zonotope(rank=rank, halfspaces=(), vertices=((Fraction(0),) * rank,))
     # a nonzero recession cone has a ray on the wall of some nonzero normal, or
     # is everything when every normal is zero, so these rays are exhaustive
     walls = [n for n, _ in items if not is_zero(n)] or [(1,) * rank]
@@ -149,11 +147,14 @@ def nabla(p: GitPresentation) -> Zonotope:
     if not is_quasi_symmetric(p):
         warnings.warn("presentation is not quasi-symmetric; polytope may degenerate",
                       stacklevel=2)
+    normals = _candidate_normals(p)
+    if not normals:
+        # no nonzero weight or root: the polytope is the origin, with no walls
+        return Zonotope(rank=p.rank, halfspaces=(), vertices=((Fraction(0),) * p.rank,))
     # the candidates come in opposite pairs, and |<lam, chi>| <= eta(lam)/2
     # bounds both sides, so lam's side takes the smaller of eta(+-lam)
     return polytope_from_constraints(p.rank, [
-        (lam, Fraction(min(eta(p, lam), eta(p, vec_neg(lam))), 2))
-        for lam in _candidate_normals(p)
+        (lam, Fraction(min(eta(p, lam), eta(p, vec_neg(lam))), 2)) for lam in normals
     ])
 
 

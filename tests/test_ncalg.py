@@ -625,6 +625,20 @@ def test_fiber_product_rejects_unmatched_pairs():
     assert not report.generates
 
 
+def test_fiber_product_pairs_failing_the_relations_do_not_generate():
+    # (t + b, beta), (b, beta), (c, gamma) span the fiber product, but the
+    # central t goes to beta, which is not central in endG, so the pairs
+    # define no map from A_con
+    f_a, f_b = standard_morphisms(8)
+    a_pres, b_pres = f_a.source.presentation, f_b.source.presentation
+    t, b, c = (a_pres.gen(n) for n in ("t", "b", "c"))
+    beta, gamma = b_pres.gen("beta"), b_pres.gen("gamma")
+    pairs = [(combine([(1, t), (1, b)]), beta), (b, beta), (c, gamma)]
+    assert direct_fiber(f_a, f_b, 8, pairs)[1:] == (False, True)
+    report = fiber_product(f_a, f_b, 8, pairs)
+    assert (report.relations_ok, report.generates) == (False, False)
+
+
 def test_fiber_product_requires_surjectivity():
     f_a, f_b = standard_morphisms(4)
     broken = Morphism(f_a.source, f_a.target, {
@@ -1061,7 +1075,11 @@ def direct_surjective(f, d):
 
 
 def direct_fiber(f_a, f_b, d, pairs):
-    """fiber_product's (dims, relations_ok, generates), one normal form per product."""
+    """(dims, relations_ok, whether the pairs' subalgebra is the fiber product).
+
+    The subalgebra grows layer by layer, one normal form per product with a
+    pair, whether or not the pairs satisfy A_con's relations.
+    """
     rs_a, rs_b, rs_c = f_a.source, f_b.source, f_a.target
     dims = [len(rs_a.basis(k)) + len(rs_b.basis(k)) - len(rs_c.basis(k)) for k in range(d + 1)]
     relations_ok = not any(
@@ -1131,7 +1149,8 @@ def test_product_tables_match_direct_normal_forms():
     for pairs in fiber_pair_cases(f_a, f_b):
         report = fiber_product(f_a, f_b, 8, pairs)
         got = (report.dims, report.relations_ok, report.generates)
-        assert got == direct_fiber(f_a, f_b, 8, pairs), pairs
+        dims, relations_ok, generates = direct_fiber(f_a, f_b, 8, pairs)
+        assert got == (dims, relations_ok, relations_ok and generates), pairs
         verdicts.update((("relations_ok", report.relations_ok), ("generates", report.generates)))
     # every verdict occurs both ways, so the comparison is not vacuous
     assert len(verdicts) == 6

@@ -438,6 +438,16 @@ def test_noncentral_t_image_fails_fiber_product(monkeypatch):
     assert details == "defining relations fail on the generating pairs"
 
 
+def test_one_acon_word_short_fails_fiber_product(monkeypatch):
+    # the rank test reads one A_con basis word fewer in every degree
+    rs = ncalg.completed(ncalg.catalog("acon"), 10)
+    basis = rs.basis
+    monkeypatch.setattr(rs, "basis", lambda k: basis(k)[:-1])
+    ok, details = verify.check_fiber_product()
+    assert not ok
+    assert details == "pairs do not generate the fiber product"
+
+
 def test_short_fiber_product_fails_fiber_product(monkeypatch):
     # the fiber product one degree short: relations and generation still hold
     original = ncalg.fiber_product

@@ -154,6 +154,17 @@ def test_unbounded_report_names_a_recession_ray():
         polytope_from_constraints(2, [((1, 0), 0), ((0, 1), 0)])
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_no_constraints_is_unbounded_like_zero_normals(rank):
+    # both cut out the whole space, so both name the same recession ray
+    messages = []
+    for constraints in ([], [((0,) * rank, 1)]):
+        with pytest.raises(UnboundedPolytopeError) as exc:
+            polytope_from_constraints(rank, constraints)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
 def test_infeasible_zero_normal_empties_the_polytope():
     # 0 <= -1 fails everywhere, in rank 1 as in rank 2
     z = polytope_from_constraints(1, [((1,), 1), ((-1,), 1), ((0,), -1)])
