@@ -59,11 +59,8 @@ def primitive(a: Sequence) -> Vector:
 
 def primitive_signed(a: Sequence) -> Vector:
     """Primitive vector with the first nonzero coordinate positive."""
-    p = primitive(a)
-    for x in p:
-        if x != 0:
-            return p if x > 0 else vec_neg(p)
-    raise ValueError("zero vector")
+    p = primitive(a)  # raises for the zero vector, so p has a nonzero coordinate
+    return p if next(x for x in p if x) > 0 else vec_neg(p)
 
 
 def mat_apply(m: Matrix, v: Sequence) -> Vector:

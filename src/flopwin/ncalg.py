@@ -9,8 +9,8 @@ presentation into rewrite rules whose normal forms are unique on all words
 up to a degree cutoff (truncated Buchberger completion; its final pass over
 the S-polynomials it kept asserts confluence, Bergman's diamond lemma).
 Graded dimensions, centrality, kernels of multiplication maps, ideals,
-resolutions, fiber products and substitution identities are then exact
-linear algebra on bases of irreducible words.
+resolutions and fiber products are then exact linear algebra on bases of
+irreducible words.
 
 Kernels, ideals, centrality, fiber products and algebra maps never reduce
 a product with a word from scratch.  `_Products` builds it from the product
@@ -40,10 +40,15 @@ both memos and the basis together.
 
 The catalog at the bottom holds the named algebras the rest of the package
 verifies statements about.  Every fixed polynomial here, catalog relations
-included, is written as text and read by `parse_expr`.
+included, is written as text and read by `parse_expr`.  The base hypersurface
+F and its singular-locus generators are not: they live in `quiver` as +, -
+and * formulas (`quiver.hypersurface`, `quiver.singular_generators`), and
+`substitute` runs them on polynomials, as verify's substitution-laufer check
+does on the images of the base coordinates in A_con.
 """
 from __future__ import annotations
 
+import re
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
@@ -682,7 +687,7 @@ class Morphism:
 
     def __init__(self, source: RewriteSystem, target: RewriteSystem,
                  images: Mapping[str, Poly]):
-        self.source, self.target, self.images = source, target, images
+        self.source, self.target = source, target
         self._table = _map_table(source.presentation, target, images)
 
     def apply(self, poly: Poly) -> Poly:
@@ -756,12 +761,22 @@ def fiber_product(f_a: Morphism, f_b: Morphism, d: int,
 
 # -- substitution into A_con ------------------------------------------------
 
-def base_coordinates() -> NCPresentation:
-    """The seven affine coordinates with their induced degrees."""
-    return NCPresentation.build(
-        [("x", 3), ("y", 2), ("z", 2), ("t", 1), ("u", 2), ("v", 2), ("w", 2)],
-        central=["x", "y", "z", "t", "u", "v", "w"],
-    )
+class _Ring(dict):
+    """A polynomial that +, - and * act on, so that a formula written with
+    them runs on polynomials: + and - through `combine`, * by a polynomial
+    through `p_mul`, in the order written, and * by an int on either side."""
+
+    def __add__(self, other: Poly) -> "_Ring":
+        return _Ring(combine([(1, self), (1, other)]))
+
+    def __sub__(self, other: Poly) -> "_Ring":
+        return _Ring(combine([(1, self), (-1, other)]))
+
+    def __mul__(self, other) -> "_Ring":
+        return _Ring(combine([(other, self)]) if type(other) is int else p_mul(self, other))
+
+    def __rmul__(self, other: int) -> "_Ring":
+        return _Ring(combine([(other, self)]))
 
 
 def acon_dictionary(pres: NCPresentation) -> dict[str, Poly]:
@@ -772,31 +787,17 @@ def acon_dictionary(pres: NCPresentation) -> dict[str, Poly]:
     })
 
 
-def substitute_and_reduce(rs: RewriteSystem, dictionary: Mapping[str, Poly],
-                          expr: Poly, base: NCPresentation) -> Poly:
-    """Normal form of expr after substituting the dictionary images.
+def substitute(rs: RewriteSystem, formula, images: Sequence[Poly]) -> Poly | dict[str, Poly]:
+    """The normal form of formula(*images), or of each value of a dict result.
 
-    expr lives over the base coordinate presentation; each image must be
-    zero or homogeneous of its coordinate's degree (`_map_table`), which
-    keeps the substituted expression homogeneous whenever expr is.
+    formula is written with +, - and * alone (as `quiver.hypersurface` and
+    `quiver.singular_generators` are), and each image is a polynomial over
+    rs's presentation; a word above the cutoff raises ValueError.
     """
-    return _map_table(base, rs, dictionary)(expr)
-
-
-def hypersurface_polynomial(base: NCPresentation) -> Poly:
-    return parse_expr(base, "x*x + u*y*y + 2*v*y*z + w*z*z + (u*w - v*v)*t*t")
-
-
-def singular_polynomials(base: NCPresentation) -> dict[str, Poly]:
-    return _parse_all(base, {
-        "x": "x",
-        "uy+vz": "u*y + v*z",
-        "vy+wz": "v*y + w*z",
-        "z^2+ut^2": "z*z + u*t*t",
-        "y^2+wt^2": "y*y + w*t*t",
-        "yz-vt^2": "y*z - v*t*t",
-        "(uw-v^2)t": "(u*w - v*v)*t",
-    })
+    value = formula(*map(_Ring, images))
+    if type(value) is _Ring:
+        return rs.normal_form(value)
+    return {name: rs.normal_form(v) for name, v in value.items()}
 
 
 def laufer_slice(d: int) -> tuple[list[int], list[int]]:
@@ -814,38 +815,18 @@ def laufer_slice(d: int) -> tuple[list[int], list[int]]:
 
 # -- expression parsing and the algebra catalog ------------------------------
 
+# one token after optional white space: a rational scalar, a name, an
+# operator or a parenthesis; anything else lands in the second group
+_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?|[^\W\d]\w*|[-+*()])|(\S))")
+
+
 def parse_expr(pres: NCPresentation, text: str) -> Poly:
     """Parse '+', '-', '*', rational scalars, parentheses and generator names."""
     tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1].isdigit():
-                k = j + 1
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                tokens.append(text[i:k])
-                i = k
-            else:
-                tokens.append(text[i:j])
-                i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"unexpected character {ch!r} in expression")
+    for token, other in _TOKEN.findall(text):
+        if other:
+            raise ValueError(f"unexpected character {other!r} in expression")
+        tokens.append(token)
     pos = 0
 
     def peek() -> str | None:

@@ -8,6 +8,12 @@ alpha.alpha_star.  This module checks the relations, decides stability for the
 two GIT chambers, classifies unstable strata, and evaluates the invariant map
 onto a hypersurface in A^7 together with its singular-locus membership tests.
 
+The hypersurface F and its singular-locus generators are written once, as
+the +, -, * formulas `hypersurface` and `singular_generators`, so they run on
+any ring: `base_equation` and `singular_locus_check` evaluate them at a base
+point (verify's quiver-sweeps), and `ncalg.substitute` on the images of the
+coordinates in the contraction algebra (verify's substitution-laufer).
+
 All arithmetic is exact.  A representation is built by `QuiverRep.from_dict`
 alone (`from_chart` and `scalar_pair_rep` go through it) and stores one
 integer view, `_scaled`: the least common denominator D of its 16 entries
@@ -34,6 +40,7 @@ Vec2 = tuple[Fraction, Fraction]
 Mat2 = tuple[Vec2, Vec2]
 
 PARAM_KEYS = ("t", "Tbeta", "Tgamma", "Tdelta")
+_ZERO = Fraction(0)  # every zero residual of relations_hold
 _REP_KEYS = frozenset({"alpha", "alpha_star", "beta", "gamma", "delta", "params"})
 
 
@@ -250,8 +257,8 @@ def relations_hold(rep: QuiverRep) -> tuple[bool, dict]:
     """
     den, (pairing, *mats) = rep._defects
     scale = den * den
-    view = lambda m, q: tuple(tuple(Fraction(n, q) for n in row) for row in m)
-    residuals: dict = {"alpha_star_alpha": Fraction(pairing, scale)}
+    view = lambda m, q: tuple(tuple(Fraction(n, q) if n else _ZERO for n in row) for row in m)
+    residuals: dict = {"alpha_star_alpha": Fraction(pairing, scale) if pairing else _ZERO}
     for name, m in zip(("beta_square", "gamma_square", "delta_square"), mats):
         residuals[name] = view(m, scale)
     residuals["vertex1_sum"] = view(mats[3], 2 * scale)
@@ -330,7 +337,7 @@ def base_map(rep: QuiverRep) -> BasePoint:
     The loop invariants are the scalars with beta^2 = -u, gamma^2 = -w and
     beta.gamma + gamma.beta = 2v on trace-free loops; x, y, z contract the
     loops with alpha and alpha_star.  These expressions are invariant under
-    the gauge action and satisfy base_equation identically on the relation
+    the gauge action and satisfy `hypersurface` identically on the relation
     scheme; verify's quiver-sweeps check tests that on 10000 random integer
     charts.
 
@@ -359,15 +366,27 @@ def base_map(rep: QuiverRep) -> BasePoint:
     )
 
 
+def hypersurface(x, y, z, t, u, v, w):
+    """F = x^2 + u y^2 + 2v yz + w z^2 + (uw - v^2) t^2, the base of the flop."""
+    return x * x + u * y * y + 2 * v * y * z + w * z * z + (u * w - v * v) * t * t
+
+
+def singular_generators(x, y, z, t, u, v, w) -> dict:
+    """The seven generators of the singular locus of F = 0, by name."""
+    return {
+        "x": x,
+        "uy+vz": u * y + v * z,
+        "vy+wz": v * y + w * z,
+        "z^2+ut^2": z * z + u * t * t,
+        "y^2+wt^2": y * y + w * t * t,
+        "yz-vt^2": y * z - v * t * t,
+        "(uw-v^2)t": (u * w - v * v) * t,
+    }
+
+
 def base_equation(p: BasePoint) -> Fraction:
-    """The hypersurface x^2 + u y^2 + 2v yz + w z^2 + (uw - v^2) t^2."""
-    return (
-        p.x * p.x
-        + p.u * p.y * p.y
-        + 2 * p.v * p.y * p.z
-        + p.w * p.z * p.z
-        + (p.u * p.w - p.v * p.v) * p.t * p.t
-    )
+    """The value of `hypersurface` at p."""
+    return hypersurface(*p.to_tuple())
 
 
 class SingularReport(_Record):
@@ -385,15 +404,7 @@ def singular_locus_check(p: BasePoint) -> SingularReport:
     x = 0 and uw - v^2 = 0 (the latter cuts the closure at t = 0 down to the
     degenerate-conic locus).
     """
-    gens = {
-        "x": p.x,
-        "uy+vz": p.u * p.y + p.v * p.z,
-        "vy+wz": p.v * p.y + p.w * p.z,
-        "z^2+ut^2": p.z * p.z + p.u * p.t * p.t,
-        "y^2+wt^2": p.y * p.y + p.w * p.t * p.t,
-        "yz-vt^2": p.y * p.z - p.v * p.t * p.t,
-        "(uw-v^2)t": (p.u * p.w - p.v * p.v) * p.t,
-    }
+    gens = singular_generators(*p.to_tuple())
     in_locus = all(v == 0 for v in gens.values())
     in_z1 = p.x == 0 and p.y == 0 and p.z == 0 and p.t == 0
     in_z2 = (

@@ -143,10 +143,14 @@ def test_kappa_wall_chamber_at_the_vertex(capsys):
     assert payload[0]["chi_class"] == [0, 0]
 
 
-def test_missing_input_file(capsys):
+def test_missing_input_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "skms", "--input", "no_such_fixture.json")
     assert code == 2
     assert "no such file or bundled fixture" in err
+    # a path that exists but cannot be read as a file
+    code, out, err = run_cli(capsys, "skms", "--input", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
 
 
 def test_malformed_json_reports_line_and_column(tmp_path, capsys):
@@ -286,11 +290,13 @@ def test_ncalg_normal_form_nontrivial(capsys):
 
 
 def test_ncalg_normal_form_parse_error(capsys):
+    # the deep nesting comes last: a line tracer that its RecursionError
+    # reaches is dropped, and would miss the cases after it
     for expr, message in (("beta $ gamma", "unexpected character"),
                           ("1/0*t", "zero denominator"),
-                          ("(" * 2000 + "t" + ")" * 2000, "nested too deeply"),
                           # one letter past the degree cap
-                          ("*".join(["beta"] * 101), "degree 101, above the cap of 100")):
+                          ("*".join(["beta"] * 101), "degree 101, above the cap of 100"),
+                          ("(" * 2000 + "t" + ")" * 2000, "nested too deeply")):
         code, out, err = run_cli(capsys, "ncalg", "normal-form", "--algebra", "acon",
                                  "--expr", expr)
         assert code == 2
@@ -361,6 +367,9 @@ def test_coh_multiplicity_rejects_bad_labels(capsys):
     assert run_cli(capsys, "coh", "multiplicity", "--irrep", "0,5", "--sym", "V")[0] == 2
     assert run_cli(capsys, "coh", "multiplicity", "--irrep", "W", "--sym", "V")[0] == 2
     assert run_cli(capsys, "coh", "multiplicity", "--irrep", "V", "--sym", " , ")[0] == 2
+    code, out, err = run_cli(capsys, "coh", "multiplicity", "--irrep", "1,2,3", "--sym", "V")
+    assert code == 2 and out == ""
+    assert err == "error: irrep label must be 'p,q' or a representation name\n"
 
 
 def test_max_degree_cap_is_accepted(capsys):
@@ -449,6 +458,20 @@ def test_figures_empty_presentation_placeholder(tmp_path, capsys):
     for path in payload["files"]:
         ET.parse(path)
         assert "empty presentation" in Path(path).read_text(encoding="utf-8")
+
+
+def test_figures_unbounded_polytope_placeholder(tmp_path, capsys):
+    # weights on one line leave the rank-2 polytope unbounded across it
+    presentation = {"rank": 2, "weights": [{"vec": [1, 0]}, {"vec": [-1, 0]}]}
+    src = tmp_path / "line.json"
+    src.write_text(json.dumps(presentation), encoding="utf-8")
+    code, payload, _ = run_json(capsys, "figures", "--out-dir", str(tmp_path / "figs"),
+                                "--input", str(src))
+    assert code == 0
+    for path in payload["files"]:
+        text = Path(path).read_text(encoding="utf-8")
+        ET.parse(path)
+        assert "<text " in text and "<polygon" not in text and "<line" not in text
 
 
 def test_figures_draw_each_weight_once(tmp_path, capsys):

@@ -66,6 +66,9 @@ def test_decompose_rejects_non_characters():
         decompose({(1, 0): 1})  # not swap-symmetric
     with pytest.raises(ValueError):
         decompose({(0, 0): -1})
+    # the top weight peels off Sym^2, whose middle weight (1, 1) is then owed
+    with pytest.raises(ValueError, match="negative multiplicity after subtraction"):
+        decompose({(2, 0): 1, (0, 2): 1})
 
 
 def test_decompose_round_trip():

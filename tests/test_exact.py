@@ -276,7 +276,8 @@ def test_rational_rejects_non_numbers(value):
 
 
 @pytest.mark.parametrize("value", ["1/0", "-3/0", "abc", "", "1/2/3", "nan", float("inf"),
-                                   "1e9999999", "1e99999999", "-2E-4301", "1e4_301"])
+                                   "1e9999999", "1e99999999", "-2E-4301", "1e4_301",
+                                   "1e", "one"])
 def test_rational_rejects_zero_denominators_and_junk(value):
     with pytest.raises(ValueError):
         rational(value)

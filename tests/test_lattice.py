@@ -52,6 +52,8 @@ def test_primitive_vectors():
     assert primitive_signed((0, -3)) == (0, 1)
     with pytest.raises(ValueError):
         primitive((0, 0))
+    with pytest.raises(ValueError, match="zero vector has no primitive representative"):
+        primitive_signed((0, 0))
 
 
 def test_fixture_validation_round_trip(flop, conifold):
@@ -208,3 +210,23 @@ def test_dominant_representative_invariant_on_orbit(flop):
 def test_weyl_elements_group_order(flop, conifold):
     assert len(flop.weyl_elements()) == 2
     assert len(conifold.weyl_elements()) == 1
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"rank": 2, "roots": [[1]], "weights": []}, r"root \(1,\) has wrong length"),
+    ({"rank": 2, "weights": [{"vec": [1, 0, 0]}]}, r"weight \(1, 0, 0\) has wrong length"),
+    # the swap fixes the weights but sends the roots (1, 0), (-1, 0) off themselves
+    ({"rank": 2, "roots": [[1, 0], [-1, 0]], "weights": [{"vec": [1, 1]}, {"vec": [-1, -1]}],
+      "weyl": [[[0, 1], [1, 0]]]}, "Weyl generator does not permute the roots"),
+])
+def test_presentation_shapes_are_checked(data, message):
+    with pytest.raises(PresentationError, match=message):
+        GitPresentation.from_dict(data)
+
+
+def test_weyl_group_of_infinite_order_is_rejected():
+    # a unimodular shear permutes an empty set of roots and weights, yet
+    # generates an infinite group
+    p = GitPresentation.from_dict({"rank": 2, "weights": [], "weyl": [[[1, 1], [0, 1]]]})
+    with pytest.raises(PresentationError, match="do not generate a small finite group"):
+        p.weyl_elements()

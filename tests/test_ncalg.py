@@ -7,13 +7,13 @@ from math import comb
 import pytest
 
 import flopwin.ncalg as ncalg
+from flopwin import quiver
 from flopwin.exact import combine, echelon
 from flopwin.ncalg import (
     Morphism,
     NCPresentation,
     RewriteSystem,
     acon_dictionary,
-    base_coordinates,
     catalog,
     catalog_names,
     commutator,
@@ -22,7 +22,6 @@ from flopwin.ncalg import (
     fiber_product,
     graded_kernel,
     hilbert,
-    hypersurface_polynomial,
     ideal_dims,
     is_central,
     laufer_slice,
@@ -30,9 +29,8 @@ from flopwin.ncalg import (
     p_mul,
     parse_expr,
     resolution_check,
-    singular_polynomials,
     standard_morphisms,
-    substitute_and_reduce,
+    substitute,
 )
 
 ACON_DIMS = [1, 3, 7, 12, 19, 27, 37, 48, 61, 75, 91, 108, 127]
@@ -678,23 +676,38 @@ def test_fiber_product_validates_its_pairs():
     assert fiber_product(f_a, f_b, 4, [(t, {}), (b, beta), (c, gamma)]).generates
 
 
-def test_substitution_identities():
-    base = base_coordinates()
-    rs = completed(catalog("acon"), 10)
+def acon_images(rs):
+    """acon_dictionary's images of the base coordinates, in xyztuvw order."""
     mapping = acon_dictionary(rs.presentation)
-    assert substitute_and_reduce(rs, mapping, hypersurface_polynomial(base), base) == {}
-    for name, poly in singular_polynomials(base).items():
-        assert substitute_and_reduce(rs, mapping, poly, base) == {}, name
-    assert substitute_and_reduce(rs, mapping, base.gen("x"), base) == {}
+    return [mapping[name] for name in "xyztuvw"]
+
+
+def test_substitution_identities():
+    rs = completed(catalog("acon"), 10)
+    images = acon_images(rs)
+    assert substitute(rs, quiver.hypersurface, images) == {}
+    generators = substitute(rs, quiver.singular_generators, images)
+    assert len(generators) == 7
+    for name, value in generators.items():
+        assert value == {}, name
+    # a dict result is reduced value by value, and a plain image is reduced too
+    y = substitute(rs, lambda x, y, *rest: {"x": x, "y": y}, images)
+    assert y == {"x": {}, "y": rs.normal_form(images[1])} and y["y"]
 
 
 def test_substitution_validates_degrees():
-    base = base_coordinates()
+    # the dictionary's degrees are checked by F itself: an image of the wrong
+    # degree leaves F(images) inhomogeneous and nonzero
     rs = completed(catalog("acon"), 10)
-    mapping = acon_dictionary(rs.presentation)
-    mapping["y"] = rs.presentation.gen("t")  # degree 1, needs 2
-    with pytest.raises(ValueError):
-        substitute_and_reduce(rs, mapping, base.gen("y"), base)
+    images = acon_images(rs)
+    images[1] = rs.presentation.gen("t")  # y in degree 1, needs 2
+    value = substitute(rs, quiver.hypersurface, images)
+    assert value
+    with pytest.raises(ValueError, match="not homogeneous"):
+        rs.presentation.poly_degree(value)
+    # and a formula whose words pass the cutoff raises
+    with pytest.raises(ValueError, match="expression degree exceeds the rewrite cutoff"):
+        substitute(completed(catalog("acon"), 5), quiver.hypersurface, acon_images(rs))
 
 
 def test_laufer_slice():
@@ -1064,8 +1077,10 @@ def evaluate(poly, images):
 
 
 def direct_apply(f, poly):
-    """Morphism.apply as one normal form of the whole image."""
-    return f.target.normal_form(evaluate(poly, [f.images[n] for n in f.source.presentation.generators]))
+    """Morphism.apply as one normal form of the whole image of poly, from
+    the images of the generators alone."""
+    source = f.source.presentation
+    return f.target.normal_form(evaluate(poly, [f.apply(source.gen(n)) for n in source.generators]))
 
 
 def direct_surjective(f, d):
@@ -1139,12 +1154,12 @@ def test_product_tables_match_direct_normal_forms():
                 got = graded_kernel(rs, m, side, d).dims
                 assert got == direct_kernel_dims(rs, m, side, d), (label, m, side)
             assert ideal_dims(rs, [m], d) == direct_ideal_dims(rs, [m], d), (label, m)
-        for f in morphism_cases(rs):
+        for i, f in enumerate(morphism_cases(rs)):
             surjective = f.surjective_upto(d)
-            assert surjective == direct_surjective(f, d), (label, f.images)
+            assert surjective == direct_surjective(f, d), (label, i)
             verdicts.add(("surjective", surjective))
             for m in multipliers:
-                assert f.apply(m) == direct_apply(f, m), (label, f.images, m)
+                assert f.apply(m) == direct_apply(f, m), (label, i, m)
     f_a, f_b = standard_morphisms(8)
     for pairs in fiber_pair_cases(f_a, f_b):
         report = fiber_product(f_a, f_b, 8, pairs)
@@ -1207,23 +1222,35 @@ def test_table_entry_above_the_cutoff_raises():
 
 
 def test_substitution_matches_direct_normal_forms():
-    base = base_coordinates()
+    # + and - through combine, * through p_mul in the order written, and * by
+    # an int on either side: checked on the noncommuting beta and gamma
     rs = complete(catalog("acon"), 10)
-    mapping = acon_dictionary(rs.presentation)
-    images = [mapping[name] for name in base.generators]
-    exprs = [hypersurface_polynomial(base), *singular_polynomials(base).values()]
-    exprs += [p_mul(base.gen(a), base.gen(b)) for a in base.generators for b in base.generators]
+    pres = rs.presentation
+    images = [pres.gen(n) for n in ("t", "beta", "gamma")]
+    images.append(combine([(1, images[1]), (Fraction(1, 2), p_mul(images[0], images[2]))]))
+    formulas = {
+        "t*beta*gamma - 2*gamma*beta + beta*3 + t*t": (
+            lambda t, b, c, m: t * b * c - 2 * c * b + b * 3 + t * t),
+        "(beta + gamma)*(beta - gamma)*m - m*m*m": (
+            lambda t, b, c, m: (b + c) * (b - c) * m - m * m * m),
+        "0*beta + gamma*0 - t + t": lambda t, b, c, m: 0 * b + c * 0 - t + t,
+    }
+    free = NCPresentation.build([("t", 1), ("beta", 1), ("gamma", 1), ("m", 1)])
     nonzero = 0
-    for expr in exprs:
-        got = substitute_and_reduce(rs, mapping, expr, base)
-        assert got == rs.normal_form(evaluate(expr, images)), base.render(expr)
+    for text, formula in formulas.items():
+        got = substitute(rs, formula, images)
+        assert got == rs.normal_form(evaluate(parse_expr(free, text), images)), text
         nonzero += bool(got)
-    assert nonzero > len(exprs) // 2
+    assert nonzero == 2
+    # every image is left as it was
+    assert images[:3] == [pres.gen(n) for n in ("t", "beta", "gamma")]
 
 
 def bad_map_calls():
     """(label, call, message) for each algebra map with a missing image, an
-    image of the wrong degree and an inhomogeneous image."""
+    image of the wrong degree and an inhomogeneous image.  substitute needs
+    no such check: an image of the wrong degree leaves the hypersurface
+    nonzero (test_substitution_validates_degrees)."""
     f_a, f_b = standard_morphisms(4)
     rs_a, cbc = f_a.source, f_a.target
     b, c = cbc.presentation.gen("b"), cbc.presentation.gen("c")
@@ -1236,20 +1263,6 @@ def bad_map_calls():
     }
     for kind, (images, message) in bad_images.items():
         yield f"Morphism {kind}", lambda images=images: Morphism(rs_a, cbc, images), message
-
-    base = base_coordinates()
-    rs = completed(catalog("acon"), 10)
-    good = acon_dictionary(rs.presentation)
-    t, beta = rs.presentation.gen("t"), rs.presentation.gen("beta")
-    bad_dictionaries = {
-        "missing": ({k: v for k, v in good.items() if k != "w"}, "no image for generator 'w'"),
-        "wrong degree": ({**good, "y": t}, "image of 'y' must be zero or homogeneous of degree 2"),
-        "inhomogeneous": ({**good, "t": combine([(1, t), (1, p_mul(t, beta))])},
-                          "image of 't' must be zero or homogeneous of degree 1"),
-    }
-    for kind, (dictionary, message) in bad_dictionaries.items():
-        yield (f"substitute_and_reduce {kind}",
-               lambda d=dictionary: substitute_and_reduce(rs, d, base.gen("x"), base), message)
 
     a_pres, b_pres = rs_a.presentation, f_b.source.presentation
     pt, pb, pc = (a_pres.gen(n) for n in ("t", "b", "c"))
@@ -1307,3 +1320,77 @@ def test_is_central_reads_the_cutoff_off_its_tables():
     xy = NCPresentation.build(gens, relations=[commutator(x, free.gen("y"))])
     with pytest.raises(ValueError, match="expression degree exceeds the rewrite cutoff"):
         is_central(complete(xy, 2), x)
+
+
+@pytest.mark.parametrize("gens, central, message", [
+    ([("x", 1), ("x", 2)], (), "duplicate generator names"),
+    ([("x", 1), ("y", 0)], (), "generator degrees must be positive"),
+    ([("x", 1), ("y", -1)], (), "generator degrees must be positive"),
+    ([("x", 1)], ("y",), "central set names unknown generators"),
+])
+def test_presentation_rejects_bad_generators(gens, central, message):
+    with pytest.raises(ValueError, match=message):
+        NCPresentation.build(gens, central)
+
+
+def test_zero_relations_are_skipped():
+    # a relation whose coefficients all vanish is stored empty and imposes nothing
+    free = NCPresentation.build([("x", 1), ("y", 2)])
+    zero = NCPresentation.build([("x", 1), ("y", 2)], relations=[{}, {(0, 1): 0}])
+    assert zero.relations == ((), ())
+    assert hilbert(zero, 6) == hilbert(free, 6)
+
+
+def test_module_normal_form_and_basis_above_the_cutoff():
+    rs = complete(catalog("acon"), 4)
+    expr = parse_expr(rs.presentation, "gamma*beta*beta + t")
+    assert normal_form(rs, expr) == rs.normal_form(expr) == parse_expr(
+        rs.presentation, "beta*beta*gamma + t")
+    assert rs.basis(4)
+    with pytest.raises(ValueError, match="degree exceeds the rewrite cutoff"):
+        rs.basis(5)
+
+
+def test_kernel_and_resolution_inputs_are_checked():
+    pres = catalog("acon")
+    rs = complete(pres, 4)
+    t = pres.gen("t")
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        graded_kernel(rs, t, "middle", 4)
+    for zero in ({}, {(1,): 0}):
+        with pytest.raises(ValueError, match="multiplier must be nonzero"):
+            graded_kernel(rs, zero, "right", 4)
+    assert resolution_check(rs, [t, {}, t], 4) == (False, "zero multiplier")
+
+
+def test_fiber_product_checks_its_target_and_pair_count():
+    f_a, f_b = standard_morphisms(4)
+    rs = f_a.source
+    names = rs.presentation.generators
+    identity = Morphism(rs, rs, {name: rs.presentation.gen(name) for name in names})
+    with pytest.raises(ValueError, match="fiber product requires a common target"):
+        fiber_product(f_a, identity, 4)
+    t, b = rs.presentation.gen("t"), rs.presentation.gen("b")
+    beta = f_b.source.presentation.gen("beta")
+    with pytest.raises(ValueError, match="one element pair is needed per A_con generator"):
+        fiber_product(f_a, f_b, 4, [(t, {}), (b, beta)])
+
+
+class _Overflowing:
+    """A presentation stand-in whose every generator lookup raises the
+    RecursionError of a descent that ran out of stack."""
+
+    def gen(self, name):
+        raise RecursionError(name)
+
+
+def test_parse_expr_reports_deep_nesting():
+    # a RecursionError anywhere in the descent reads as too deep.  This one is
+    # raised without recursing, so a line tracer, which the interpreter drops
+    # when the real overflow below hits it, sees the line that reports it.
+    with pytest.raises(ValueError, match="expression nested too deeply"):
+        parse_expr(_Overflowing(), "t")
+    pres = catalog("acon")
+    assert parse_expr(pres, "(" * 50 + "t" + ")" * 50) == pres.gen("t")
+    with pytest.raises(ValueError, match="expression nested too deeply"):
+        parse_expr(pres, "(" * 2000 + "t" + ")" * 2000)

@@ -625,17 +625,22 @@ def _evaluate(base, poly, point):
     return sum(c * math.prod(values[i] for i in word) for word, c in poly.items())
 
 
-def test_base_polynomials_agree_with_their_text_in_ncalg():
-    # quiver evaluates the hypersurface and the singular-locus generators in
-    # Python; ncalg writes the same polynomials as text for the substitution
-    # check.  Both copies must agree, generator by generator: on base points
-    # of seeded charts, where the hypersurface vanishes, and on seeded
+def test_substitute_agrees_with_numeric_evaluation():
+    # quiver writes the hypersurface and the singular-locus generators once,
+    # as formulas that base_equation and singular_locus_check evaluate at a
+    # point and ncalg.substitute runs on polynomials.  In the commutative
+    # polynomial ring on the seven coordinates, substitute's polynomials must
+    # take the numeric values at every point, generator by generator: on base
+    # points of seeded charts, where the hypersurface vanishes, and on seeded
     # rational points off it.
     from flopwin import ncalg
 
-    base = ncalg.base_coordinates()
-    hypersurface = ncalg.hypersurface_polynomial(base)
-    singular = ncalg.singular_polynomials(base)
+    base = ncalg.NCPresentation.build([(name, 1) for name in "xyztuvw"], central="xyztuvw")
+    rs = ncalg.completed(base, 4)
+    coordinates = [base.gen(name) for name in base.generators]
+    hypersurface = ncalg.substitute(rs, quiver.hypersurface, coordinates)
+    singular = ncalg.substitute(rs, quiver.singular_generators, coordinates)
+    assert len(hypersurface) == 6  # the six monomials of F, none cancelled
     rng = random.Random(11)
     pick = lambda: F(rng.randint(-9, 9), rng.randint(1, 5))
     points = [base_map(random_chart_rep(rng)) for _ in range(40)]
@@ -650,3 +655,20 @@ def test_base_polynomials_agree_with_their_text_in_ncalg():
         for name, poly in singular.items():
             assert _evaluate(base, poly, point) == gens[name], (name, point.to_dict())
     assert off >= 30
+
+
+def test_rep_compares_only_with_reps_and_shows_its_fields():
+    rep = chart(alpha=(1, 2), alpha_star=(F(1, 2), 0), beta=((1, 0), (0, -1)))
+    assert rep.__eq__((rep.alpha, rep.alpha_star)) is NotImplemented
+    assert rep != rep._scaled and rep == chart(alpha=(1, 2), alpha_star=(F(1, 2), 0),
+                                               beta=((1, 0), (0, -1)))
+    assert repr(rep) == (
+        f"QuiverRep(alpha={rep.alpha!r}, alpha_star={rep.alpha_star!r}, beta={rep.beta!r}, "
+        f"gamma={rep.gamma!r}, delta={rep.delta!r}, params={rep.params!r})")
+    assert repr(rep).startswith("QuiverRep(alpha=(Fraction(1, 1), Fraction(2, 1)), ")
+
+
+def test_base_point_needs_seven_coordinates():
+    for values in ([0] * 6, [0] * 8):
+        with pytest.raises(ValueError, match=r"expected seven coordinates \(x, y, z, t, u, v, w\)"):
+            BasePoint.from_values(values)

@@ -137,23 +137,36 @@ def test_non_central_image_fails_substitution_laufer(monkeypatch):
     assert details == "image of t is not central"
 
 
+def flip_hypersurface_sign(monkeypatch):
+    """quiver.hypersurface with 2 v y z read as - 2 v y z."""
+    monkeypatch.setattr(quiver, "hypersurface", lambda x, y, z, t, u, v, w: (
+        x * x + u * y * y - 2 * v * y * z + w * z * z + (u * w - v * v) * t * t))
+
+
 def test_flipped_sign_fails_substitution_laufer(monkeypatch):
-    text = "x*x + u*y*y - 2*v*y*z + w*z*z + (u*w - v*v)*t*t"
-    monkeypatch.setattr(ncalg, "hypersurface_polynomial", lambda base: ncalg.parse_expr(base, text))
+    flip_hypersurface_sign(monkeypatch)
     ok, details = verify.check_substitution_laufer()
     assert not ok
     assert details == "hypersurface polynomial does not reduce to zero"
 
 
-def test_flipped_singular_generator_fails_substitution_laufer(monkeypatch):
-    original = ncalg.singular_polynomials
+def test_flipped_sign_fails_quiver_sweeps(monkeypatch):
+    # the one definition of F is read by both checks
+    flip_hypersurface_sign(monkeypatch)
+    ok, details = verify.check_quiver_sweeps()
+    assert not ok
+    assert details.startswith("base equation nonzero on sample ")
 
-    def mutant(base):
-        gens = original(base)
-        gens["yz-vt^2"] = ncalg.parse_expr(base, "y*z + v*t*t")
+
+def test_flipped_singular_generator_fails_substitution_laufer(monkeypatch):
+    original = quiver.singular_generators
+
+    def mutant(x, y, z, t, u, v, w):
+        gens = original(x, y, z, t, u, v, w)
+        gens["yz-vt^2"] = y * z + v * t * t
         return gens
 
-    monkeypatch.setattr(ncalg, "singular_polynomials", mutant)
+    monkeypatch.setattr(quiver, "singular_generators", mutant)
     ok, details = verify.check_substitution_laufer()
     assert not ok
     assert details == "singular-locus generator yz-vt^2 does not reduce to zero"
@@ -355,23 +368,30 @@ def test_inflated_acon_and_ctbc_fail_the_acon_table(monkeypatch):
     assert details == "contraction algebra dims [2, 4, 8, 13, 20, 28, 38]"
 
 
+def inflate_quotient(monkeypatch, element):
+    """ncalg.hilbert one higher in every degree on the quotient of A_con by
+    the element ("t" or "commutator"), so its ideal reads one smaller."""
+    acon = ncalg.catalog("acon")
+    gen = acon.gen
+    added = gen("t") if element == "t" else ncalg.commutator(gen("beta"), gen("gamma"))
+    original = ncalg.hilbert
+
+    def mutant(pres, d):
+        dims = original(pres, d)
+        return [n + 1 for n in dims] if ncalg.poly_key(added) in pres.relations else dims
+
+    monkeypatch.setattr(ncalg, "hilbert", mutant)
+
+
 def test_inflated_ideal_fails_graded_kernels(monkeypatch):
-    original = ncalg.ideal_dims
-    monkeypatch.setattr(ncalg, "ideal_dims",
-                        lambda rs, gens, d: [n + 1 for n in original(rs, gens, d)])
+    inflate_quotient(monkeypatch, "commutator")
     ok, details = verify.check_graded_kernels()
     assert not ok
     assert details == "kernel of right multiplication by t is not the commutator ideal"
 
 
 def test_inflated_t_ideal_fails_graded_kernels(monkeypatch):
-    original = ncalg.ideal_dims
-
-    def mutant(rs, gens, d):
-        dims = original(rs, gens, d)
-        return [n + 1 for n in dims] if gens == [rs.presentation.gen("t")] else dims
-
-    monkeypatch.setattr(ncalg, "ideal_dims", mutant)
+    inflate_quotient(monkeypatch, "t")
     ok, details = verify.check_graded_kernels()
     assert not ok
     assert details == "kernel of the commutator action is not the t ideal"
